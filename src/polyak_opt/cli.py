@@ -28,11 +28,12 @@ from .baselines import BASELINES, run_baseline
 from .config import (
     ConfigError,
     ExperimentConfig,
-    load_config,
     make_hyper,
     make_loss_spec,
     parse_float_list,
+    parse_updates,
     resolve_dataset,
+    with_updates,
 )
 from .data import ParseError, normalize_samples, serialize_libsvm
 from .losses import optimum_oracle, smoothness_constants
@@ -112,23 +113,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    if getattr(args, "threads", None) is None and "POLYAK_OPT_THREADS" in os.environ:
+def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str]]:
+    """The settings, and the names of the fields the config file or a flag
+    set (whatever value they set them to)."""
+    file_updates = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_updates = parse_updates(fh.read())
+    flag_updates = {
+        name: getattr(args, name)
+        for name in _OVERRIDE_FIELDS
+        if getattr(args, name, None) is not None
+    }
+    cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
+    if "threads" not in flag_updates and "POLYAK_OPT_THREADS" in os.environ:
         cfg = dataclasses.replace(cfg, threads=int(os.environ["POLYAK_OPT_THREADS"]))
-    return cfg
+    return cfg, set(file_updates) | set(flag_updates)
 
 
 def _load(cfg: ExperimentConfig):
+    """The dataset and loss spec of a run. A logistic loss needs labels in
+    {-1, +1}: a 0/1 file would run with its 0 rows as constant log 2 terms."""
     data = resolve_dataset(cfg.dataset)
-    return normalize_samples(data) if cfg.normalize else data
+    if cfg.normalize:
+        data = normalize_samples(data)
+    spec = make_loss_spec(cfg)
+    if spec.family == "logistic":
+        bad = np.flatnonzero(np.abs(data.labels) != 1.0)
+        if bad.size:
+            raise ConfigError(
+                f"logistic loss needs labels -1 or +1; row {int(bad[0]) + 1} "
+                f"of {cfg.dataset} has label {float(data.labels[bad[0]])!r}"
+            )
+    return data, spec
 
 
 def _certificate(cfg: ExperimentConfig, spec, data):
@@ -138,13 +155,14 @@ def _certificate(cfg: ExperimentConfig, spec, data):
     return optimum_oracle(spec, data, budget=budget)
 
 
-def _run_method(method, cfg, spec, data, cert):
+def _run_method(method, cfg, spec, data, cert, gamma_set):
     """One full run of a Polyak method or baseline, returning its records.
 
     When an oracle certificate is present it supplies the per-sample
     targets for sp/spsmax (overriding the scalar ``fi_star``). For
-    baselines, a ``gamma`` left at the config default is treated as unset
-    so sag/svrg fall back to their standard 1/(2 L_max)."""
+    baselines, a ``gamma`` that neither the config file nor a flag set
+    (``gamma_set`` false) is treated as unset, so sag/svrg fall back to
+    their standard 1/(2 L_max)."""
     if method in METHODS:
         fi_star = cfg.fi_star
         if cert is not None and method in ("sp", "spsmax"):
@@ -154,7 +172,7 @@ def _run_method(method, cfg, spec, data, cert):
             fi_star=fi_star, tau=cfg.tau,
         )
     if method in BASELINES:
-        gamma = None if cfg.gamma == ExperimentConfig().gamma else cfg.gamma
+        gamma = cfg.gamma if gamma_set else None
         return run_baseline(
             method, spec, data, cfg.epochs, cfg.seed, cert,
             gamma=gamma, sgd_schedule=cfg.sgd_schedule,
@@ -171,13 +189,12 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    data = _load(cfg)
-    spec = make_loss_spec(cfg)
+    cfg, explicit = _resolve_config(args)
+    data, spec = _load(cfg)
     cert = _certificate(cfg, spec, data)
     code = 0
     try:
-        records = _run_method(cfg.method, cfg, spec, data, cert)
+        records = _run_method(cfg.method, cfg, spec, data, cert, "gamma" in explicit)
     except NumericError as err:
         records = err.records
         print(f"error: numeric abort at sample {err.sample_index}: {err}", file=sys.stderr)
@@ -205,11 +222,10 @@ def _grid_cell(cfg, spec, data, gamma, gamma_tau):
 
 
 def cmd_grid(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     if cfg.method not in METHODS:
         raise ConfigError(f"grid sweeps a Polyak method, got {cfg.method!r}")
-    data = _load(cfg)
-    spec = make_loss_spec(cfg)
+    data, spec = _load(cfg)
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
@@ -261,12 +277,11 @@ def _compare_settings(method: str, cfg, spec, data):
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, _ = _resolve_config(args)
     methods = [m.strip() for m in cfg.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ConfigError("compare needs at least two methods")
-    data = _load(cfg)
-    spec = make_loss_spec(cfg)
+    data, spec = _load(cfg)
     cert = _certificate(cfg, spec, data)
     plain = dataclasses.replace(make_hyper(cfg), gamma=1.0)
 

@@ -100,8 +100,8 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse config text on top of ``base`` (defaults when omitted)."""
+def parse_updates(text: str) -> dict:
+    """The settings a config text makes, as field name -> coerced value."""
     updates = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -113,10 +113,20 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if key not in _FIELD_OF:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         updates[_FIELD_OF[key]] = _coerce(key, raw)
+    return updates
+
+
+def with_updates(base: ExperimentConfig, updates: dict) -> ExperimentConfig:
+    """``base`` with ``updates`` applied; an invalid value is a ConfigError."""
     try:
-        return dataclasses.replace(base or ExperimentConfig(), **updates)
+        return dataclasses.replace(base, **updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse config text on top of ``base`` (defaults when omitted)."""
+    return with_updates(base or ExperimentConfig(), parse_updates(text))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -172,6 +172,8 @@ def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
+        if not np.isfinite(label):
+            raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
         indices = []
         values = []
         prev = 0  # 1-based; entries must strictly increase

@@ -5,11 +5,15 @@ import json
 
 import pytest
 
+from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
+from polyak_opt.config import resolve_dataset
 from polyak_opt.data import load_libsvm, synth_dataset
-from polyak_opt.traces import CSV_HEADER, parse_trace_csv
+from polyak_opt.losses import LossSpec
+from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
 
-SMALL = "synth:underparam:n=8,d=4,noise=0.2,seed=3"
+# +-1 labels, so the default logistic family accepts it
+SMALL = "synth:separable:n=8,d=4,seed=3"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +101,47 @@ class TestRun:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent/exp.cfg")
         assert code == 2 and "error" in err
+
+    def test_nan_label_is_parse_error(self, tmp_path, capsys):
+        data_file = tmp_path / "nan.txt"
+        data_file.write_text("1 1:1.0\nnan 1:0.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--dataset", str(data_file))
+        assert code == 2
+        assert "line 2" in err and "nan" in err
+        assert out == ""
+
+    def test_logistic_rejects_zero_one_labels(self, tmp_path, capsys):
+        data_file = tmp_path / "zero_one.txt"
+        data_file.write_text("1 1:1.0 2:0.5\n0 1:-0.5 2:1.0\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {data_file}\nfamily = logistic\nsigma = 0.1\noracle = closed\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--epochs", "2")
+        assert code == 2
+        assert "row 2" in err and "label 0.0" in err
+        assert out == ""
+
+    def test_explicit_baseline_gamma_is_honoured(self, tmp_path, capsys):
+        data = resolve_dataset(SMALL)
+
+        def expected(gamma):
+            return trace_to_csv(run_baseline(
+                "sag", LossSpec("logistic"), data, 2, 0, None, gamma=gamma,
+                sgd_schedule="inverse",
+            ))
+
+        args = ("run", "--dataset", SMALL, "--method", "sag", "--epochs", "2")
+        # 0.9 is also the config default: set explicitly it must still be used
+        code, out, _ = run_cli(capsys, *args, "--gamma", "0.9")
+        assert code == 0 and out == expected(0.9)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("gamma = 0.9\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, *args, "--config", str(cfg))
+        assert code == 0 and out == expected(0.9)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and out == expected(None) != expected(0.9)
 
 
 class TestGrid:

@@ -82,6 +82,12 @@ class TestParseLibsvm:
             parse_libsvm("+1 1:0.5\n+1 oops\n")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_nonfinite_label_reports_line(self, label):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(f"+1 1:0.5\n{label} 1:1.0\n")
+        assert exc.value.line_no == 2
+
     def test_zero_index_rejected(self):
         with pytest.raises(ParseError):
             parse_libsvm("+1 0:1.0")

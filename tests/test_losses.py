@@ -1,9 +1,12 @@
 """GLM loss values, gradients, smoothness constants, and the optimum oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polyak_opt.data import Dataset, SparseVector, synth_dataset
@@ -26,6 +29,16 @@ def dense_dataset(rows, labels):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     samples = [SparseVector(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
     return Dataset(samples, labels, dim=rows.shape[1])
+
+
+def own_logistic_grad(data, w, sigma):
+    """Mean logistic gradient from the rows themselves, not ``full_grad``."""
+    X = np.zeros((data.n, data.dim))
+    for r, s in enumerate(data.samples):
+        X[r, s.indices] = s.values
+    yt = data.labels * (X @ w)
+    dphi = -data.labels * 0.5 * (1.0 - np.tanh(0.5 * yt))  # -y / (1 + e^{yt})
+    return X.T @ dphi / data.n + sigma * w
 
 
 def fd_grad(spec, data, w, i, h=1e-6):
@@ -313,6 +326,50 @@ class TestOptimumOracle:
         data = dense_dataset([[1.0]], [0.0])
         with pytest.raises(UnsupportedFamilyError):
             optimum_oracle(LossSpec(family="monomial"), data)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_logistic_certificate_is_tight(self, seed):
+        data, _ = synth_dataset(seed, 1000, 50, "separable")
+        cert = optimum_oracle(LossSpec(family="logistic", sigma=1e-3), data)
+        assert cert.converged
+        assert cert.grad_norm_at_opt <= 1e-12
+        assert np.linalg.norm(own_logistic_grad(data, cert.w_star, 1e-3)) <= 1e-12
+
+    def test_logistic_sparse_wide_forms_no_hessian(self):
+        rng = np.random.default_rng(5)
+        n, d, k = 200, 5000, 10
+        rows = [
+            SparseVector(np.sort(rng.choice(d, k, replace=False)), rng.standard_normal(k))
+            for _ in range(n)
+        ]
+        data = Dataset(rows, rng.choice([-1.0, 1.0], n), dim=d)
+        tracemalloc.start()
+        try:
+            cert = optimum_oracle(LossSpec(family="logistic", sigma=1e-2), data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.converged
+        assert np.linalg.norm(own_logistic_grad(data, cert.w_star, 1e-2)) <= 1e-8
+        # a d x d Hessian would be 8 d^2 = 200 MB; an n x d copy 8 MB
+        assert peak < 8 * d * d / 50
+
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        log_sigma=st.floats(-4.0, 0.0),
+        log_scale=st.floats(-1.0, 1.0),
+    )
+    def test_logistic_converges_on_random_glms(self, n, d, seed, log_sigma, log_scale):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, d)) * 10.0**log_scale
+        rows[rng.random((n, d)) < 0.3] = 0.0
+        data = dense_dataset(rows, rng.choice([-1.0, 1.0], n))
+        sigma = 10.0**log_sigma
+        cert = optimum_oracle(LossSpec(family="logistic", sigma=sigma), data)
+        assert cert.converged
+        assert np.linalg.norm(own_logistic_grad(data, cert.w_star, sigma)) <= 1e-10
 
 
 class TestLossSpecValidation:
