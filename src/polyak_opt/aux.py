@@ -40,7 +40,8 @@ from .polyak import (
     TapsState,
     _make_record,
     _stepsizes_at,
-    lambda_max,
+    check_lambda,
+    fi_star_array,
     sample_indices,
 )
 from .traces import TraceRecord
@@ -138,13 +139,9 @@ def joint_projection_taps(w: np.ndarray, alpha_i: float, spec: LossSpec, data: D
     """Projection of (w, α_i) onto the linearized constraint
     f_i(w_t) + ⟨∇f_i(w_t), w − w_t⟩ = α: the closed form behind the taps
     data step at γ = 1."""
-    fi, g = _loss_and_grad(spec, data, w, i)
+    fi, g = loss_grad_i(spec, data, w, i)
     c = (fi - alpha_i) / (float(g @ g) + 1.0)
     return w - c * g, alpha_i + c
-
-
-def _loss_and_grad(spec, data, w, i):
-    return loss_grad_i(spec, data, w, i)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +224,7 @@ def aux_value_motaps(
 def _mean_w_block(data, dvals, coeffs, sigma, w, scale):
     """(scale/n_comp)·Σ_i coeff_i ∇f_i(w) given φ′ values, exploiting
     ∇f_i = φ′_i x_i + σw."""
-    g = data.dense.T @ (coeffs * dvals)
+    g = data.X.T @ (coeffs * dvals)
     if sigma != 0.0:
         g = g + sigma * float(np.sum(coeffs)) * w
     return scale * g
@@ -381,9 +378,9 @@ def run_epochs_sgd_view(
     if not epochs >= 1:
         raise ValueError("epochs must be >= 1")
     n, dim = data.n, data.dim
-    if meth == "motaps" and hyper.lam > lambda_max(n):
-        raise ValueError(f"lambda={hyper.lam} exceeds lambda_max({n})")
-    fi_stars = np.full(n, float(fi_star)) if np.isscalar(fi_star) else np.asarray(fi_star, dtype=np.float64)
+    if meth == "motaps":
+        check_lambda(hyper.lam, n)
+    fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
     w = np.zeros(dim)
     alpha = np.zeros(n)

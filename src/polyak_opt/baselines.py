@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, dot
+from .data import Dataset
 from .losses import (
     LossSpec,
     OptimumCertificate,
@@ -92,7 +92,7 @@ class SagTable:
     def check_sum(self, data: Dataset, tol: float = 1e-9) -> float:
         """Relative drift of grad_sum against a fresh Σ dvals[i]·x_i;
         raises above ``tol``."""
-        fresh = data.dense.T @ self.dvals
+        fresh = data.X.T @ self.dvals
         scale = max(float(np.linalg.norm(fresh)), 1.0)
         err = float(np.linalg.norm(self.grad_sum - fresh)) / scale
         if err > tol:
@@ -105,9 +105,9 @@ def sag_step(
 ) -> np.ndarray:
     """Refresh sample i's stored gradient, then move along the table mean
     plus the analytic regularizer: w − γ(grad_sum/n + σw). Mutates the table."""
-    margin = dot(data.samples[i], w)
-    _, dval = _scalar_phi(spec, data, margin, i)
-    table.grad_sum += (dval - table.dvals[i]) * data.dense[i]
+    idx, x = data.rows[i]
+    _, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    table.grad_sum[idx] += (dval - table.dvals[i]) * x
     table.dvals[i] = dval
     table.initialized[i] = True
     direction = table.grad_sum / data.n
@@ -146,9 +146,11 @@ def svrg_step(
     """
     if inner_len < 1:
         raise ValueError("inner_len must be >= 1")
-    _, dval = _scalar_phi(spec, data, dot(data.samples[i], w), i)
-    _, dval_ref = _scalar_phi(spec, data, dot(data.samples[i], snap.w_ref), i)
-    direction = (dval - dval_ref) * data.dense[i] + snap.mu_ref
+    idx, x = data.rows[i]
+    _, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    _, dval_ref = _scalar_phi(spec, data, float(x @ snap.w_ref[idx]), i)
+    direction = snap.mu_ref.copy()
+    direction[idx] += (dval - dval_ref) * x
     if spec.sigma != 0.0:
         direction = direction + spec.sigma * (w - snap.w_ref)
     w_new = w - gamma * direction

@@ -9,7 +9,8 @@ Settings resolve as defaults < ``--config`` file < explicit flags. Thread
 count resolves as ``--threads`` < ``POLYAK_OPT_THREADS`` < config, with 0
 meaning the executor default. Exit codes: 0 success, 1 failed verification,
 2 bad configuration or input, 3 numeric abort (partial trace still
-written).
+written). Only a ``ConfigError``, a ``ParseError`` or a missing file is
+reported as exit 2; every other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .config import (
     with_updates,
 )
 from .data import ParseError, normalize_samples, serialize_libsvm
-from .losses import optimum_oracle, smoothness_constants
-from .polyak import METHODS, NumericError, rule_of_thumb, run_epochs
+from .losses import UnsupportedFamilyError, optimum_oracle, smoothness_constants
+from .polyak import METHODS, NumericError, check_lambda, rule_of_thumb, run_epochs
 from .traces import CSV_HEADER, trace_to_csv, trace_to_json
 from .verify import format_report, run_all
 
@@ -127,16 +128,29 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
     }
     cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
     if "threads" not in flag_updates and "POLYAK_OPT_THREADS" in os.environ:
-        cfg = dataclasses.replace(cfg, threads=int(os.environ["POLYAK_OPT_THREADS"]))
+        raw = os.environ["POLYAK_OPT_THREADS"]
+        try:
+            cfg = dataclasses.replace(cfg, threads=int(raw))
+        except ValueError:
+            raise ConfigError(f"POLYAK_OPT_THREADS must be an integer, got {raw!r}") from None
     return cfg, set(file_updates) | set(flag_updates)
 
 
-def _load(cfg: ExperimentConfig):
-    """The dataset and loss spec of a run. A logistic loss needs labels in
-    {-1, +1}: a 0/1 file would run with its 0 rows as constant log 2 terms."""
+def _load(cfg: ExperimentConfig, methods):
+    """The dataset and loss spec for running ``methods``. The dataset must
+    not be empty, motaps needs lambda < lambda_max(n), and a logistic loss
+    needs labels in {-1, +1}: a 0/1 file would run with its 0 rows as
+    constant log 2 terms."""
     data = resolve_dataset(cfg.dataset)
+    if data.n == 0:
+        raise ConfigError(f"{cfg.dataset} holds no samples")
     if cfg.normalize:
         data = normalize_samples(data)
+    if "motaps" in methods:
+        try:
+            check_lambda(cfg.lam, data.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     spec = make_loss_spec(cfg)
     if spec.family == "logistic":
         bad = np.flatnonzero(np.abs(data.labels) != 1.0)
@@ -148,11 +162,20 @@ def _load(cfg: ExperimentConfig):
     return data, spec
 
 
+def _unsupported_as_config_error(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with an operation the configured loss family
+    does not define (UnsupportedFamilyError) reported as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except UnsupportedFamilyError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _certificate(cfg: ExperimentConfig, spec, data):
     if cfg.oracle == "none":
         return None
     budget = cfg.budget if cfg.oracle == "iter" else None
-    return optimum_oracle(spec, data, budget=budget)
+    return _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
 
 
 def _run_method(method, cfg, spec, data, cert, gamma_set):
@@ -173,8 +196,8 @@ def _run_method(method, cfg, spec, data, cert, gamma_set):
         )
     if method in BASELINES:
         gamma = cfg.gamma if gamma_set else None
-        return run_baseline(
-            method, spec, data, cfg.epochs, cfg.seed, cert,
+        return _unsupported_as_config_error(
+            run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
             gamma=gamma, sgd_schedule=cfg.sgd_schedule,
         )
     raise ConfigError(f"unknown method {method!r}")
@@ -190,7 +213,7 @@ def _emit(text: str, out: str) -> None:
 
 def cmd_run(args) -> int:
     cfg, explicit = _resolve_config(args)
-    data, spec = _load(cfg)
+    data, spec = _load(cfg, [cfg.method])
     cert = _certificate(cfg, spec, data)
     code = 0
     try:
@@ -209,7 +232,7 @@ def cmd_run(args) -> int:
 def _grid_cell(cfg, spec, data, gamma, gamma_tau):
     """Final (grad_norm, loss) of one grid cell; divergence maps to inf."""
     try:
-        hyper = dataclasses.replace(make_hyper(cfg), gamma=gamma, gamma_tau=gamma_tau)
+        hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
         rec = run_epochs(
             cfg.method, spec, data, hyper, cfg.epochs, cfg.seed,
             fi_star=cfg.fi_star, tau=cfg.tau,
@@ -225,7 +248,7 @@ def cmd_grid(args) -> int:
     cfg, _ = _resolve_config(args)
     if cfg.method not in METHODS:
         raise ConfigError(f"grid sweeps a Polyak method, got {cfg.method!r}")
-    data, spec = _load(cfg)
+    data, spec = _load(cfg, [cfg.method])
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
@@ -281,25 +304,25 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in cfg.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ConfigError("compare needs at least two methods")
-    data, spec = _load(cfg)
+    data, spec = _load(cfg, methods)
     cert = _certificate(cfg, spec, data)
     plain = dataclasses.replace(make_hyper(cfg), gamma=1.0)
 
     def one(method):
-        overrides, header = _compare_settings(method, cfg, spec, data)
+        overrides, header = _unsupported_as_config_error(
+            _compare_settings, method, cfg, spec, data
+        )
         base = dict(fi_star=0.0 if method in ("sp", "spsmax") else cfg.fi_star)
         try:
             if method in METHODS:
-                hyper = dataclasses.replace(plain, **{
-                    k: v for k, v in overrides.items() if k in ("gamma", "gamma_tau")
-                })
+                hyper = dataclasses.replace(plain, **overrides)
                 records = run_epochs(
                     method, spec, data, hyper, cfg.epochs, cfg.seed, cert,
                     tau=cfg.tau, **base,
                 )
             else:
-                records = run_baseline(
-                    method, spec, data, cfg.epochs, cfg.seed, cert,
+                records = _unsupported_as_config_error(
+                    run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
                     gamma=overrides.get("gamma"), sgd_schedule=cfg.sgd_schedule,
                 )
             return header, records, None
@@ -362,10 +385,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .baselines import SGD_SCHEDULES
 from .data import Dataset, load_libsvm, synth_dataset
 from .losses import LossSpec
 from .polyak import HyperParams
@@ -72,6 +73,12 @@ class ExperimentConfig:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.oracle not in _ORACLES:
             raise ConfigError(f"oracle must be one of {_ORACLES}, got {self.oracle!r}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.sgd_schedule not in SGD_SCHEDULES:
+            raise ConfigError(
+                f"sgd_schedule must be one of {SGD_SCHEDULES}, got {self.sgd_schedule!r}"
+            )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -155,9 +162,13 @@ def parse_float_list(raw: str) -> list[float]:
 
 
 def resolve_dataset(spec: str) -> Dataset:
-    """Load a LIBSVM path or build a ``synth:...`` dataset."""
+    """Load a LIBSVM path or build a ``synth:...`` dataset; a spec the
+    generator rejects, or a file that is not UTF-8 text, is a ConfigError."""
     if not spec.startswith("synth:"):
-        return load_libsvm(spec)
+        try:
+            return load_libsvm(spec)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{spec} is not UTF-8 text: {exc.reason}") from None
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"synthetic spec must be synth:<mode>:k=v,..., got {spec!r}")
@@ -168,24 +179,32 @@ def resolve_dataset(spec: str) -> Dataset:
             raise ConfigError(f"bad synthetic parameter {item!r} in {spec!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key in ("n", "d", "seed"):
-            params[key] = int(raw)
-        elif key == "noise":
-            params[key] = float(raw)
-        else:
+        if key not in ("n", "d", "seed", "noise"):
             raise ConfigError(f"unknown synthetic parameter {key!r} in {spec!r}")
+        try:
+            params[key] = float(raw) if key == "noise" else int(raw)
+        except ValueError:
+            raise ConfigError(f"bad value for {key} in {spec!r}: {raw!r}") from None
     if "n" not in params or "d" not in params:
         raise ConfigError(f"synthetic spec needs n= and d=: {spec!r}")
-    data, _ = synth_dataset(params["seed"], params["n"], params["d"], mode, params["noise"])
+    try:
+        data, _ = synth_dataset(params["seed"], params["n"], params["d"], mode, params["noise"])
+    except ValueError as exc:
+        raise ConfigError(f"{spec}: {exc}") from None
     return data
 
 
 def make_loss_spec(cfg: ExperimentConfig) -> LossSpec:
-    return LossSpec(family=cfg.family, sigma=cfg.sigma, power_r=cfg.power_r)
+    try:
+        return LossSpec(family=cfg.family, sigma=cfg.sigma, power_r=cfg.power_r)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def make_hyper(cfg: ExperimentConfig) -> HyperParams:
-    return HyperParams(
+def make_hyper(cfg: ExperimentConfig, **overrides) -> HyperParams:
+    """The step-size knobs of ``cfg``, with ``overrides`` (HyperParams field
+    names) on top; values HyperParams rejects are a ConfigError."""
+    fields = dict(
         gamma=cfg.gamma,
         gamma_tau=cfg.gamma_tau,
         lam=cfg.lam,
@@ -194,3 +213,7 @@ def make_hyper(cfg: ExperimentConfig) -> HyperParams:
         schedule=cfg.schedule,
         mu=cfg.mu,
     )
+    try:
+        return HyperParams(**{**fields, **overrides})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -1,19 +1,21 @@
 """Sparse datasets: LIBSVM-format I/O and seeded synthetic problem generators.
 
-Row-sparse storage only; model vectors are plain dense numpy arrays. A
-``Dataset`` also precomputes a dense copy of the feature matrix and the
-per-row square norms, which the full-batch evaluation paths use. At the
-scales this harness targets (tens of thousands of nonzeros) that trade
-is always worth it.
+A ``Dataset`` stores its features once, as a CSR matrix (a
+``scipy.sparse.csr_array``), together with the labels, the per-row square
+norms and per-row (indices, values) views into the CSR arrays. A full-batch
+product costs O(nnz) and one sample is two array views, so nothing is ever
+stored or scanned at n x d. Model vectors are plain dense numpy arrays.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -86,8 +88,16 @@ class SparseVector:
         return f"SparseVector({pairs})"
 
 
-def dot(x: SparseVector, w: np.ndarray) -> float:
-    """Inner product of a sparse row with a dense vector. Empty row -> 0."""
+class Row(NamedTuple):
+    """One sample of a ``Dataset``: read-only views of its CSR slice."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+
+def dot(x, w: np.ndarray) -> float:
+    """Inner product of a sparse row (a ``SparseVector`` or a ``Row``) with a
+    dense vector. Empty row -> 0."""
     if x.indices.size == 0:
         return 0.0
     if x.indices[-1] >= len(w):
@@ -100,51 +110,76 @@ def dot(x: SparseVector, w: np.ndarray) -> float:
 class Dataset:
     """Immutable collection of sparse samples with real labels.
 
-    ``dim`` defaults to max index + 1 across samples but may be overridden
-    upward (a dataset may simply not touch its trailing features).
+    ``samples`` is a sequence of ``SparseVector`` rows or a scipy sparse
+    matrix (explicit zeros are dropped, duplicate entries summed). ``dim``
+    defaults to max index + 1 for rows and to the column count for a
+    matrix, and may be overridden upward (a dataset may simply not touch
+    its trailing features).
+
+    ``X`` is the n x dim CSR matrix, and ``rows[i]`` is sample i as a
+    ``Row`` of views into it.
     """
 
-    __slots__ = ("samples", "labels", "dim", "dense", "row_sqnorms")
+    __slots__ = ("X", "labels", "dim", "row_sqnorms", "rows")
 
     def __init__(self, samples: Sequence[SparseVector], labels, dim: int | None = None):
-        samples = tuple(samples)
-        labels_arr = np.asarray(labels, dtype=np.float64)
-        if labels_arr.ndim != 1 or len(samples) != labels_arr.size:
+        labels_arr = np.array(labels, dtype=np.float64)
+        if sp.issparse(samples):
+            csr = sp.csr_array(samples, dtype=np.float64, copy=True)
+            csr.sum_duplicates()
+            csr.eliminate_zeros()
+            if not np.isfinite(csr.data).all():
+                raise ValueError("non-finite feature value")
+            indptr, indices, values = csr.indptr, csr.indices, csr.data
+            max_dim = csr.shape[1]
+        else:
+            samples = tuple(samples)
+            indptr = np.zeros(len(samples) + 1, dtype=np.int64)
+            np.cumsum([s.nnz for s in samples], out=indptr[1:])
+            indices = np.concatenate([s.indices for s in samples] or [np.zeros(0, np.int64)])
+            values = np.concatenate([s.values for s in samples] or [np.zeros(0)])
+            max_dim = int(indices.max()) + 1 if indices.size else 0
+        n = indptr.size - 1
+        if labels_arr.ndim != 1 or n != labels_arr.size:
             raise ValueError("samples and labels must have matching length")
-        max_dim = 0
-        for s in samples:
-            if s.indices.size:
-                max_dim = max(max_dim, int(s.indices[-1]) + 1)
         if dim is None:
             dim = max_dim
         elif dim < max_dim:
             raise ValueError(f"dim={dim} smaller than max feature index + 1 ({max_dim})")
-        dense = np.zeros((len(samples), dim))
-        for r, s in enumerate(samples):
-            dense[r, s.indices] = s.values
-        labels_arr.setflags(write=False)
-        dense.setflags(write=False)
-        sqn = np.einsum("ij,ij->i", dense, dense)
-        sqn.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        # intp indices: numpy gathers and scatters with them without a cast
+        X = sp.csr_array(
+            (values, indices.astype(np.intp), indptr.astype(np.intp)), shape=(n, int(dim))
+        )
+        bounds = X.indptr.tolist()
+        rows = tuple(
+            Row(X.indices[a:b], X.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
+        with np.errstate(over="ignore"):  # a huge row's square norm is inf
+            sqn = np.array([float(np.dot(r.values, r.values)) for r in rows])
+        for arr in (X.data, X.indices, X.indptr, labels_arr, sqn):
+            arr.setflags(write=False)
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels_arr)
         object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "dense", dense)
         object.__setattr__(self, "row_sqnorms", sqn)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.labels.size
 
     def __eq__(self, other):
         return (
             isinstance(other, Dataset)
             and self.dim == other.dim
             and np.array_equal(self.labels, other.labels)
-            and self.samples == other.samples
+            and all(
+                np.array_equal(getattr(self.X, a), getattr(other.X, a))
+                for a in ("indptr", "indices", "data")
+            )
         )
 
     def __repr__(self):
@@ -154,14 +189,17 @@ class Dataset:
 def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
     """Parse LIBSVM-format text: ``<label> <idx>:<val> ...`` with 1-based indices.
 
-    Indices are shifted to 0-based. ``#`` starts a comment running to the end
-    of the line. An empty stream yields an empty dataset (n=0, dim=0).
+    Indices are shifted to 0-based and explicit zeros dropped. ``#`` starts a
+    comment running to the end of the line. An empty stream yields an empty
+    dataset (n=0, dim=0).
     """
     if isinstance(text, str):
         lines: Iterable[str] = text.splitlines()
     else:
         lines = text
-    samples = []
+    indptr = [0]
+    indices = []
+    values = []
     labels = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,10 +210,8 @@ def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
-        if not np.isfinite(label):
+        if not math.isfinite(label):
             raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
-        indices = []
-        values = []
         prev = 0  # 1-based; entries must strictly increase
         for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -193,23 +229,28 @@ def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
                 raise ParseError(line_no, f"feature index {idx} not positive")
             if idx <= prev:
                 raise ParseError(line_no, f"feature index {idx} not increasing")
+            if not math.isfinite(val):
+                raise ParseError(line_no, "non-finite feature value")
             prev = idx
-            indices.append(idx - 1)
-            values.append(val)
-        try:
-            samples.append(SparseVector(indices, values))
-        except ValueError as exc:  # non-finite values and the like
-            raise ParseError(line_no, str(exc)) from None
+            if val != 0.0:
+                indices.append(idx - 1)
+                values.append(val)
+        indptr.append(len(indices))
         labels.append(label)
-    return Dataset(samples, labels, dim=dim)
+    X = sp.csr_array(
+        (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(labels), max(indices, default=-1) + 1),
+    )
+    return Dataset(X, labels, dim=dim)
 
 
 def serialize_libsvm(data: Dataset) -> str:
     """Inverse of parse_libsvm; floats printed with shortest round-trip repr."""
     out = []
-    for s, y in zip(data.samples, data.labels):
-        parts = [repr(float(y))]
-        parts += [f"{int(i) + 1}:{float(v)!r}" for i, v in zip(s.indices, s.values)]
+    for row, y in zip(data.rows, data.labels.tolist()):
+        parts = [repr(y)]
+        parts += [f"{i + 1}:{v!r}" for i, v in zip(row.indices.tolist(), row.values.tolist())]
         out.append(" ".join(parts))
     return "\n".join(out) + ("\n" if out else "")
 
@@ -227,19 +268,11 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
 
 def normalize_samples(data: Dataset) -> Dataset:
     """Scale every sample to unit L2 norm (empty rows kept as-is)."""
-    normed = []
-    for s in data.samples:
-        nrm = np.sqrt(s.sqnorm())
-        if nrm == 0.0:
-            normed.append(s)
-        else:
-            normed.append(SparseVector(s.indices, s.values / nrm))
-    return Dataset(normed, data.labels, dim=data.dim)
-
-
-def _dense_row(vec: np.ndarray) -> SparseVector:
-    idx = np.flatnonzero(vec)
-    return SparseVector(idx, vec[idx])
+    nrm = np.sqrt(data.row_sqnorms)
+    nrm[nrm == 0.0] = 1.0
+    X = data.X
+    values = X.data / np.repeat(nrm, np.diff(X.indptr))
+    return Dataset(sp.csr_array((values, X.indices, X.indptr), shape=X.shape), data.labels)
 
 
 def synth_dataset(
@@ -262,17 +295,17 @@ def synth_dataset(
     if mode == "separable":
         w_true = rng.standard_normal(d)
         w_true /= np.linalg.norm(w_true)
-        rows = []
+        X = np.empty((n, d))
         labels = []
-        for _ in range(n):
+        for r in range(n):
             x = rng.standard_normal(d)
             m = float(np.dot(x, w_true))
             while abs(m) < 0.1:
                 x = rng.standard_normal(d)
                 m = float(np.dot(x, w_true))
-            rows.append(_dense_row(x))
+            X[r] = x
             labels.append(1.0 if m > 0 else -1.0)
-        return Dataset(rows, labels, dim=d), None
+        return Dataset(sp.csr_array(X), labels), None
     if mode == "underparam":
         if n <= d:
             raise ValueError("underparam mode requires n > d")
@@ -281,11 +314,11 @@ def synth_dataset(
         y = X @ w_true
         if noise != 0.0:
             y = y + noise * rng.standard_normal(n)
-        data = Dataset([_dense_row(X[i]) for i in range(n)], y, dim=d)
+        data = Dataset(sp.csr_array(X), y)
         if noise == 0.0:
             # planted vector is the exact minimizer iff the residual gradient
             # vanishes (least squares is convex, so zero gradient is global)
-            grad = data.dense.T @ (data.dense @ w_true - data.labels) / n
+            grad = data.X.T @ (data.X @ w_true - data.labels) / n
             if float(np.linalg.norm(grad)) <= 1e-10:
                 return data, w_true
         return data, None

@@ -18,10 +18,10 @@ two against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, dot
 
@@ -91,13 +91,21 @@ def _monomial_params(spec: LossSpec, data: Dataset):
     return np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1/(1 + e^-z), 0 where e^-z overflows. Written
+    out because importing ``scipy.special`` for it costs about 6 MB of
+    resident memory."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _phi_dphi(spec: LossSpec, data: Dataset, t: np.ndarray):
     """Vectorized phi_i(t_i) and phi_i'(t_i) over an array of margins."""
     if spec.family == "logistic":
         y = data.labels
         yt = y * t
         vals = np.logaddexp(0.0, -yt)
-        dvals = -y * expit(-yt)
+        dvals = -y * _expit(-yt)
         return vals, dvals
     if spec.family == "squared":
         r = t - data.labels
@@ -125,47 +133,50 @@ def _reg(spec: LossSpec, w: np.ndarray) -> float:
 
 def loss_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int) -> float:
     _check_index(data, i)
-    t = dot(data.samples[i], w)
+    t = dot(data.rows[i], w)
     val, _ = _scalar_phi(spec, data, t, i)
     return val + _reg(spec, w)
 
 
 def grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int) -> np.ndarray:
-    _check_index(data, i)
-    t = dot(data.samples[i], w)
-    _, dval = _scalar_phi(spec, data, t, i)
-    g = np.zeros(len(w))
-    s = data.samples[i]
-    g[s.indices] = dval * s.values
-    if spec.sigma != 0.0:
-        g += spec.sigma * w
-    return g
+    return loss_grad_i(spec, data, w, i)[1]
 
 
 def loss_grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int):
-    """(f_i(w), grad f_i(w)) with one margin evaluation; hot path for steps."""
+    """(f_i(w), grad f_i(w)) with one margin evaluation and a dense gradient:
+    the reference the O(nnz) step kernel in ``polyak`` is checked against."""
     _check_index(data, i)
-    t = dot(data.samples[i], w)
+    row = data.rows[i]
+    t = dot(row, w)
     val, dval = _scalar_phi(spec, data, t, i)
     g = np.zeros(len(w))
-    s = data.samples[i]
-    g[s.indices] = dval * s.values
+    g[row.indices] = dval * row.values
     if spec.sigma != 0.0:
         g += spec.sigma * w
     return val + _reg(spec, w), g
 
 
 def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
-    """phi_i(t), phi_i'(t) for a single sample without materializing arrays."""
+    """phi_i(t), phi_i'(t) for a single sample without materializing arrays.
+
+    The logistic branch is ``np.logaddexp(0, -yt)`` (bit for bit) and
+    ``-y / (1 + e^yt)``, written with ``math`` to skip the cost of a ufunc
+    call on a scalar; the second is 0 where e^yt overflows.
+    """
     if spec.family == "logistic":
         y = float(data.labels[i])
         yt = y * t
-        return float(np.logaddexp(0.0, -yt)), float(-y * expit(-yt))
+        val = math.log1p(math.exp(-yt)) if yt > 0 else -yt + math.log1p(math.exp(yt))
+        try:
+            tail = 1.0 / (1.0 + math.exp(yt))
+        except OverflowError:
+            tail = 0.0
+        return val, -y * tail
     if spec.family == "squared":
         r = t - float(data.labels[i])
         return 0.5 * r * r, r
-    a, b = _monomial_params(spec, data)
-    ai, bi = float(a[i]), float(b[i])
+    ai = 1.0 if spec.scales is None else float(spec.scales[i])
+    bi = float((data.labels if spec.offsets is None else spec.offsets)[i])
     p = 2.0 * spec.power_r
     u = t - bi
     absu = abs(u)
@@ -186,7 +197,7 @@ class BatchEval:
 
 
 def batch_eval(spec: LossSpec, data: Dataset, w: np.ndarray) -> BatchEval:
-    t = data.dense @ w
+    t = data.X @ w
     vals, dvals = _phi_dphi(spec, data, t)
     if spec.sigma != 0.0:
         vals = vals + _reg(spec, w)
@@ -208,7 +219,7 @@ def full_grad(spec: LossSpec, data: Dataset, w: np.ndarray) -> np.ndarray:
     if data.n == 0:
         raise EmptyDatasetError("full_grad over empty dataset")
     be = batch_eval(spec, data, w)
-    g = data.dense.T @ be.dvals / data.n
+    g = data.X.T @ be.dvals / data.n
     if spec.sigma != 0.0:
         g += spec.sigma * w
     return g
@@ -238,7 +249,7 @@ def smoothness_constants(spec: LossSpec, data: Dataset):
 def _mu_floor(spec: LossSpec, data: Dataset) -> float:
     """Strong-convexity floor of the mean loss (see OptimumCertificate)."""
     if spec.family == "squared":
-        h = data.dense.T @ data.dense / data.n
+        h = (data.X.T @ data.X).toarray() / data.n
         return float(np.linalg.eigvalsh(h)[0]) + spec.sigma
     return spec.sigma
 
@@ -273,14 +284,14 @@ def _logistic_newton(spec: LossSpec, data: Dataset, budget: int) -> np.ndarray:
 
     Each iteration solves H p = -g by CG on Hessian-vector products
     H v = X^T (D * X v) / n + sigma v, D_i = y_i^2 s_i (1 - s_i) with
-    s_i = expit(y_i t_i), so the d x d Hessian is never formed. The step is
+    s_i the sigmoid of y_i t_i, so the d x d Hessian is never formed. The step is
     an Armijo backtracking search on ``full_loss`` until the decrease the
     model predicts, -g.p, falls below what the rounded loss can resolve
     (1e-12 relative); from there the full step is taken while it lowers
     ||g||. Stops at ||g|| <= 1e-11, after ``budget`` iterations, or when
     no step helps.
     """
-    X, y, n, sigma = data.dense, data.labels, data.n, spec.sigma
+    X, XT, y, n, sigma = data.X, data.X.T, data.labels, data.n, spec.sigma
     w = np.zeros(data.dim)
     f, g = full_loss(spec, data, w), full_grad(spec, data, w)
     for _ in range(budget):
@@ -288,9 +299,9 @@ def _logistic_newton(spec: LossSpec, data: Dataset, budget: int) -> np.ndarray:
         if gnorm <= 1e-11:
             break
         yt = y * (X @ w)
-        dw = y * y * expit(yt) * expit(-yt) / n
+        dw = y * y * _expit(yt) * _expit(-yt) / n
         p = _cg(
-            lambda v: X.T @ (dw * (X @ v)) + sigma * v,
+            lambda v: XT @ (dw * (X @ v)) + sigma * v,
             -g,
             tol=min(0.5, np.sqrt(gnorm)) * gnorm,
             max_iter=4 * data.dim,
@@ -334,9 +345,8 @@ def optimum_oracle(
     if data.n == 0:
         raise EmptyDatasetError("optimum oracle over empty dataset")
     if spec.family == "squared":
-        X, y = data.dense, data.labels
-        A = X.T @ X + data.n * spec.sigma * np.eye(data.dim)
-        rhs = X.T @ y
+        A = (data.X.T @ data.X).toarray() + data.n * spec.sigma * np.eye(data.dim)
+        rhs = data.X.T @ data.labels
         try:
             w = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
@@ -344,7 +354,7 @@ def optimum_oracle(
         tol = 1e-10
     elif spec.family == "logistic":
         if spec.sigma <= 0.0 and budget is None:
-            raise ValueError(
+            raise UnsupportedFamilyError(
                 "logistic oracle needs sigma > 0 or an explicit iteration budget"
             )
         w = _logistic_newton(spec, data, 500_000 if budget is None else budget)

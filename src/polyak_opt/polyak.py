@@ -17,17 +17,29 @@ Each method is one step of online SGD on a reformulated objective (see
 ``alpha_bar`` is maintained incrementally but must always equal mean(alpha)
 up to roundoff, and the aggregate branch reads all of its inputs from the
 pre-step state.
+
+All three run through one step kernel whose data steps cost O(nnz_i) on
+sparse data (see ``_Kernel``). ``run_epochs`` picks the method's step once per run, and
+``sp_step``, ``taps_step`` and ``motaps_step`` are single calls of it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .losses import LossSpec, OptimumCertificate, full_grad, full_loss, loss_grad_i
+from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfbench wraps it here
+    LossSpec,
+    OptimumCertificate,
+    _scalar_phi,
+    full_grad,
+    full_loss,
+    loss_grad_i,
+)
 from .traces import TraceRecord
 
 ZERO_GRAD_SQNORM = 1e-30
@@ -207,12 +219,182 @@ def motaps_stepsizes(lam: float, n: int, preset: str = "half") -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# the step kernel
 
 
-def _finite_sample(fi: float, g: np.ndarray, i: int):
-    if not (np.isfinite(fi) and np.isfinite(g).all()):
-        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+class _Kernel:
+    """The steps of one run; a data step costs O(nnz_i) on sparse data.
+
+    On data with a sparse row the weights are kept as w = s·v with ‖w‖²
+    tracked, so the regularizer's share of a step, w ← (1 − γcσ)w, is one
+    scalar update (the L2 scaling trick of Bottou's "SGD tricks" and
+    Pegasos): see ``_lazy_step``. ``fold`` writes s into v, which
+    ``run_epochs`` does at every epoch end.
+
+    Data whose rows are all dense takes ``_plain_step``, the dense
+    reference's arithmetic (g = φ′x + σw, ‖g‖² summed over g,
+    w ← w − γc·g), and so does β > 0, through the iterate-averaging
+    ``momentum_step``; both cost O(d). On dense rows the lazy scale saves
+    nothing, since a step touches every coordinate anyway, while its
+    rounding differs from the reference's, and along an ill-conditioned sp
+    trajectory that difference grows past what ``verify`` tolerates.
+
+    ``sp``, ``taps`` and ``motaps`` are the per-method steps, all with the
+    signature (i, γ, γ_τ) -> applied coefficient; ``fi_stars`` is anything
+    indexable by sample index, and ``state`` holds the trackers.
+    """
+
+    def __init__(self, spec, data, w, *, state=None, fi_stars=None,
+                 step_cap=math.inf, lam=0.0, beta=0.0):
+        self.spec, self.data, self.n = spec, data, data.n
+        self.rows, self.sqnorms = data.rows, data.row_sqnorms.tolist()
+        self.sigma, self.beta = spec.sigma, beta
+        self.state, self.fi_stars, self.step_cap, self.lam = state, fi_stars, step_cap, lam
+        self.v, self.s = w, 1.0
+        self.z = w.copy() if beta else None
+        self.wsq = float(w @ w)
+        lazy = not beta and data.X.nnz < data.n * data.dim
+        self._data_step = self._lazy_step if lazy else self._plain_step
+
+    def fold(self) -> np.ndarray:
+        """Make v equal to w (s = 1) and ‖w‖² exact; returns w."""
+        if self.s != 1.0:
+            self.v *= self.s
+            self.s = 1.0
+        self.wsq = float(self.v @ self.v)
+        return self.v
+
+    @staticmethod
+    def _coefficient(i, fi, dval, gsq, target, shift, cap):
+        """c = min((f_i(w) − target)/(‖∇f_i(w)‖² + shift), cap), and c = 0
+        on a zero gradient when shift = 0."""
+        if not (math.isfinite(fi) and math.isfinite(dval)):
+            raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+        if not math.isfinite(gsq):
+            # a finite gradient whose square norm overflows: the coefficient
+            # would silently collapse to 0 and freeze the iterate mid-divergence
+            raise NumericError(f"gradient norm overflow at sample {i}", sample_index=i)
+        if shift == 0.0 and gsq <= ZERO_GRAD_SQNORM:
+            return 0.0
+        c = min((fi - target) / (gsq + shift), cap)
+        if not math.isfinite(c):
+            raise NumericError(f"non-finite step coefficient at sample {i}", sample_index=i)
+        return c
+
+    def _plain_step(self, i, gamma, target, shift, cap):
+        """w ← w − γc∇f_i(w) with c from ``_coefficient``; returns c."""
+        idx, x = self.rows[i]
+        w, sigma = self.v, self.sigma
+        full = x.size == w.size  # a full row's indices are 0 .. d-1
+        fi, dval = _scalar_phi(self.spec, self.data, float(x @ (w if full else w[idx])), i)
+        if full:
+            g = dval * x
+        else:
+            g = np.zeros_like(w)
+            g[idx] = dval * x
+        if sigma:
+            fi += 0.5 * sigma * float(w @ w)
+            g += sigma * w
+        c = self._coefficient(i, fi, dval, float(g @ g), target, shift, cap)
+        if self.beta:
+            self.z, self.v = momentum_step(self.z, w, lambda _: g, self.beta, gamma * c)
+        else:
+            w -= (gamma * c) * g
+        return c
+
+    def _lazy_step(self, i, gamma, target, shift, cap):
+        """``_plain_step``'s update on w = s·v (β = 0). The margin is
+        t = s·(x·v) and ‖∇f_i(w)‖² = φ′²‖x‖² + 2σφ′t + σ²‖w‖², the expansion
+        ``batch_eval`` uses. A step whose new scale would leave
+        [1e-100, 1e100], which covers 1 − γcσ ≤ 0, folds it into v and
+        applies itself densely."""
+        idx, x = self.rows[i]
+        v, s, sigma, wsq = self.v, self.s, self.sigma, self.wsq
+        vi = v[idx]
+        t = s * float(x @ vi)
+        fi, dval = _scalar_phi(self.spec, self.data, t, i)
+        xsq = self.sqnorms[i]
+        fi += 0.5 * sigma * wsq
+        gsq = max(dval * dval * xsq + 2.0 * sigma * dval * t + sigma * sigma * wsq, 0.0)
+        c = self._coefficient(i, fi, dval, gsq, target, shift, cap)
+        # w ← a·w − b·x with a = 1 − γcσ and b = γcφ′
+        a = 1.0 - gamma * c * sigma
+        b = gamma * c * dval
+        s_new = s * a
+        if 1e-100 <= s_new <= 1e100:
+            v[idx] = vi - (b / s_new) * x
+            self.s = s_new
+            self.wsq = max(a * a * wsq - 2.0 * a * b * t + b * b * xsq, 0.0)
+        else:
+            v *= s
+            v *= a
+            v[idx] -= b * x
+            self.s = 1.0
+            self.wsq = float(v @ v)
+        return c
+
+    def _idle(self):
+        """A step that moves no sample: only the averaging half of momentum."""
+        if self.beta:
+            self.v = self.beta * self.v + (1.0 - self.beta) * self.z
+
+    def sp(self, i, gamma, gamma_tau):
+        return self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)
+
+    def _tracker_step(self, i, gamma):
+        st = self.state
+        c = self._data_step(i, gamma, float(st.alpha[i]), 1.0, math.inf)
+        st.alpha[i] += gamma * c
+        st.alpha_bar += gamma * c / self.n
+        return c
+
+    def taps(self, i, gamma, gamma_tau):
+        if i < self.n:
+            return self._tracker_step(i, gamma)
+        st = self.state
+        delta = gamma * (st.tau_fixed - st.alpha_bar)
+        if not math.isfinite(delta):
+            raise NumericError("non-finite aggregate update", sample_index=i)
+        st.alpha += delta
+        st.alpha_bar += delta
+        self._idle()
+        return 0.0
+
+    def motaps(self, i, gamma, gamma_tau):
+        if i < self.n:
+            return self._tracker_step(i, gamma)
+        # The aggregate branch is one simultaneous SGD step on the target
+        # component, so every line reads the pre-step values. Sequencing the τ
+        # assignment between the α and ᾱ updates would detach alpha_bar from
+        # mean(alpha) by γ·(τ_new − τ_old) at each aggregate step.
+        st = self.state
+        old_tau = st.tau
+        old_bar = st.alpha_bar
+        delta = gamma * (old_tau - old_bar)
+        new_tau = (1.0 - gamma_tau) * old_tau + gamma_tau * motaps_tau_coeff(self.lam, self.n) * old_bar
+        if not (math.isfinite(delta) and math.isfinite(new_tau)):
+            raise NumericError("non-finite aggregate update", sample_index=i)
+        st.alpha += delta
+        st.alpha_bar = old_bar + delta
+        st.tau = new_tau
+        self._idle()
+        return 0.0
+
+
+# ---------------------------------------------------------------------------
+# single steps: one call of the kernel on a copy of the input
+
+
+def _check_sample(i: int, high: int) -> None:
+    if not 0 <= i < high:
+        raise IndexError(f"sampled index {i} out of range [0, {high})")
+
+
+def check_lambda(lam: float, n: int) -> None:
+    """The motaps dampening must lie in [0, lambda_max(n))."""
+    cap = lambda_max(n)
+    if not 0.0 <= lam < cap:
+        raise ValueError(f"lambda={lam} must lie in [0, lambda_max({n})={cap})")
 
 
 def sp_step(
@@ -225,65 +407,24 @@ def sp_step(
     step_cap: float = math.inf,
 ) -> StepOutcome:
     """One Polyak step on sample i; returns the new weight vector."""
-    c, g = _sp_core(spec, data, w, i, fi_star, step_cap)
-    return StepOutcome(w - (gamma * c) * g, i, c)
-
-
-def _sp_core(spec, data, w, i, fi_star, step_cap):
-    fi, g = loss_grad_i(spec, data, w, i)
-    _finite_sample(fi, g, i)
-    gsq = float(g @ g)
-    if not math.isfinite(gsq):
-        # finite gradient whose square norm overflows: the coefficient would
-        # silently collapse to 0 and freeze the iterate mid-divergence
-        raise NumericError(f"gradient norm overflow at sample {i}", sample_index=i)
-    if gsq <= ZERO_GRAD_SQNORM:
-        return 0.0, g
-    c = min((fi - fi_star) / gsq, step_cap)
-    if not math.isfinite(c):
-        raise NumericError(f"non-finite step coefficient at sample {i}", sample_index=i)
-    return c, g
+    _check_sample(i, data.n)
+    kernel = _Kernel(spec, data, np.array(w, dtype=np.float64),
+                     fi_stars={i: float(fi_star)}, step_cap=step_cap)
+    c = kernel.sp(i, gamma, 0.0)
+    return StepOutcome(kernel.fold(), i, c)
 
 
 def taps_step(
     state: TapsState, spec: LossSpec, data: Dataset, sampled: int, gamma: float = 1.0
 ) -> StepOutcome:
     """One fixed-target step; ``sampled == n`` is the aggregate branch."""
-    st = _copy_taps(state)
-    c, g = _taps_core(st, spec, data, st.w, sampled, gamma, st.tau_fixed)
-    if g is not None:
-        st.w = st.w - (gamma * c) * g
+    _check_sample(sampled, data.n + 1)
+    st = _copy_state(state)
+    kernel = _Kernel(spec, data, st.w, state=st)
+    c = kernel.taps(sampled, gamma, 0.0)
+    st.w = kernel.fold()
     st.t += 1
     return StepOutcome(st, sampled, c)
-
-
-def _taps_core(state, spec, data, w, i, gamma, tau):
-    """Tracker updates for one sampled index; the caller applies the w move.
-
-    Returns (coefficient, gradient) on a data index and (0.0, None) on the
-    aggregate index.
-    """
-    n = data.n
-    if not 0 <= i <= n:
-        raise IndexError(f"sampled index {i} out of range for n={n}")
-    if i == n:
-        delta = gamma * (tau - state.alpha_bar)
-        if not np.isfinite(delta):
-            raise NumericError("non-finite aggregate update", sample_index=i)
-        state.alpha += delta
-        state.alpha_bar += delta
-        return 0.0, None
-    fi, g = loss_grad_i(spec, data, w, i)
-    _finite_sample(fi, g, i)
-    gsq = float(g @ g)
-    if not math.isfinite(gsq):
-        raise NumericError(f"gradient norm overflow at sample {i}", sample_index=i)
-    c = (fi - state.alpha[i]) / (gsq + 1.0)
-    if not math.isfinite(c):
-        raise NumericError(f"non-finite step coefficient at sample {i}", sample_index=i)
-    state.alpha[i] += gamma * c
-    state.alpha_bar += gamma * c / n
-    return c, g
 
 
 def motaps_step(
@@ -296,36 +437,14 @@ def motaps_step(
     lam: float = 0.1,
 ) -> StepOutcome:
     """One moving-target step; ``sampled == n`` updates the trackers and τ."""
-    if lam > lambda_max(data.n):
-        raise ValueError(f"lambda={lam} exceeds lambda_max({data.n})={lambda_max(data.n)}")
-    st = _copy_motaps(state)
-    c, g = _motaps_core(st, spec, data, st.w, sampled, gamma, gamma_tau, lam)
-    if g is not None:
-        st.w = st.w - (gamma * c) * g
+    check_lambda(lam, data.n)
+    _check_sample(sampled, data.n + 1)
+    st = _copy_state(state)
+    kernel = _Kernel(spec, data, st.w, state=st, lam=lam)
+    c = kernel.motaps(sampled, gamma, gamma_tau)
+    st.w = kernel.fold()
     st.t += 1
     return StepOutcome(st, sampled, c)
-
-
-def _motaps_core(state, spec, data, w, i, gamma, gamma_tau, lam):
-    n = data.n
-    if i < n:
-        return _taps_core(state, spec, data, w, i, gamma, state.tau)
-    if i != n:
-        raise IndexError(f"sampled index {i} out of range for n={n}")
-    # The aggregate branch is one simultaneous SGD step on the target
-    # component, so every line reads the pre-step values. Sequencing the τ
-    # assignment between the α and ᾱ updates would detach alpha_bar from
-    # mean(alpha) by γ·(τ_new − τ_old) at each aggregate step.
-    old_tau = state.tau
-    old_bar = state.alpha_bar
-    delta = gamma * (old_tau - old_bar)
-    new_tau = (1.0 - gamma_tau) * old_tau + gamma_tau * motaps_tau_coeff(lam, n) * old_bar
-    if not (np.isfinite(delta) and np.isfinite(new_tau)):
-        raise NumericError("non-finite aggregate update", sample_index=i)
-    state.alpha += delta
-    state.alpha_bar = old_bar + delta
-    state.tau = new_tau
-    return 0.0, None
 
 
 def momentum_step(z, w, direction, beta: float, gamma: float):
@@ -339,23 +458,12 @@ def momentum_step(z, w, direction, beta: float, gamma: float):
     return z_new, beta * w + (1.0 - beta) * z_new
 
 
-def _copy_taps(state: TapsState) -> TapsState:
-    return TapsState(
+def _copy_state(state):
+    """A TapsState or MotapsState with its own float64 copies of w and α."""
+    return dataclasses.replace(
+        state,
         w=np.array(state.w, dtype=np.float64),
         alpha=np.array(state.alpha, dtype=np.float64),
-        alpha_bar=float(state.alpha_bar),
-        tau_fixed=float(state.tau_fixed),
-        t=state.t,
-    )
-
-
-def _copy_motaps(state: MotapsState) -> MotapsState:
-    return MotapsState(
-        w=np.array(state.w, dtype=np.float64),
-        alpha=np.array(state.alpha, dtype=np.float64),
-        alpha_bar=float(state.alpha_bar),
-        tau=float(state.tau),
-        t=state.t,
     )
 
 
@@ -373,6 +481,16 @@ def _stepsizes_at(hyper: HyperParams, t: int, n: int) -> tuple[float, float]:
         return hyper.gamma, hyper.gamma_tau
     g = decreasing_schedule(t, hyper.lam, hyper.mu, n)
     return g, g
+
+
+def fi_star_array(fi_star, n: int) -> np.ndarray:
+    """The sp targets as a length-n array from a scalar or a per-sample array."""
+    if np.isscalar(fi_star):
+        return np.full(n, float(fi_star))
+    arr = np.array(fi_star, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"fi_star must be scalar or length-{n}")
+    return arr
 
 
 def run_epochs(
@@ -394,9 +512,10 @@ def run_epochs(
     Initialization is w⁰ = 0 and α⁰ = ᾱ⁰ = τ⁰ = 0 unless ``init_state``
     supplies a starting state (copied, never mutated). Each epoch takes n
     sampled steps for sp/spsmax and n+1 for the tracker methods, sampling
-    uniformly (the aggregate branch is index n). After every epoch
-    ``alpha_bar`` is recomputed exactly from α, a record is appended, and
-    ``observer(epoch, state_or_w)`` is invoked if given.
+    uniformly (the aggregate branch is index n). After every epoch the
+    kernel folds its scale into w, ``alpha_bar`` is recomputed exactly from
+    α, a record is appended, and ``observer(epoch, state_or_w)`` is invoked
+    if given.
 
     ``fi_star`` (scalar or per-sample array) is the sp target; ``tau`` is
     the fixed taps target or the initial motaps τ. A numeric abort raises
@@ -410,29 +529,19 @@ def run_epochs(
     n, dim = data.n, data.dim
     if n < 1:
         raise ValueError("cannot run on an empty dataset")
-    if meth == "motaps" and hyper.lam > lambda_max(n):
-        raise ValueError(f"lambda={hyper.lam} exceeds lambda_max({n})={lambda_max(n)}")
-
-    fi_stars = np.full(n, float(fi_star)) if np.isscalar(fi_star) else np.asarray(fi_star, dtype=np.float64).copy()
-    if fi_stars.shape != (n,):
-        raise ValueError(f"fi_star must be scalar or length-{n}")
+    if meth == "motaps":
+        check_lambda(hyper.lam, n)
+    fi_stars = fi_star_array(fi_star, n)
 
     sp_like = meth in ("sp", "spsmax")
     if sp_like:
         state = None
         w = np.zeros(dim) if init_state is None else np.array(init_state, dtype=np.float64)
-    elif meth == "taps":
-        state = (
-            TapsState(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
-            if init_state is None
-            else _copy_taps(init_state)
-        )
+    elif init_state is None:
+        kind = TapsState if meth == "taps" else MotapsState
+        state = kind(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
     else:
-        state = (
-            MotapsState(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
-            if init_state is None
-            else _copy_motaps(init_state)
-        )
+        state = _copy_state(init_state)
     if state is not None:
         w = state.w
         if state.alpha.shape != (n,):
@@ -440,33 +549,23 @@ def run_epochs(
     if w.shape != (dim,):
         raise ValueError("state dimension does not match the dataset")
 
-    beta = hyper.beta
-    z = w.copy() if beta else w  # beta=0 keeps z aliased to w: plain updates
+    kernel = _Kernel(spec, data, w, state=state, fi_stars=fi_stars.tolist(),
+                     step_cap=hyper.step_cap, lam=hyper.lam, beta=hyper.beta)
+    step = getattr(kernel, "sp" if sp_like else meth)
     rng = np.random.default_rng(seed)
     high = n if sp_like else n + 1
     records: list[TraceRecord] = []
     t = 0
     try:
         for epoch in range(1, epochs + 1):
-            for idx in sample_indices(rng, high, high):
-                i = int(idx)
+            for i in sample_indices(rng, high, high).tolist():
                 gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
-                if sp_like:
-                    c, g = _sp_core(spec, data, w, i, float(fi_stars[i]), hyper.step_cap)
-                elif meth == "taps":
-                    c, g = _taps_core(state, spec, data, w, i, gamma_t, state.tau_fixed)
-                else:
-                    c, g = _motaps_core(state, spec, data, w, i, gamma_t, gamma_tau_t, hyper.lam)
-                if g is not None:
-                    z -= (gamma_t / (1.0 - beta) * c) * g
-                    w = beta * w + (1.0 - beta) * z if beta else z
-                elif beta:
-                    w = beta * w + (1.0 - beta) * z
+                step(i, gamma_t, gamma_tau_t)
                 t += 1
-                if state is not None:
-                    state.w = w
-                    state.t = t
+            w = kernel.fold()
             if state is not None:
+                state.w = w
+                state.t = t
                 state.alpha_bar = float(np.mean(state.alpha))
             records.append(
                 _make_record(meth, spec, data, w, state, hyper, fi_stars, certificate, epoch, t)

@@ -488,7 +488,7 @@ def test_c10_sp_invariances():
         n, d = 6, 4
         prob = dense_dataset(rng, n, d, np.zeros(n))
         w = rng.standard_normal(d)
-        margins = prob.dense @ w
+        margins = prob.X @ w
         shift = np.where(rng.standard_normal(n) > 0, 1.0, -1.0) * rng.uniform(0.4, 1.5, n)
         offsets = margins + shift
         r = float(rng.choice([0.6, 1.0, 1.4]))
@@ -549,7 +549,7 @@ def test_c12_gradient_checks():
             # keep margins off the kink so the loss is differentiable
             w_ref = rng.standard_normal(d)
             shift = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-            offsets = data.dense @ w_ref + shift * rng.uniform(0.5, 1.5, n)
+            offsets = data.X @ w_ref + shift * rng.uniform(0.5, 1.5, n)
             spec = LossSpec(
                 spec.family, spec.sigma, power_r=max(spec.power_r, 0.75),
                 offsets=offsets, scales=spec.scales,

@@ -497,6 +497,17 @@ class TestSgdViewSteps:
                     va, vb = getattr(a, name), getattr(b, name)
                     assert abs(va - vb) <= 1e-12 * max(1.0, abs(vb)), (method, name)
 
+    def test_sp_trace_on_dense_rows_is_the_view_bit_for_bit(self):
+        # on all-dense rows the kernel steps in the reference arithmetic: an sp
+        # trajectory near a sample's stationary point amplifies any rounding
+        # difference, and the view must then agree exactly, not to roundoff
+        rng = np.random.default_rng(131)
+        for sigma in (0.0, 0.3):
+            spec, data = random_problem(rng, n=5, d=3, sigma=sigma)
+            hyper = HyperParams(gamma=0.7)
+            ours = run_epochs_sgd_view("sp", spec, data, hyper, epochs=4, seed=3)
+            assert ours == run_epochs("sp", spec, data, hyper, epochs=4, seed=3)
+
     def test_view_driver_rejects_momentum_and_caps(self):
         rng = np.random.default_rng(107)
         spec, data = random_problem(rng)

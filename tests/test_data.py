@@ -4,6 +4,9 @@ import gzip
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polyak_opt.data import (
@@ -67,8 +70,8 @@ class TestParseLibsvm:
         data = parse_libsvm("+1 1:0.5 3:2.0")
         assert data.n == 1 and data.dim == 3
         assert data.labels[0] == 1.0
-        assert list(data.samples[0].indices) == [0, 2]
-        assert_allclose(data.samples[0].values, [0.5, 2.0])
+        assert list(data.rows[0].indices) == [0, 2]
+        assert_allclose(data.rows[0].values, [0.5, 2.0])
 
     def test_comments_and_blanks(self):
         text = "# leading comment\n\n-1 2:1.5  # trailing\n"
@@ -121,6 +124,26 @@ class TestRoundTrip:
         again = parse_libsvm(serialize_libsvm(data), dim=8)
         assert again == data
 
+    @given(st.data())
+    def test_random_csr_round_trips(self, draws):
+        # empty rows, unused trailing features, and any finite float
+        # (subnormals, extremes, long reprs) in values and labels
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        n = draws.draw(st.integers(0, 6), label="n")
+        used = draws.draw(st.integers(0, 8), label="used features")
+        dim = used + draws.draw(st.integers(0, 3), label="trailing features")
+        dense = np.zeros((n, dim))
+        for r in range(n):
+            cols = draws.draw(st.lists(st.integers(0, max(used - 1, 0)), unique=True,
+                                      max_size=used), label=f"row {r}")
+            for c in cols:
+                dense[r, c] = draws.draw(finite.filter(lambda v: v != 0.0))
+        labels = draws.draw(st.lists(finite, min_size=n, max_size=n), label="labels")
+        ds = Dataset(sp.csr_array(dense), labels, dim=dim)
+        again = parse_libsvm(serialize_libsvm(ds), dim=ds.dim)
+        assert again == ds
+        assert again.n == n and again.X.nnz == np.count_nonzero(dense)
+
     def test_serializer_has_no_numpy_reprs(self):
         data, _ = synth_dataset(5, 4, 3, "underparam", noise=0.2)
         text = serialize_libsvm(data)
@@ -145,7 +168,7 @@ class TestNormalize:
     def test_zero_row_kept(self):
         data = Dataset([SparseVector([], [])], [1.0], dim=2)
         normed = normalize_samples(data)
-        assert normed.samples[0].nnz == 0
+        assert normed.rows[0].indices.size == 0
 
 
 class TestSynthDataset:
@@ -158,14 +181,14 @@ class TestSynthDataset:
         rng = np.random.default_rng(0)
         w_true = rng.standard_normal(20)
         w_true /= np.linalg.norm(w_true)
-        margins = data.labels * (data.dense @ w_true)
+        margins = data.labels * (data.X @ w_true)
         assert margins.min() >= 0.1 - 1e-12
         assert set(np.unique(data.labels)) == {-1.0, 1.0}
 
     def test_underparam_noiseless_interpolates(self):
         data, w_true = synth_dataset(4, 30, 6, "underparam", noise=0.0)
         assert w_true is not None
-        assert_allclose(data.dense @ w_true, data.labels, atol=1e-10)
+        assert_allclose(data.X @ w_true, data.labels, atol=1e-10)
 
     def test_underparam_noisy_withholds_w(self):
         data, w_true = synth_dataset(4, 30, 6, "underparam", noise=0.3)

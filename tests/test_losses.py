@@ -34,7 +34,7 @@ def dense_dataset(rows, labels):
 def own_logistic_grad(data, w, sigma):
     """Mean logistic gradient from the rows themselves, not ``full_grad``."""
     X = np.zeros((data.n, data.dim))
-    for r, s in enumerate(data.samples):
+    for r, s in enumerate(data.rows):
         X[r, s.indices] = s.values
     yt = data.labels * (X @ w)
     dphi = -data.labels * 0.5 * (1.0 - np.tanh(0.5 * yt))  # -y / (1 + e^{yt})
@@ -87,7 +87,7 @@ class TestLossValues:
     def test_monomial_interpolation_zero(self):
         w_star = np.array([2.0, -1.0])
         data = dense_dataset([[1.0, 1.0], [3.0, 0.0]], [0.0, 0.0])
-        b = data.dense @ w_star
+        b = data.X @ w_star
         spec = LossSpec(family="monomial", power_r=0.75, offsets=b)
         for i in range(data.n):
             assert loss_i(spec, data, w_star, i) == 0.0
@@ -149,7 +149,7 @@ class TestGradients:
                     if family == "monomial":
                         # keep margins away from the kink where phi is not
                         # differentiable for fractional exponents
-                        while np.min(np.abs(data.dense @ w - labels)) < 0.2:
+                        while np.min(np.abs(data.X @ w - labels)) < 0.2:
                             w = rng.standard_normal(d)
                     i = int(rng.integers(n))
                     g = grad_i(spec, data, w, i)
@@ -292,7 +292,7 @@ class TestOptimumOracle:
         data, _ = synth_dataset(8, 40, 7, "underparam", noise=0.4)
         sigma = 0.2
         cert = optimum_oracle(LossSpec(family="squared", sigma=sigma), data)
-        X, y = data.dense, data.labels
+        X, y = data.X.toarray(), data.labels
         lhs = (X.T @ X + data.n * sigma * np.eye(7)) @ cert.w_star
         assert np.linalg.norm(lhs - X.T @ y) <= 1e-10 * max(1.0, np.linalg.norm(X.T @ y))
         assert cert.grad_norm_at_opt <= 1e-10
@@ -308,7 +308,7 @@ class TestOptimumOracle:
         data, _ = synth_dataset(8, 30, 5, "underparam", noise=0.1)
         cert = optimum_oracle(LossSpec(family="squared", sigma=0.3), data)
         assert_allclose(cert.f_star, np.mean(cert.fi_star), rtol=1e-12)
-        h = data.dense.T @ data.dense / data.n
+        h = data.X.toarray().T @ data.X.toarray() / data.n
         assert_allclose(cert.mu, np.linalg.eigvalsh(h)[0] + 0.3, rtol=1e-10)
 
     def test_logistic_unregularized_needs_budget(self):

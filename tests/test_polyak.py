@@ -2,7 +2,9 @@
 epoch driver, pinned against hand-evaluated updates and the documented
 invariances."""
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +362,14 @@ class TestMotapsStep:
         with pytest.raises(ValueError):
             motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=0.7)
 
+    def test_lambda_max_itself_rejected(self):
+        # lambda must lie in [0, lambda_max(n)): the cap itself is out
+        spec, data = half_square_1d()
+        with pytest.raises(ValueError, match="lambda_max"):
+            motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=lambda_max(1))
+        below = math.nextafter(lambda_max(1), 0.0)
+        motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=below)
+
     def test_lambda_zero_gap_contraction(self):
         # with lam=0 and gamma_tau = gamma*n the target chases alpha_bar:
         # each aggregate step scales (tau - alpha_bar) by 1 - gamma_tau - gamma
@@ -530,6 +540,15 @@ class TestRunEpochs:
         with pytest.raises(ValueError):
             run_epochs("motaps", spec, data, HyperParams(lam=0.7), epochs=1, seed=0)
 
+    def test_lambda_max_itself_rejected_up_front(self):
+        spec, data = interpolating_problem(n=8, d=3)
+        with pytest.raises(ValueError, match="lambda_max"):
+            run_epochs("motaps", spec, data, HyperParams(lam=lambda_max(8)), epochs=1, seed=0)
+        # choose_lambda's 0.99 cap always lands inside the admissible range
+        lam = choose_lambda(1.0, 1.0, 8, 0.0)
+        assert lam < lambda_max(8)
+        run_epochs("motaps", spec, data, HyperParams(lam=lam), epochs=1, seed=0)
+
     def test_fi_star_length_checked(self):
         spec, data = interpolating_problem(n=6, d=3)
         with pytest.raises(ValueError):
@@ -606,6 +625,121 @@ class TestRunEpochs:
         )
         for st in states:
             assert st.alpha_bar == float(np.mean(st.alpha))
+
+
+def dense_reference_run(method, spec, rows, labels, hyper, epochs, seed, tau=0.0):
+    """The four methods written out on dense rows, one dense gradient per
+    step, for the logistic loss: the O(nnz) kernel must land on the same
+    iterate. Returns the final (w, alpha, tau) and how many data steps had
+    1 - gamma*c*sigma <= 0."""
+    n, d = rows.shape
+    sigma, gamma, gamma_tau = spec.sigma, hyper.gamma, hyper.gamma_tau
+    w, alpha, alpha_bar = np.zeros(d), np.zeros(n), 0.0
+    flips = 0
+    rng = np.random.default_rng(seed)
+    sp_like = method in ("sp", "spsmax")
+    high = n if sp_like else n + 1
+    for _ in range(epochs):
+        for i in rng.integers(0, high, size=high):
+            if i == n:
+                delta = gamma * (tau - alpha_bar)
+                if method == "motaps":
+                    tau = (1 - gamma_tau) * tau + gamma_tau * motaps_tau_coeff(hyper.lam, n) * alpha_bar
+                alpha += delta
+                alpha_bar += delta
+                continue
+            x, y = rows[i], labels[i]
+            yt = y * float(x @ w)
+            f = np.logaddexp(0.0, -yt) + 0.5 * sigma * float(w @ w)
+            g = -y / (1.0 + np.exp(yt)) * x + sigma * w
+            gsq = float(g @ g)
+            if sp_like:
+                c = 0.0 if gsq <= 1e-30 else min(f / gsq, hyper.step_cap)
+            else:
+                c = (f - alpha[i]) / (gsq + 1.0)
+                alpha[i] += gamma * c
+                alpha_bar += gamma * c / n
+            flips += 1.0 - gamma * c * sigma <= 0.0
+            w = w - gamma * c * g
+        alpha_bar = float(np.mean(alpha))
+    return w, alpha, tau, flips
+
+
+def sparse_problem(seed=3, n=12, d=40, k=4):
+    """Logistic rows with k nonzeros each, the first row empty."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, d))
+    for r in range(1, n):
+        rows[r, rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+    labels = rng.choice([-1.0, 1.0], size=n)
+    return rows, labels, dense_dataset(rows, labels)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps"])
+    def test_matches_dense_reference(self, method, sigma):
+        rows, labels, data = sparse_problem()
+        spec = LossSpec(family="logistic", sigma=sigma)
+        hyper = HyperParams(gamma=0.8, gamma_tau=0.3, lam=0.2,
+                            step_cap=0.5 if method == "spsmax" else math.inf)
+        final = {}
+        run_epochs(method, spec, data, hyper, epochs=6, seed=17, tau=0.1,
+                   observer=lambda epoch, st: final.update(st=copy.deepcopy(st)))
+        w_ref, alpha_ref, tau_ref, _ = dense_reference_run(
+            method, spec, rows, labels, hyper, epochs=6, seed=17, tau=0.1
+        )
+        st = final["st"]
+        if method in ("sp", "spsmax"):
+            assert_allclose(st, w_ref, rtol=1e-10, atol=1e-14)
+            return
+        assert_allclose(st.w, w_ref, rtol=1e-10, atol=1e-14)
+        assert_allclose(st.alpha, alpha_ref, rtol=1e-10, atol=1e-14)
+        tau = st.tau if method == "motaps" else st.tau_fixed
+        assert_allclose(tau, tau_ref, rtol=1e-10)
+
+    def test_scale_collapse_folds_to_the_dense_step(self):
+        # gamma*c*sigma >= 1 zeroes or flips the scale of w, so the kernel
+        # must apply that step densely, mid-epoch
+        rows, labels, data = sparse_problem(seed=5)
+        spec = LossSpec(family="logistic", sigma=0.5)
+        hyper = HyperParams(gamma=0.95)
+        w_ref, _, _, flips = dense_reference_run("sp", spec, rows, labels, hyper, 3, 2)
+        assert flips > 0
+        final = {}
+        run_epochs("sp", spec, data, hyper, epochs=3, seed=2,
+                   observer=lambda epoch, w: final.update(w=w.copy()))
+        assert_allclose(final["w"], w_ref, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma, expected", [(5.0, [-4.0, 0.0]), (7.5, [-7.0, -1.0])])
+    def test_zero_or_negative_scale_single_step(self, gamma, expected):
+        # one sparse row x = (1, 0), squared loss with sigma = 0.5 at w = (2, 2):
+        # f = 2 + 2 = 4 and g = (3, 1), so c = 0.4; gamma = 5 makes
+        # 1 - gamma*c*sigma = 0 and 7.5 makes it -1/2
+        data = dense_dataset([[1.0, 0.0]], [0.0])
+        spec = LossSpec(family="squared", sigma=0.5)
+        out = sp_step(spec, data, np.array([2.0, 2.0]), 0, gamma=gamma)
+        assert out.polyak_coeff == pytest.approx(0.4, rel=1e-15)
+        dense = np.array([2.0, 2.0]) - gamma * 0.4 * np.array([3.0, 1.0])
+        assert_allclose(out.state_after, dense, rtol=1e-15, atol=1e-15)
+        assert_allclose(out.state_after, expected, rtol=1e-15, atol=1e-15)
+
+    def test_dataset_memory_is_order_nnz(self):
+        # n = 200, d = 50 000, 5 nonzeros per row: 1 000 nonzeros, where a
+        # dense n x d copy alone would take 80 MB
+        rng = np.random.default_rng(0)
+        d = 50_000
+        rows = [SparseVector(np.sort(rng.choice(d, 5, replace=False)), rng.standard_normal(5))
+                for _ in range(200)]
+        labels = rng.choice([-1.0, 1.0], size=200)
+        tracemalloc.start()
+        try:
+            data = Dataset(rows, labels, dim=d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n == 200 and data.dim == d and data.X.nnz == 1000
+        assert peak < 2 * 2**20
 
 
 class TestHyperParamsValidation:
