@@ -5,23 +5,23 @@ with a best-cell summary), ``compare`` (several methods on one dataset in a
 long-format trace), ``verify`` (the randomized property suites), and ``gen``
 (write a synthetic dataset as a LIBSVM file).
 
-Settings resolve as defaults < ``--config`` file < explicit flags. Thread
-count resolves as ``--threads`` < ``POLYAK_OPT_THREADS`` < config, with 0
-meaning the executor default. Exit codes: 0 success, 1 failed verification,
-2 bad configuration or input, 3 numeric abort (partial trace still
-written). Only a ``ConfigError``, a ``ParseError`` or a missing file is
+Settings resolve as defaults < ``--config`` file < explicit flags. The
+thread count resolves as config file < ``POLYAK_OPT_THREADS`` <
+``--threads`` and is advisory: it is validated, but every command runs in
+one thread, because the step loop is Python-bound and holds the GIL, so
+worker threads made ``grid`` slower. Exit codes: 0 success, 1 failed
+verification, 2 bad configuration or input, 3 numeric abort (partial trace
+still written). Only a ``ConfigError``, a ``ParseError`` or a missing file is
 reported as exit 2; every other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,25 +41,6 @@ from .losses import UnsupportedFamilyError, optimum_oracle, smoothness_constants
 from .polyak import METHODS, NumericError, check_lambda, rule_of_thumb, run_epochs
 from .traces import CSV_HEADER, trace_to_csv, trace_to_json
 from .verify import format_report, run_all
-
-_OVERRIDE_FIELDS = (
-    "dataset",
-    "normalize",
-    "method",
-    "gamma",
-    "gamma_tau",
-    "lam",
-    "beta",
-    "epochs",
-    "seed",
-    "sigma",
-    "tau",
-    "fi_star",
-    "out",
-    "format",
-    "oracle",
-    "threads",
-)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -122,25 +103,26 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
         with open(args.config, encoding="utf-8") as fh:
             file_updates = parse_updates(fh.read())
     flag_updates = {
-        name: getattr(args, name)
-        for name in _OVERRIDE_FIELDS
-        if getattr(args, name, None) is not None
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "config") and value is not None
     }
-    cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
     if "threads" not in flag_updates and "POLYAK_OPT_THREADS" in os.environ:
         raw = os.environ["POLYAK_OPT_THREADS"]
         try:
-            cfg = dataclasses.replace(cfg, threads=int(raw))
+            flag_updates["threads"] = int(raw)
         except ValueError:
             raise ConfigError(f"POLYAK_OPT_THREADS must be an integer, got {raw!r}") from None
+    cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
     return cfg, set(file_updates) | set(flag_updates)
 
 
 def _load(cfg: ExperimentConfig, methods):
-    """The dataset and loss spec for running ``methods``. The dataset must
-    not be empty, motaps needs lambda < lambda_max(n), and a logistic loss
-    needs labels in {-1, +1}: a 0/1 file would run with its 0 rows as
-    constant log 2 terms."""
+    """The dataset and loss spec for running ``methods``. The step settings
+    must be valid whichever method runs, the dataset must not be empty,
+    motaps needs lambda < lambda_max(n), and a logistic loss needs labels in
+    {-1, +1}: a 0/1 file would run with its 0 rows as constant log 2 terms."""
+    make_hyper(cfg)
     data = resolve_dataset(cfg.dataset)
     if data.n == 0:
         raise ConfigError(f"{cfg.dataset} holds no samples")
@@ -178,28 +160,28 @@ def _certificate(cfg: ExperimentConfig, spec, data):
     return _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
 
 
-def _run_method(method, cfg, spec, data, cert, gamma_set):
-    """One full run of a Polyak method or baseline, returning its records.
+def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None):
+    """One run of ``method`` on ``data``: ``(records, None)``, or the records
+    completed before a numeric abort and its NumericError.
 
-    When an oracle certificate is present it supplies the per-sample
-    targets for sp/spsmax (overriding the scalar ``fi_star``). For
-    baselines, a ``gamma`` that neither the config file nor a flag set
-    (``gamma_set`` false) is treated as unset, so sag/svrg fall back to
-    their standard 1/(2 L_max)."""
-    if method in METHODS:
-        fi_star = cfg.fi_star
-        if cert is not None and method in ("sp", "spsmax"):
-            fi_star = cert.fi_star
-        return run_epochs(
-            method, spec, data, make_hyper(cfg), cfg.epochs, cfg.seed, cert,
-            fi_star=fi_star, tau=cfg.tau,
-        )
-    if method in BASELINES:
-        gamma = cfg.gamma if gamma_set else None
-        return _unsupported_as_config_error(
-            run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
-            gamma=gamma, sgd_schedule=cfg.sgd_schedule,
-        )
+    A Polyak method takes the step settings of ``cfg`` with ``gamma`` and
+    ``gamma_tau`` on top where given, and ``fi_star`` as its sp target. A
+    baseline takes ``gamma`` as its step; None means its standard
+    1/(2 L_max)."""
+    try:
+        if method in METHODS:
+            hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
+            return run_epochs(
+                method, spec, data, hyper, cfg.epochs, cfg.seed, cert,
+                fi_star=fi_star, tau=cfg.tau,
+            ), None
+        if method in BASELINES:
+            return _unsupported_as_config_error(
+                run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
+                gamma=gamma, sgd_schedule=cfg.sgd_schedule,
+            ), None
+    except NumericError as err:
+        return err.records, err
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -212,36 +194,19 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_run(args) -> int:
+    """A certificate supplies the per-sample sp/spsmax targets (over the
+    scalar ``fi_star``). A ``gamma`` that neither the config file nor a flag
+    set is left unset, so sag/svrg fall back to their standard step."""
     cfg, explicit = _resolve_config(args)
     data, spec = _load(cfg, [cfg.method])
     cert = _certificate(cfg, spec, data)
-    code = 0
-    try:
-        records = _run_method(cfg.method, cfg, spec, data, cert, "gamma" in explicit)
-    except NumericError as err:
-        records = err.records
+    fi_star = cert.fi_star if cert is not None and cfg.method in ("sp", "spsmax") else cfg.fi_star
+    gamma = cfg.gamma if "gamma" in explicit else None
+    records, err = _trace(cfg.method, cfg, spec, data, cert, fi_star=fi_star, gamma=gamma)
+    if err is not None:
         print(f"error: numeric abort at sample {err.sample_index}: {err}", file=sys.stderr)
-        code = 3
-    if cfg.format == "json":
-        _emit(trace_to_json(records), cfg.out)
-    else:
-        _emit(trace_to_csv(records), cfg.out)
-    return code
-
-
-def _grid_cell(cfg, spec, data, gamma, gamma_tau):
-    """Final (grad_norm, loss) of one grid cell; divergence maps to inf."""
-    try:
-        hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
-        rec = run_epochs(
-            cfg.method, spec, data, hyper, cfg.epochs, cfg.seed,
-            fi_star=cfg.fi_star, tau=cfg.tau,
-        )[-1]
-    except (NumericError, FloatingPointError, OverflowError):
-        return math.inf, math.inf
-    if not (np.isfinite(rec.full_loss) and np.isfinite(rec.grad_norm)) or rec.full_loss > 1e12:
-        return math.inf, math.inf
-    return rec.grad_norm, rec.full_loss
+    _emit(trace_to_json(records) if cfg.format == "json" else trace_to_csv(records), cfg.out)
+    return 0 if err is None else 3
 
 
 def cmd_grid(args) -> int:
@@ -252,9 +217,17 @@ def cmd_grid(args) -> int:
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
-    workers = cfg.threads if cfg.threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda c: _grid_cell(cfg, spec, data, *c), cells))
+    results = []
+    for g, gt in cells:
+        records, err = _trace(
+            cfg.method, cfg, spec, data, None, fi_star=cfg.fi_star, gamma=g, gamma_tau=gt
+        )
+        rec = records[-1] if err is None else None
+        # an abort, a non-finite value or a blown-up loss is divergence
+        if rec is not None and math.isfinite(rec.grad_norm) and -math.inf < rec.full_loss <= 1e12:
+            results.append((rec.grad_norm, rec.full_loss))
+        else:
+            results.append((math.inf, math.inf))
     best_idx = min(
         range(len(cells)), key=lambda k: (results[k][0], cells[k][0], cells[k][1])
     )
@@ -286,7 +259,10 @@ def _compare_settings(method: str, cfg, spec, data):
     if method == "taps":
         return {"gamma": 1.0}, f"# taps gamma=1.0 tau={cfg.tau!r}"
     if method == "motaps":
-        g, gt = rule_of_thumb(spec.sigma)
+        try:
+            g, gt = rule_of_thumb(spec.sigma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return {"gamma": g, "gamma_tau": gt}, f"# motaps gamma={g!r} gamma_tau={gt!r} lambda={cfg.lam!r}"
     if method in ("sag", "svrg"):
         _, l_max = smoothness_constants(spec, data)
@@ -306,46 +282,18 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two methods")
     data, spec = _load(cfg, methods)
     cert = _certificate(cfg, spec, data)
-    plain = dataclasses.replace(make_hyper(cfg), gamma=1.0)
-
-    def one(method):
-        overrides, header = _unsupported_as_config_error(
-            _compare_settings, method, cfg, spec, data
-        )
-        base = dict(fi_star=0.0 if method in ("sp", "spsmax") else cfg.fi_star)
-        try:
-            if method in METHODS:
-                hyper = dataclasses.replace(plain, **overrides)
-                records = run_epochs(
-                    method, spec, data, hyper, cfg.epochs, cfg.seed, cert,
-                    tau=cfg.tau, **base,
-                )
-            else:
-                records = _unsupported_as_config_error(
-                    run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
-                    gamma=overrides.get("gamma"), sgd_schedule=cfg.sgd_schedule,
-                )
-            return header, records, None
-        except NumericError as err:
-            return header, err.records, err
-
-    workers = cfg.threads if cfg.threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, methods))
-
+    settings = [
+        _unsupported_as_config_error(_compare_settings, m, cfg, spec, data) for m in methods
+    ]
     code = 0
-    lines = []
-    body = []
-    for method, (header, records, err) in zip(methods, outcomes):
-        lines.append(header)
+    lines = [header for _, header in settings] + ["method," + CSV_HEADER]
+    for method, (overrides, _) in zip(methods, settings):
+        fi_star = 0.0 if method in ("sp", "spsmax") else cfg.fi_star
+        records, err = _trace(method, cfg, spec, data, cert, fi_star=fi_star, **overrides)
         if err is not None:
             print(f"warning: {method} aborted: {err}", file=sys.stderr)
             code = 3
-        for rec in records:
-            row = trace_to_csv([rec]).splitlines()[1]
-            body.append(f"{method},{row}")
-    lines.append("method," + CSV_HEADER)
-    lines += body
+        lines += [f"{method},{row}" for row in trace_to_csv(records).splitlines()[1:]]
     _emit("\n".join(lines) + "\n", cfg.out)
     return code
 

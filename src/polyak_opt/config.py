@@ -38,7 +38,8 @@ class ExperimentConfig:
 
     ``lam`` is spelled ``lambda`` in config files and on the command line.
     ``methods`` (comparison list) and the two grid axes are comma-separated
-    strings so the file format stays flat. ``threads = 0`` means auto.
+    strings so the file format stays flat. ``threads`` is advisory: the
+    commands run in one thread whatever it is set to.
     """
 
     dataset: str = "synth:separable:n=100,d=20"
@@ -203,7 +204,8 @@ def make_loss_spec(cfg: ExperimentConfig) -> LossSpec:
 
 def make_hyper(cfg: ExperimentConfig, **overrides) -> HyperParams:
     """The step-size knobs of ``cfg``, with ``overrides`` (HyperParams field
-    names) on top; values HyperParams rejects are a ConfigError."""
+    names; None keeps the value of ``cfg``) on top; values HyperParams
+    rejects are a ConfigError."""
     fields = dict(
         gamma=cfg.gamma,
         gamma_tau=cfg.gamma_tau,
@@ -213,7 +215,8 @@ def make_hyper(cfg: ExperimentConfig, **overrides) -> HyperParams:
         schedule=cfg.schedule,
         mu=cfg.mu,
     )
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        return HyperParams(**{**fields, **overrides})
+        return HyperParams(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

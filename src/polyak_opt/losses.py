@@ -161,7 +161,8 @@ def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
 
     The logistic branch is ``np.logaddexp(0, -yt)`` (bit for bit) and
     ``-y / (1 + e^yt)``, written with ``math`` to skip the cost of a ufunc
-    call on a scalar; the second is 0 where e^yt overflows.
+    call on a scalar; the second is 0 where e^yt overflows. The monomial
+    branch is inf where a power overflows, as the vectorized one is.
     """
     if spec.family == "logistic":
         y = float(data.labels[i])
@@ -182,7 +183,10 @@ def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
     absu = abs(u)
     if absu == 0.0:
         return 0.0, 0.0
-    return ai * absu**p, p * ai * absu ** (p - 1.0) * (1.0 if u > 0 else -1.0)
+    try:
+        return ai * absu**p, p * ai * absu ** (p - 1.0) * (1.0 if u > 0 else -1.0)
+    except OverflowError:  # a float power raises where numpy's returns inf
+        return math.inf, math.copysign(math.inf, u)
 
 
 @dataclass(frozen=True)

@@ -191,10 +191,18 @@ def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
 
 
 def rule_of_thumb(sigma: float) -> tuple[float, float]:
-    """(γ, γ_τ) from the regularization strength: γ = 1/(1+0.25σe^σ), γ_τ = 1−γ."""
+    """(γ, γ_τ) from the regularization strength: γ = 1/(1+0.25σe^σ), γ_τ = 1−γ.
+
+    A σ whose e^σ overflows (above about 709.78) is a ValueError.
+    """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    gamma = 1.0 / (1.0 + 0.25 * sigma * math.exp(sigma))
+    try:
+        gamma = 1.0 / (1.0 + 0.25 * sigma * math.exp(sigma))
+    except OverflowError:
+        raise ValueError(
+            f"sigma = {sigma!r} is too large for the rule of thumb: e^sigma overflows"
+        ) from None
     return gamma, 1.0 - gamma
 
 

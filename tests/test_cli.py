@@ -11,7 +11,7 @@ from polyak_opt.cli import main
 from polyak_opt.config import resolve_dataset
 from polyak_opt.data import load_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
-from polyak_opt.polyak import lambda_max
+from polyak_opt.polyak import NumericError, lambda_max
 from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
 
 # +-1 labels, so the default logistic family accepts it
@@ -161,10 +161,29 @@ class TestRun:
         ("--dataset", SMALL, "--sigma", "-1"),
         ("--dataset", SMALL, "--gamma-tau", "2"),
         ("--dataset", SMALL, "--epochs", "0"),
+        # step settings are checked whichever method runs
+        ("--dataset", SMALL, "--method", "sgd", "--gamma-tau", "2"),
+        ("--dataset", SMALL, "--method", "sag", "--lambda", "1.5"),
     ])
     def test_bad_settings_are_config_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, "run", *argv)
         assert code == 2 and err.startswith("error: ") and out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_monomial_overflow_is_numeric_abort(self, tmp_path, capsys):
+        # |t - 1e100|^4 overflows a Python float power once row 1 is sampled
+        data_file = tmp_path / "huge.txt"
+        data_file.write_text("1e100 1:1.0\n1 1:2.0\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {data_file}\nfamily = monomial\npower_r = 2.0\nmethod = sp\n"
+            "epochs = 3\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 3 and "numeric abort" in err
+        lines = out.splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) < 4
 
     def test_empty_dataset_is_config_error(self, tmp_path, capsys):
         data_file = tmp_path / "empty.txt"
@@ -244,6 +263,13 @@ class TestGrid:
         code, _, err = run_cli(capsys, "grid", "--config", str(cfg))
         assert code == 2 and "error" in err
 
+    def test_bad_step_setting_is_config_error(self, tmp_path, capsys):
+        # the grid overrides gamma per cell, but a bad configured gamma is
+        # still rejected rather than ignored
+        cfg = self.write_cfg(tmp_path, "0.5", "0.1")
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--gamma", "-1")
+        assert code == 2 and "gamma" in err and out == ""
+
     def test_thread_flag_beats_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("POLYAK_OPT_THREADS", "not-a-number")
         cfg = self.write_cfg(tmp_path, "0.5", "0.1")
@@ -296,6 +322,49 @@ class TestCompare:
         assert code == 0
         methods = [l.split()[1] for l in out.splitlines() if l.startswith("# ")]
         assert methods == ["sp", "taps", "motaps", "sgd", "sag", "svrg"]
+
+    def test_sp_rows_match_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"dataset = {SMALL}\nepochs = 3\nmethods = sp,taps\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == 0
+        sp_rows = [line[len("sp,"):] for line in out.splitlines() if line.startswith("sp,")]
+        code, out, _ = run_cli(
+            capsys, "run", "--config", str(cfg), "--method", "sp", "--gamma", "1.0"
+        )
+        assert code == 0
+        assert len(sp_rows) == 3 and sp_rows == out.splitlines()[1:]
+
+    def test_numeric_abort_keeps_other_methods(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_baseline
+
+        def abort_sag(method, *args, **kwargs):
+            records = real(method, *args, **kwargs)
+            if method != "sag":
+                return records
+            err = NumericError("injected", sample_index=0)
+            err.records = records[:1]
+            raise err
+
+        monkeypatch.setattr(cli, "run_baseline", abort_sag)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(
+            f"dataset = {SMALL}\nepochs = 2\nmethods = sp,sag,svrg\n", encoding="utf-8"
+        )
+        out_file = tmp_path / "cmp.csv"
+        code, _, err = run_cli(capsys, "compare", "--config", str(cfg), "--out", str(out_file))
+        assert code == 3
+        assert "warning: sag aborted: injected" in err
+        lines = out_file.read_text(encoding="utf-8").splitlines()
+        assert lines[3] == "method," + CSV_HEADER
+        assert [row.split(",")[0] for row in lines[4:]] == ["sp", "sp", "sag", "svrg", "svrg"]
+
+    def test_overflowing_sigma_is_config_error(self, capsys):
+        # the motaps rule of thumb needs e^sigma
+        code, out, err = run_cli(
+            capsys, "compare", "--dataset", SMALL, "--sigma", "1000", "--epochs", "1"
+        )
+        assert code == 2 and "sigma = 1000.0" in err and out == ""
 
 
 class TestVerify:

@@ -114,6 +114,10 @@ class TestParameterRules:
         assert g_inf < 1e-20 and gt_inf > 1.0 - 1e-12
         with pytest.raises(ValueError):
             rule_of_thumb(-1.0)
+        # e^sigma overflows past sigma = 709.78
+        assert rule_of_thumb(709.0) == (0.0, 1.0)
+        with pytest.raises(ValueError, match="sigma = 1000.0"):
+            rule_of_thumb(1000.0)
 
     def test_motaps_stepsize_presets(self):
         lam, n = 0.2, 4
@@ -165,6 +169,14 @@ class TestSpStep:
         spec, data = half_square_1d()
         with pytest.raises(NumericError) as exc:
             sp_step(spec, data, np.array([np.nan]), 0)
+        assert exc.value.sample_index == 0
+
+    def test_monomial_overflow_raises(self):
+        # |1e200|^4 overflows: a numeric abort, not a Python OverflowError
+        data = dense_dataset([[1.0]], [0.0])
+        spec = LossSpec(family="monomial", power_r=2.0)
+        with pytest.raises(NumericError) as exc, np.errstate(over="ignore"):
+            sp_step(spec, data, np.array([1e200]), 0)
         assert exc.value.sample_index == 0
 
     def test_scale_invariance(self):
