@@ -9,11 +9,13 @@ variance-reduced direction collapses to a φ′ difference on x_i plus
 
 ``run_baseline`` drives whole epochs with the same seeded sampling as the
 Polyak drivers so traces for one seed are directly comparable. SVRG counts
-every snapshot's full gradient as one extra data pass.
+every snapshot's full gradient as one extra data pass. A step whose sampled
+loss or φ′ is not finite raises ``NumericError``, as a Polyak step does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +30,19 @@ from .losses import (
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import sample_indices
+from .polyak import NumericError, sample_indices
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")
 
 SGD_SCHEDULES = ("paper_literal", "inverse", "constant")
+
+
+def _check_sample(i: int, *values: float) -> None:
+    """NumericError unless the sampled loss and φ′ values are finite: the
+    O(1) check the Polyak kernel's ``_coefficient`` makes."""
+    if not all(map(math.isfinite, values)):
+        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
 
 
 def sgd_stepsize(schedule: str, t: int, l_max: float, gamma: float) -> float:
@@ -65,9 +74,11 @@ def sgd_step(
     l_max: float = 1.0,
     gamma: float = 0.1,
 ) -> np.ndarray:
-    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize."""
+    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize; a non-finite f_i(w)
+    raises NumericError."""
     step = sgd_stepsize(schedule, t, l_max, gamma)
-    _, g = loss_grad_i(spec, data, w, i)
+    fi, g = loss_grad_i(spec, data, w, i)
+    _check_sample(i, fi)
     return w - step * g
 
 
@@ -104,9 +115,11 @@ def sag_step(
     w: np.ndarray, table: SagTable, spec: LossSpec, data: Dataset, i: int, gamma: float
 ) -> np.ndarray:
     """Refresh sample i's stored gradient, then move along the table mean
-    plus the analytic regularizer: w − γ(grad_sum/n + σw). Mutates the table."""
+    plus the analytic regularizer: w − γ(grad_sum/n + σw). Mutates the table;
+    a non-finite φ_i or φ′_i raises NumericError first."""
     idx, x = data.rows[i]
-    _, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    _check_sample(i, phi, dval)
     table.grad_sum[idx] += (dval - table.dvals[i]) * x
     table.dvals[i] = dval
     table.initialized[i] = True
@@ -142,12 +155,14 @@ def svrg_step(
     snapshot at w' (one full gradient) once inner_len inner steps are done.
 
     The direction ∇f_i(w) − ∇f_i(w_ref) + mu_ref reduces to a φ′ difference
-    on x_i plus σ(w − w_ref) under the GLM structure.
+    on x_i plus σ(w − w_ref) under the GLM structure. A non-finite φ_i or
+    φ′_i at w raises NumericError.
     """
     if inner_len < 1:
         raise ValueError("inner_len must be >= 1")
     idx, x = data.rows[i]
-    _, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+    _check_sample(i, phi, dval)
     _, dval_ref = _scalar_phi(spec, data, float(x @ snap.w_ref[idx]), i)
     direction = snap.mu_ref.copy()
     direction[idx] += (dval - dval_ref) * x
@@ -210,7 +225,8 @@ def run_baseline(
     γ defaults to 1/(2 L_max) for sag/svrg and is the constant-schedule step
     for sgd; svrg's inner length defaults to 2n. ``passes`` counts sampled
     steps as 1/n each plus one full pass per svrg snapshot (including the
-    initial one). Surrogate-specific trace fields stay empty.
+    initial one). Surrogate-specific trace fields stay empty. A numeric
+    abort raises NumericError with the completed records attached.
     """
     meth = method.lower()
     if meth not in BASELINES:
@@ -238,33 +254,38 @@ def run_baseline(
     rng = np.random.default_rng(seed)
     records: list[TraceRecord] = []
     t = 0
-    for epoch in range(1, epochs + 1):
-        for idx in sample_indices(rng, n, n):
-            i = int(idx)
-            t += 1
-            if meth == "sgd":
-                w = sgd_step(spec, data, w, i, t, sgd_schedule, l_max, gamma)
-            elif meth == "sag":
-                w = sag_step(w, table, spec, data, i, gamma)
-            elif meth == "svrg":
-                w, new_snap = svrg_step(w, snap, spec, data, i, gamma, inner_len)
-                if new_snap is not snap:
-                    full_passes += 1.0
-                snap = new_snap
-            else:
-                _, g = loss_grad_i(spec, data, w, i)
-                w, moments = adam_step(w, moments, g, t, alpha=alpha)
-        records.append(
-            TraceRecord(
-                epoch=epoch,
-                passes=t / n + full_passes,
-                full_loss=full_loss(spec, data, w),
-                grad_norm=float(np.linalg.norm(full_grad(spec, data, w))),
-                dist_to_opt=(
-                    float(np.linalg.norm(w - certificate.w_star))
-                    if certificate is not None
-                    else None
-                ),
+    try:
+        for epoch in range(1, epochs + 1):
+            for idx in sample_indices(rng, n, n):
+                i = int(idx)
+                t += 1
+                if meth == "sgd":
+                    w = sgd_step(spec, data, w, i, t, sgd_schedule, l_max, gamma)
+                elif meth == "sag":
+                    w = sag_step(w, table, spec, data, i, gamma)
+                elif meth == "svrg":
+                    w, new_snap = svrg_step(w, snap, spec, data, i, gamma, inner_len)
+                    if new_snap is not snap:
+                        full_passes += 1.0
+                    snap = new_snap
+                else:
+                    fi, g = loss_grad_i(spec, data, w, i)
+                    _check_sample(i, fi)
+                    w, moments = adam_step(w, moments, g, t, alpha=alpha)
+            records.append(
+                TraceRecord(
+                    epoch=epoch,
+                    passes=t / n + full_passes,
+                    full_loss=full_loss(spec, data, w),
+                    grad_norm=float(np.linalg.norm(full_grad(spec, data, w))),
+                    dist_to_opt=(
+                        float(np.linalg.norm(w - certificate.w_star))
+                        if certificate is not None
+                        else None
+                    ),
+                )
             )
-        )
+    except NumericError as err:
+        err.records = records
+        raise
     return records

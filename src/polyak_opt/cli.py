@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one method, one trace file), ``grid`` (γ × γ_τ sweep
-with a best-cell summary), ``compare`` (several methods on one dataset in a
-long-format trace), ``verify`` (the randomized property suites), and ``gen``
-(write a synthetic dataset as a LIBSVM file).
+Subcommands: ``run`` (one method, one trace file), ``grid`` (γ × γ_τ sweep,
+run as one batch, with a best-cell summary), ``compare`` (several methods
+on one dataset in a long-format trace), ``verify`` (the randomized property
+suites), and ``gen`` (write a synthetic dataset as a LIBSVM file).
 
 Settings resolve as defaults < ``--config`` file < explicit flags. The
 thread count resolves as config file < ``POLYAK_OPT_THREADS`` <
@@ -38,7 +38,7 @@ from .config import (
 )
 from .data import ParseError, normalize_samples, serialize_libsvm
 from .losses import UnsupportedFamilyError, optimum_oracle, smoothness_constants
-from .polyak import METHODS, NumericError, check_lambda, rule_of_thumb, run_epochs
+from .polyak import METHODS, NumericError, check_lambda, rule_of_thumb, run_epochs, run_grid
 from .traces import CSV_HEADER, trace_to_csv, trace_to_json
 from .verify import format_report, run_all
 
@@ -160,15 +160,24 @@ def _certificate(cfg: ExperimentConfig, spec, data):
     return _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
 
 
-def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None):
+def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None, cells=None):
     """One run of ``method`` on ``data``: ``(records, None)``, or the records
     completed before a numeric abort and its NumericError.
 
     A Polyak method takes the step settings of ``cfg`` with ``gamma`` and
     ``gamma_tau`` on top where given, and ``fi_star`` as its sp target. A
     baseline takes ``gamma`` as its step; None means its standard
-    1/(2 L_max)."""
+    1/(2 L_max). With ``cells``, a list of (gamma, gamma_tau) pairs, the
+    Polyak method runs at every pair as one batch and the records are each
+    cell's last one, None for a cell that aborted."""
     try:
+        if method in METHODS and cells is not None:
+            for g, gt in cells:
+                make_hyper(cfg, gamma=g, gamma_tau=gt)
+            return run_grid(
+                method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
+                fi_star=fi_star, tau=cfg.tau,
+            ), None
         if method in METHODS:
             hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
             return run_epochs(
@@ -217,12 +226,9 @@ def cmd_grid(args) -> int:
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
+    finals, _ = _trace(cfg.method, cfg, spec, data, None, fi_star=cfg.fi_star, cells=cells)
     results = []
-    for g, gt in cells:
-        records, err = _trace(
-            cfg.method, cfg, spec, data, None, fi_star=cfg.fi_star, gamma=g, gamma_tau=gt
-        )
-        rec = records[-1] if err is None else None
+    for rec in finals:
         # an abort, a non-finite value or a blown-up loss is divergence
         if rec is not None and math.isfinite(rec.grad_norm) and -math.inf < rec.full_loss <= 1e12:
             results.append((rec.grad_norm, rec.full_loss))

@@ -21,6 +21,8 @@ pre-step state.
 All three run through one step kernel whose data steps cost O(nnz_i) on
 sparse data (see ``_Kernel``). ``run_epochs`` picks the method's step once per run, and
 ``sp_step``, ``taps_step`` and ``motaps_step`` are single calls of it.
+``run_grid`` runs one method at many (γ, γ_τ) pairs as a single batch whose
+per-cell arithmetic is the kernel's, bit for bit (see ``_Batch``).
 """
 
 from __future__ import annotations
@@ -193,16 +195,20 @@ def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
 def rule_of_thumb(sigma: float) -> tuple[float, float]:
     """(γ, γ_τ) from the regularization strength: γ = 1/(1+0.25σe^σ), γ_τ = 1−γ.
 
-    A σ whose e^σ overflows (above about 709.78) is a ValueError.
+    A σ whose 0.25σe^σ overflows (above about 704.6) is a ValueError: it
+    would give γ = 0.
     """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     try:
-        gamma = 1.0 / (1.0 + 0.25 * sigma * math.exp(sigma))
+        denom = 1.0 + 0.25 * sigma * math.exp(sigma)
     except OverflowError:
+        denom = math.inf
+    if not math.isfinite(denom):
         raise ValueError(
-            f"sigma = {sigma!r} is too large for the rule of thumb: e^sigma overflows"
-        ) from None
+            f"sigma = {sigma!r} is too large for the rule of thumb: 0.25*sigma*e^sigma overflows"
+        )
+    gamma = 1.0 / denom
     return gamma, 1.0 - gamma
 
 
@@ -501,6 +507,20 @@ def fi_star_array(fi_star, n: int) -> np.ndarray:
     return arr
 
 
+def _check_run(method: str, data: Dataset, hyper: HyperParams, epochs: int) -> str:
+    """The lower-cased method name, once the run's arguments are valid."""
+    meth = method.lower()
+    if meth not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if not epochs >= 1:
+        raise ValueError("epochs must be >= 1")
+    if data.n < 1:
+        raise ValueError("cannot run on an empty dataset")
+    if meth == "motaps":
+        check_lambda(hyper.lam, data.n)
+    return meth
+
+
 def run_epochs(
     method: str,
     spec: LossSpec,
@@ -529,16 +549,8 @@ def run_epochs(
     the fixed taps target or the initial motaps τ. A numeric abort raises
     NumericError with the completed records attached.
     """
-    meth = method.lower()
-    if meth not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if not epochs >= 1:
-        raise ValueError("epochs must be >= 1")
+    meth = _check_run(method, data, hyper, epochs)
     n, dim = data.n, data.dim
-    if n < 1:
-        raise ValueError("cannot run on an empty dataset")
-    if meth == "motaps":
-        check_lambda(hyper.lam, n)
     fi_stars = fi_star_array(fi_star, n)
 
     sp_like = meth in ("sp", "spsmax")
@@ -612,3 +624,213 @@ def _make_record(meth, spec, data, w, state, hyper, fi_stars, certificate, epoch
         tau=tau_val,
         alpha_bar=bar_val,
     )
+
+
+# ---------------------------------------------------------------------------
+# grid driver: every (γ, γ_τ) cell of one run as a row of one state batch
+
+
+class _Batch:
+    """``_Kernel``'s steps for C runs that differ only in (γ, γ_τ).
+
+    Every cell draws the same sampled indices, so one index is one
+    vectorised update of all cells. Row r of ``V`` (C×d; ``Z`` too for
+    β > 0) and of ``A`` (C×n), and entry r of ``abar``, ``tau``, the lazy
+    scale ``s``, ``wsq`` and the step sizes, are the state of cell
+    ``cells[r]``. Each cell's arithmetic is the kernel's bit for bit:
+
+    * margins and square norms are one ddot per row (``np.vecdot``), on a
+      C-contiguous gather for a sparse row, since a strided ddot rounds
+      differently;
+    * φ is ``_scalar_phi`` per cell, since numpy's vectorised exp rounds
+      differently from ``math.exp``;
+    * everything else is elementwise, in the kernel's order of operations.
+
+    A step returns the mask of the cells where the kernel would have raised
+    NumericError; ``drop`` removes them.
+    """
+
+    _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
+
+    def __init__(self, spec, data, hyper, cells, *, trackers, tau, fi_stars):
+        self.spec, self.data, self.n = spec, data, data.n
+        self.rows, self.sqnorms = data.rows, data.row_sqnorms.tolist()
+        self.sigma, self.beta, self.fi_stars = spec.sigma, hyper.beta, fi_stars
+        self.step_cap, self.lam = hyper.step_cap, hyper.lam
+        size = len(cells)
+        self.cells = np.arange(size)
+        self.gamma = np.array([g for g, _ in cells], dtype=np.float64)
+        self.gamma_tau = np.array([gt for _, gt in cells], dtype=np.float64)
+        self.V = np.zeros((size, data.dim))
+        self.Z = self.V.copy() if self.beta else None
+        self.s, self.wsq = np.ones(size), np.zeros(size)
+        self.A = np.zeros((size, self.n)) if trackers else None
+        self.abar = np.zeros(size) if trackers else None
+        self.tau = np.full(size, tau) if trackers else None
+        lazy = not self.beta and data.X.nnz < data.n * data.dim
+        self._data_step = self._lazy_step if lazy else self._plain_step
+
+    def drop(self, bad):
+        keep = ~bad
+        for name in self._ROWS:
+            rows = getattr(self, name)
+            if rows is not None:
+                setattr(self, name, rows[keep])
+
+    def end_epoch(self):
+        """The kernel's fold and the exact tracker mean, for every cell."""
+        self.V *= self.s[:, None]
+        self.s = np.ones_like(self.s)
+        self.wsq = np.vecdot(self.V, self.V)
+        if self.A is not None:
+            self.abar = np.mean(self.A, axis=1)
+
+    def _phi(self, i, t):
+        spec, data = self.spec, self.data
+        vals = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
+        return np.array(vals, dtype=np.float64).reshape(-1, 2).T
+
+    @staticmethod
+    def _coefficient(fi, dval, gsq, target, shift, cap):
+        c = np.minimum((fi - target) / (gsq + shift), cap)
+        if shift == 0.0:
+            c[gsq <= ZERO_GRAD_SQNORM] = 0.0
+        bad = ~(np.isfinite(fi) & np.isfinite(dval) & np.isfinite(gsq) & np.isfinite(c))
+        return c, bad
+
+    def _plain_step(self, i, gamma, target, shift, cap):
+        idx, x = self.rows[i]
+        V, sigma = self.V, self.sigma
+        full = x.size == V.shape[1]
+        fi, dval = self._phi(i, np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x))
+        if full:
+            G = dval[:, None] * x
+        else:
+            G = np.zeros_like(V)
+            G[:, idx] = dval[:, None] * x
+        if sigma:
+            fi += 0.5 * sigma * np.vecdot(V, V)
+            G += sigma * V
+        c, bad = self._coefficient(fi, dval, np.vecdot(G, G), target, shift, cap)
+        if self.beta:  # momentum_step with direction G and step γc
+            self.Z = self.Z - ((gamma * c) / (1.0 - self.beta))[:, None] * G
+            self.V = self.beta * V + (1.0 - self.beta) * self.Z
+        else:
+            V -= (gamma * c)[:, None] * G
+        return c, bad
+
+    def _lazy_step(self, i, gamma, target, shift, cap):
+        idx, x = self.rows[i]
+        V, s, sigma, wsq = self.V, self.s, self.sigma, self.wsq
+        Vi = np.ascontiguousarray(V[:, idx])
+        t = s * np.vecdot(Vi, x)
+        fi, dval = self._phi(i, t)
+        xsq = self.sqnorms[i]
+        fi += 0.5 * sigma * wsq
+        gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * t + sigma * sigma * wsq, 0.0)
+        c, bad = self._coefficient(fi, dval, gsq, target, shift, cap)
+        a = 1.0 - gamma * c * sigma
+        b = gamma * c * dval
+        s_new = s * a
+        V[:, idx] = Vi - (b / s_new)[:, None] * x
+        self.s = s_new
+        self.wsq = np.maximum(a * a * wsq - 2.0 * a * b * t + b * b * xsq, 0.0)
+        for r in np.flatnonzero(~((1e-100 <= s_new) & (s_new <= 1e100))).tolist():
+            v = V[r]
+            v[idx] = Vi[r]
+            v *= s[r]
+            v *= a[r]
+            v[idx] -= b[r] * x
+            self.s[r] = 1.0
+            self.wsq[r] = float(v @ v)
+        return c, bad
+
+    def _idle(self):
+        if self.beta:
+            self.V = self.beta * self.V + (1.0 - self.beta) * self.Z
+
+    def sp(self, i, gamma, gamma_tau):
+        return self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1]
+
+    def _tracker_step(self, i, gamma):
+        c, bad = self._data_step(i, gamma, self.A[:, i], 1.0, math.inf)
+        self.A[:, i] += gamma * c
+        self.abar += gamma * c / self.n
+        return bad
+
+    def taps(self, i, gamma, gamma_tau):
+        if i < self.n:
+            return self._tracker_step(i, gamma)
+        delta = gamma * (self.tau - self.abar)
+        self.A += delta[:, None]
+        self.abar += delta
+        self._idle()
+        return ~np.isfinite(delta)
+
+    def motaps(self, i, gamma, gamma_tau):
+        if i < self.n:
+            return self._tracker_step(i, gamma)
+        old_tau, old_bar = self.tau, self.abar
+        delta = gamma * (old_tau - old_bar)
+        new_tau = (1.0 - gamma_tau) * old_tau + gamma_tau * motaps_tau_coeff(self.lam, self.n) * old_bar
+        self.A += delta[:, None]
+        self.abar = old_bar + delta
+        self.tau = new_tau
+        self._idle()
+        return ~(np.isfinite(delta) & np.isfinite(new_tau))
+
+
+def run_grid(
+    method: str,
+    spec: LossSpec,
+    data: Dataset,
+    hyper: HyperParams,
+    cells,
+    epochs: int,
+    seed: int,
+    *,
+    fi_star=0.0,
+    tau: float | None = None,
+) -> list[TraceRecord | None]:
+    """Run ``method`` at every (γ, γ_τ) pair of ``cells`` as one batch.
+
+    Returns, per cell, the last record that ``run_epochs`` with ``hyper``
+    at that γ and γ_τ (from w⁰ = 0, no certificate) would return, bit for
+    bit, or None where that run would raise NumericError. Only the last
+    epoch is evaluated. The batch holds C×(n+d) floats for C cells (twice
+    the d part with β > 0).
+    """
+    meth = _check_run(method, data, hyper, epochs)
+    for g, gt in cells:
+        dataclasses.replace(hyper, gamma=g, gamma_tau=gt)  # validates the cell
+    n = data.n
+    fi_stars = fi_star_array(fi_star, n)
+    sp_like = meth in ("sp", "spsmax")
+    batch = _Batch(spec, data, hyper, cells, trackers=not sp_like,
+                   tau=float(tau or 0.0), fi_stars=fi_stars.tolist())
+    step = getattr(batch, "sp" if sp_like else meth)
+    rng = np.random.default_rng(seed)
+    high = n if sp_like else n + 1
+    t = 0
+    # a cell about to be dropped may overflow; the masks report it
+    with np.errstate(all="ignore"):
+        for _ in range(epochs):
+            for i in sample_indices(rng, high, high).tolist():
+                if hyper.schedule == "constant":
+                    gamma_t, gamma_tau_t = batch.gamma, batch.gamma_tau
+                else:
+                    gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
+                bad = step(i, gamma_t, gamma_tau_t)
+                if bad.any():
+                    batch.drop(bad)
+                t += 1
+            batch.end_epoch()
+
+    finals: list[TraceRecord | None] = [None] * len(cells)
+    for r, cell in enumerate(batch.cells.tolist()):
+        w, state = batch.V[r].copy(), None
+        if not sp_like:
+            kind = TapsState if meth == "taps" else MotapsState
+            state = kind(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]), t)
+        finals[cell] = _make_record(meth, spec, data, w, state, hyper, fi_stars, None, epochs, t)
+    return finals

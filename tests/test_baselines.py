@@ -24,7 +24,7 @@ from polyak_opt.losses import (
     optimum_oracle,
     smoothness_constants,
 )
-from polyak_opt.polyak import sample_indices
+from polyak_opt.polyak import NumericError, sample_indices
 
 
 def dense_dataset(rows, labels):
@@ -286,3 +286,18 @@ class TestRunBaseline:
             run_baseline("newton", self.spec, self.data, 1, 0)
         with pytest.raises(ValueError):
             run_baseline("sgd", self.spec, self.data, 0, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_attaches_partial_trace(self):
+        # f(w) = (w - 1)^2 / 2 on two equal rows: each constant step of 10
+        # multiplies w - 1 by -9 until the sampled loss overflows
+        spec, data = LossSpec(family="squared"), dense_dataset([[1.0], [1.0]], [1.0, 1.0])
+        for method in ("sgd", "sag", "svrg", "adam"):
+            alpha = 1e300 if method == "adam" else 0.001
+            with pytest.raises(NumericError) as exc:
+                run_baseline(method, spec, data, 400, 0, gamma=10.0,
+                             sgd_schedule="constant", alpha=alpha)
+            assert exc.value.sample_index in (0, 1)
+            records = exc.value.records
+            assert len(records) < 400
+            assert [r.epoch for r in records] == list(range(1, len(records) + 1))

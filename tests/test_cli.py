@@ -2,7 +2,9 @@
 every subcommand's output shape, and the documented exit codes."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from polyak_opt import cli
@@ -185,6 +187,38 @@ class TestRun:
         lines = out.splitlines()
         assert lines[0] == CSV_HEADER and len(lines) < 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_sgd_is_numeric_abort(self, tmp_path, capsys):
+        # a constant step of 10 on f(w) = (w - 1)^2 / 2 multiplies w - 1 by -9
+        data_file = tmp_path / "explode.txt"
+        data_file.write_text("1 1:1.0\n1 1:1.0\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {data_file}\nfamily = squared\nsgd_schedule = constant\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--method", "sgd", "--gamma", "10",
+            "--epochs", "400",
+        )
+        assert code == 3 and "numeric abort" in err
+        records = parse_trace_csv(out)
+        assert 0 < len(records) < 400
+        assert not any(math.isnan(r.full_loss) for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_monomial_label_baseline_is_numeric_abort(self, tmp_path, capsys):
+        # (t - 1e200)^2 overflows on the first visit to row 1
+        data_file = tmp_path / "huge.txt"
+        data_file.write_text("1e200 1:1.0\n1 1:2.0\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {data_file}\nfamily = monomial\nepochs = 3\n", encoding="utf-8")
+        for method in ("sgd", "sag", "svrg"):
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--method", method)
+            assert code == 3 and "numeric abort" in err
+            lines = out.splitlines()
+            assert lines[0] == CSV_HEADER and len(lines) < 4
+
     def test_empty_dataset_is_config_error(self, tmp_path, capsys):
         data_file = tmp_path / "empty.txt"
         data_file.write_text("# no samples\n", encoding="utf-8")
@@ -287,6 +321,82 @@ class TestGrid:
         assert code == 0 and len(out.strip().splitlines()) == 4
 
 
+def write_sparse(path, seed, n=12, d=40, k=4):
+    """A LIBSVM file of n rows with k nonzeros each and labels -1 or +1;
+    the first row is empty."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for r in range(n):
+        cols = np.sort(rng.choice(d, 0 if r == 0 else k, replace=False))
+        pairs = [f"{j + 1}:{v!r}" for j, v in zip(cols.tolist(), rng.standard_normal(cols.size).tolist())]
+        lines.append(" ".join([str(rng.choice([-1, 1]))] + pairs))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# dataset, settings, gamma grid, gamma_tau grid
+GRID_CASES = {
+    "sp-dense": ("dense", "method = sp\n", "0.5,1.0", "0.1"),
+    "spsmax-cap-dense": ("dense", "method = spsmax\nstep_cap = 0.3\n", "0.5,1.0,1.5", "0.1"),
+    "taps-dense": ("dense", "method = taps\ntau = 0.05\n", "0.5,1.0", "0.1,0.5"),
+    "motaps-dense": ("dense", "method = motaps\nlambda = 0.2\n", "0.4,0.9,1.1", "0.001,0.1,0.9"),
+    "sp-sparse": ("sparse", "method = sp\nsigma = 0.01\n", "0.5,1.0", "0.1"),
+    "spsmax-cap-sparse": ("sparse", "method = spsmax\nsigma = 0.01\nstep_cap = 0.3\n", "0.5,1.0", "0.1"),
+    "taps-sparse": ("sparse", "method = taps\nsigma = 0.01\ntau = 0.05\n", "0.5,1.0", "0.1,0.5"),
+    "motaps-sparse": ("sparse", "method = motaps\nsigma = 0.01\n", "0.4,0.9,1.1", "0.001,0.1,0.9"),
+    # gamma = 0.95 and 1.1 take steps with 1 - gamma*c*sigma <= 0 here, which
+    # fold the lazy scale into the weights mid-epoch
+    "sp-sparse-fold": ("fold", "method = sp\nsigma = 0.5\nseed = 2\n", "0.5,0.95,1.1", "0.1"),
+    "motaps-beta-sparse": ("sparse", "method = motaps\nsigma = 0.01\nbeta = 0.5\n", "0.4,0.9", "0.1,0.5"),
+    "sp-beta-dense": ("dense", "method = sp\nbeta = 0.3\n", "0.5,1.0", "0.1"),
+    "motaps-decreasing": (
+        "sparse", "method = motaps\nsigma = 0.01\nschedule = motaps_decreasing\nmu = 0.5\n",
+        "0.5,1.0", "0.1,0.5",
+    ),
+    "sp-divergent": ("explode", "method = sp\nfamily = squared\n", "0.9,6.0,1.5", "0.1"),
+}
+
+
+class TestGridMatchesRun:
+    """Every cell of a grid is the last record of ``run`` at its gamma and
+    gamma_tau, exactly; a cell whose run aborts is inf."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(GRID_CASES))
+    def test_every_cell_equals_run(self, tmp_path, capsys, case):
+        kind, settings, gammas, gamma_taus = GRID_CASES[case]
+        if kind == "dense":
+            dataset = SMALL
+        elif kind == "explode":
+            dataset = tmp_path / "explode.txt"
+            dataset.write_text("1 1:1.0\n1 1:1.0\n", encoding="utf-8")
+        else:
+            dataset = write_sparse(tmp_path / "sparse.txt", seed=5 if kind == "fold" else 3)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {dataset}\nepochs = {400 if kind == 'explode' else 4}\n{settings}"
+            f"gamma_grid = {gammas}\ngamma_tau_grid = {gamma_taus}\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "grid", "--config", str(cfg))
+        assert code == 0
+        cells = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert len(cells) == len(gammas.split(",")) * len(gamma_taus.split(","))
+        aborted = 0
+        for gamma, gamma_tau, grad_norm, loss in cells:
+            code, out, _ = run_cli(
+                capsys, "run", "--config", str(cfg), "--gamma", gamma, "--gamma-tau", gamma_tau
+            )
+            if code == 3:
+                aborted += 1
+                assert grad_norm == loss == "inf"
+            else:
+                assert code == 0
+                last = parse_trace_csv(out)[-1]
+                assert (last.grad_norm, last.full_loss) == (float(grad_norm), float(loss))
+        assert aborted == (1 if kind == "explode" else 0)
+
+
 class TestCompare:
     def test_long_format_with_headers(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"
@@ -360,11 +470,27 @@ class TestCompare:
         assert [row.split(",")[0] for row in lines[4:]] == ["sp", "sp", "sag", "svrg", "svrg"]
 
     def test_overflowing_sigma_is_config_error(self, capsys):
-        # the motaps rule of thumb needs e^sigma
-        code, out, err = run_cli(
-            capsys, "compare", "--dataset", SMALL, "--sigma", "1000", "--epochs", "1"
+        # the motaps rule of thumb needs 0.25*sigma*e^sigma: at 1000 e^sigma
+        # overflows, at 706 only the product does
+        for sigma in ("1000", "706"):
+            code, out, err = run_cli(
+                capsys, "compare", "--dataset", SMALL, "--sigma", sigma, "--epochs", "1"
+            )
+            assert code == 2 and f"sigma = {float(sigma)!r}" in err and out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_baselines_warn_and_exit_3(self, tmp_path, capsys):
+        data_file = tmp_path / "huge.txt"
+        data_file.write_text("1e200 1:1.0\n1 1:2.0\n", encoding="utf-8")
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(
+            f"dataset = {data_file}\nfamily = monomial\nepochs = 3\nmethods = sgd,svrg\n",
+            encoding="utf-8",
         )
-        assert code == 2 and "sigma = 1000.0" in err and out == ""
+        code, out, err = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == 3
+        assert "warning: sgd aborted" in err and "warning: svrg aborted" in err
+        assert out.splitlines()[2] == "method," + CSV_HEADER
 
 
 class TestVerify:

@@ -27,6 +27,7 @@ from polyak_opt.polyak import (
     motaps_tau_coeff,
     rule_of_thumb,
     run_epochs,
+    run_grid,
     sp_step,
     taps_step,
 )
@@ -114,10 +115,13 @@ class TestParameterRules:
         assert g_inf < 1e-20 and gt_inf > 1.0 - 1e-12
         with pytest.raises(ValueError):
             rule_of_thumb(-1.0)
-        # e^sigma overflows past sigma = 709.78
-        assert rule_of_thumb(709.0) == (0.0, 1.0)
-        with pytest.raises(ValueError, match="sigma = 1000.0"):
-            rule_of_thumb(1000.0)
+        # 0.25*sigma*e^sigma overflows past sigma = 704.6 and e^sigma past
+        # 709.78; either would give gamma = 0
+        g, gt = rule_of_thumb(704.6)
+        assert 0.0 < g < 1e-300 and gt == 1.0
+        for sigma in (706.0, 709.0, 1000.0):
+            with pytest.raises(ValueError, match=f"sigma = {sigma!r}"):
+                rule_of_thumb(sigma)
 
     def test_motaps_stepsize_presets(self):
         lam, n = 0.2, 4
@@ -752,6 +756,77 @@ class TestStepKernel:
             tracemalloc.stop()
         assert data.n == 200 and data.dim == d and data.X.nnz == 1000
         assert peak < 2 * 2**20
+
+
+GRID = [(g, gt) for g in (0.1, 0.7, 1.1) for gt in (1e-3, 0.5)]
+
+
+class TestRunGrid:
+    """``run_grid`` against one ``run_epochs`` per cell: whole last records,
+    compared with ``==``."""
+
+    @staticmethod
+    def per_cell(method, spec, data, hyper, cells, epochs, seed, **kwargs):
+        finals = []
+        for g, gt in cells:
+            cell = HyperParams(**{**vars(hyper), "gamma": g, "gamma_tau": gt})
+            try:
+                finals.append(run_epochs(method, spec, data, cell, epochs, seed, **kwargs)[-1])
+            except NumericError:
+                finals.append(None)
+        return finals
+
+    @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps"])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("variant", [
+        dict(sigma=0.0),
+        dict(sigma=1e-3, step_cap=0.4),
+        dict(sigma=0.5),
+        dict(sigma=1e-3, beta=0.5),
+        dict(sigma=1e-3, schedule="motaps_decreasing", mu=0.5),
+    ])
+    def test_records_equal_run_epochs(self, method, layout, variant):
+        variant = dict(variant)
+        spec = LossSpec(family="logistic", sigma=variant.pop("sigma"))
+        if layout == "dense":
+            data = dense_dataset(*sparse_problem(seed=4, n=10, d=4, k=4)[:2])
+        else:
+            data = sparse_problem(seed=4)[2]
+        hyper = HyperParams(lam=0.2, **variant)
+        args = (method, spec, data, hyper, GRID, 5, 11)
+        finals = run_grid(*args, tau=0.05, fi_star=0.01)
+        assert None not in finals
+        assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
+
+    def test_fold_branch_cells(self):
+        # the sp steps of test_scale_collapse_folds_to_the_dense_step
+        rows, labels, data = sparse_problem(seed=5)
+        spec = LossSpec(family="logistic", sigma=0.5)
+        cells = [(0.5, 0.1), (0.95, 0.1), (1.1, 0.1)]
+        flips = [dense_reference_run("sp", spec, rows, labels, HyperParams(gamma=g), 3, 2)[3]
+                 for g, _ in cells]
+        assert min(flips) > 0
+        args = ("sp", spec, data, HyperParams(), cells, 3, 2)
+        assert run_grid(*args) == self.per_cell(*args)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_aborting_cell_is_none(self):
+        data = dense_dataset([[1.0], [1.0]], [1.0, 1.0])
+        args = ("sp", LossSpec(family="squared"), data, HyperParams(),
+                [(0.9, 0.1), (6.0, 0.1), (1.5, 0.1)], 400, 0)
+        finals = run_grid(*args)
+        assert finals[1] is None and None not in (finals[0], finals[2])
+        assert finals == self.per_cell(*args)
+
+    def test_arguments_checked(self):
+        spec, data = interpolating_problem(n=4, d=2)
+        with pytest.raises(ValueError, match="gamma_tau"):
+            run_grid("taps", spec, data, HyperParams(), [(0.5, 0.1), (0.5, 2.0)], 1, 0)
+        with pytest.raises(ValueError, match="unknown method"):
+            run_grid("sgd", spec, data, HyperParams(), [(0.5, 0.1)], 1, 0)
+        with pytest.raises(ValueError, match="lambda"):
+            run_grid("motaps", spec, data, HyperParams(lam=0.99), [(0.5, 0.1)], 1, 0)
+        assert run_grid("sp", spec, data, HyperParams(), [], 2, 0) == []
 
 
 class TestHyperParamsValidation:
