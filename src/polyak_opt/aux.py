@@ -34,13 +34,14 @@ import numpy as np
 from .data import Dataset
 from .losses import LossSpec, OptimumCertificate, batch_eval, loss_grad_i
 from .polyak import (
+    METHODS,
     ZERO_GRAD_SQNORM,
     HyperParams,
     MotapsState,
     TapsState,
+    _check_run,
     _make_record,
     _stepsizes_at,
-    check_lambda,
     fi_star_array,
     sample_indices,
 )
@@ -368,18 +369,12 @@ def run_epochs_sgd_view(
 ) -> list[TraceRecord]:
     """Trace of the explicit-SGD route, mirroring run_epochs' sampling,
     initialization and recording so the two traces compare field by field."""
-    meth = method.lower()
-    if meth not in ("sp", "spsmax", "taps", "motaps"):
-        raise ValueError(f"unknown method {method!r}")
+    meth = _check_run(method, METHODS, data, epochs, hyper)
     if hyper.beta != 0.0:
         raise ValueError("the SGD view is defined for plain (beta=0) steps")
     if meth == "spsmax" and math.isfinite(hyper.step_cap):
         raise ValueError("a finite step_cap is not an SGD step on the surrogate")
-    if not epochs >= 1:
-        raise ValueError("epochs must be >= 1")
     n, dim = data.n, data.dim
-    if meth == "motaps":
-        check_lambda(hyper.lam, n)
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
     w = np.zeros(dim)
@@ -409,6 +404,6 @@ def run_epochs_sgd_view(
         else:
             state = MotapsState(w, alpha, float(np.mean(alpha)), tau_val, t)
         records.append(
-            _make_record(meth, spec, data, w, state, hyper, fi_stars, certificate, epoch, t)
+            _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
         )
     return records

@@ -7,15 +7,16 @@ SAG stores one φ′ scalar per sample instead of an n×d gradient table (the
 variance-reduced direction collapses to a φ′ difference on x_i plus
 σ(w − w_ref).
 
-``run_baseline`` drives whole epochs with the same seeded sampling as the
-Polyak drivers so traces for one seed are directly comparable. SVRG counts
-every snapshot's full gradient as one extra data pass. A step whose sampled
-loss or φ′ is not finite raises ``NumericError``, as a Polyak step does.
+SGD is the Polyak kernel's data step with coefficient 1, O(nnz_i) on a
+sparse row. ``run_baseline`` runs every baseline through the Polyak
+drivers' epoch loop and record builder, so traces for one seed are directly
+comparable. SVRG counts every snapshot's full gradient as one extra data
+pass. A step whose sampled loss or φ′ is not finite raises
+``NumericError``, as a Polyak step does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,10 @@ from .losses import (
     OptimumCertificate,
     _scalar_phi,
     full_grad,
-    full_loss,
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import NumericError, sample_indices
+from .polyak import _check_finite, _check_index, _check_run, _epoch_loop, _Kernel, _make_record
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")
@@ -38,11 +38,15 @@ BASELINES = ("sgd", "sag", "svrg", "adam")
 SGD_SCHEDULES = ("paper_literal", "inverse", "constant")
 
 
-def _check_sample(i: int, *values: float) -> None:
-    """NumericError unless the sampled loss and φ′ values are finite: the
-    O(1) check the Polyak kernel's ``_coefficient`` makes."""
-    if not all(map(math.isfinite, values)):
-        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+class FlatDataError(ValueError):
+    """A step size taken from L_max = 0 (every row zero and σ = 0)."""
+
+
+def check_l_max(l_max: float, advice: str = "set gamma, and for sgd use sgd_schedule = constant") -> float:
+    """``l_max``, or a FlatDataError ending in ``advice`` where no step size can come from it."""
+    if not l_max > 0.0:
+        raise FlatDataError(f"L_max = {l_max!r} (every row is zero and sigma = 0) gives no step size; {advice}")
+    return l_max
 
 
 def sgd_stepsize(schedule: str, t: int, l_max: float, gamma: float) -> float:
@@ -74,12 +78,13 @@ def sgd_step(
     l_max: float = 1.0,
     gamma: float = 0.1,
 ) -> np.ndarray:
-    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize; a non-finite f_i(w)
-    raises NumericError."""
-    step = sgd_stepsize(schedule, t, l_max, gamma)
-    fi, g = loss_grad_i(spec, data, w, i)
-    _check_sample(i, fi)
-    return w - step * g
+    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize, as one call of the
+    Polyak kernel's data step; a non-finite f_i(w) or φ′ raises
+    NumericError."""
+    _check_index(i, data.n)
+    kernel = _Kernel(spec, data, np.array(w, dtype=np.float64))
+    kernel.sgd(i, sgd_stepsize(schedule, t, l_max, gamma))
+    return kernel.fold()
 
 
 @dataclass
@@ -119,7 +124,7 @@ def sag_step(
     a non-finite φ_i or φ′_i raises NumericError first."""
     idx, x = data.rows[i]
     phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
-    _check_sample(i, phi, dval)
+    _check_finite(i, phi, dval)
     table.grad_sum[idx] += (dval - table.dvals[i]) * x
     table.dvals[i] = dval
     table.initialized[i] = True
@@ -162,7 +167,7 @@ def svrg_step(
         raise ValueError("inner_len must be >= 1")
     idx, x = data.rows[i]
     phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
-    _check_sample(i, phi, dval)
+    _check_finite(i, phi, dval)
     _, dval_ref = _scalar_phi(spec, data, float(x @ snap.w_ref[idx]), i)
     direction = snap.mu_ref.copy()
     direction[idx] += (dval - dval_ref) * x
@@ -223,69 +228,45 @@ def run_baseline(
     """Run a baseline for whole epochs from w⁰ = 0 and return its trace.
 
     γ defaults to 1/(2 L_max) for sag/svrg and is the constant-schedule step
-    for sgd; svrg's inner length defaults to 2n. ``passes`` counts sampled
-    steps as 1/n each plus one full pass per svrg snapshot (including the
-    initial one). Surrogate-specific trace fields stay empty. A numeric
-    abort raises NumericError with the completed records attached.
+    for sgd; svrg's inner length defaults to 2n. A step size taken from
+    L_max = 0 is a FlatDataError. ``passes`` counts sampled steps as 1/n
+    each plus one full pass per svrg snapshot (including the initial one).
+    Surrogate-specific trace fields stay empty. A numeric abort raises
+    NumericError with the completed records attached.
     """
-    meth = method.lower()
-    if meth not in BASELINES:
-        raise ValueError(f"unknown baseline {method!r}")
-    if not epochs >= 1:
-        raise ValueError("epochs must be >= 1")
+    meth = _check_run(method, BASELINES, data, epochs)
     n, dim = data.n, data.dim
-    if n < 1:
-        raise ValueError("cannot run on an empty dataset")
     _, l_max = smoothness_constants(spec, data)
-    if gamma is None:
-        gamma = 1.0 / (2.0 * l_max)
+    if meth == "sgd" and sgd_schedule != "constant":
+        check_l_max(l_max)
+    if gamma is None and meth != "adam":
+        gamma = 1.0 / (2.0 * check_l_max(l_max))
     if inner_len is None:
         inner_len = 2 * n
 
     w = np.zeros(dim)
+    kernel = _Kernel(spec, data, w) if meth == "sgd" else None
     table = SagTable.zeros(n, dim) if meth == "sag" else None
+    snap = make_snapshot(spec, data, w) if meth == "svrg" else None
     moments = AdamMoments.zeros(dim) if meth == "adam" else None
-    full_passes = 0.0
-    snap = None
-    if meth == "svrg":
-        snap = make_snapshot(spec, data, w)
-        full_passes += 1.0
 
-    rng = np.random.default_rng(seed)
-    records: list[TraceRecord] = []
-    t = 0
-    try:
-        for epoch in range(1, epochs + 1):
-            for idx in sample_indices(rng, n, n):
-                i = int(idx)
-                t += 1
-                if meth == "sgd":
-                    w = sgd_step(spec, data, w, i, t, sgd_schedule, l_max, gamma)
-                elif meth == "sag":
-                    w = sag_step(w, table, spec, data, i, gamma)
-                elif meth == "svrg":
-                    w, new_snap = svrg_step(w, snap, spec, data, i, gamma, inner_len)
-                    if new_snap is not snap:
-                        full_passes += 1.0
-                    snap = new_snap
-                else:
-                    fi, g = loss_grad_i(spec, data, w, i)
-                    _check_sample(i, fi)
-                    w, moments = adam_step(w, moments, g, t, alpha=alpha)
-            records.append(
-                TraceRecord(
-                    epoch=epoch,
-                    passes=t / n + full_passes,
-                    full_loss=full_loss(spec, data, w),
-                    grad_norm=float(np.linalg.norm(full_grad(spec, data, w))),
-                    dist_to_opt=(
-                        float(np.linalg.norm(w - certificate.w_star))
-                        if certificate is not None
-                        else None
-                    ),
-                )
-            )
-    except NumericError as err:
-        err.records = records
-        raise
-    return records
+    def step(i, t):
+        nonlocal w, snap, moments
+        if kernel is not None:
+            kernel.sgd(i, sgd_stepsize(sgd_schedule, t + 1, l_max, gamma))
+        elif table is not None:
+            w = sag_step(w, table, spec, data, i, gamma)
+        elif snap is not None:
+            w, snap = svrg_step(w, snap, spec, data, i, gamma, inner_len)
+        else:
+            fi, g = loss_grad_i(spec, data, w, i)
+            _check_finite(i, fi)
+            w, moments = adam_step(w, moments, g, t + 1, alpha=alpha)
+
+    def end_epoch(epoch, t):
+        # svrg takes a snapshot at the start and after every inner_len steps
+        full_passes = 1 + t // inner_len if meth == "svrg" else 0
+        current = w if kernel is None else kernel.fold()
+        return _make_record(meth, spec, data, current, certificate, epoch, t / n + full_passes)
+
+    return _epoch_loop(seed, n, epochs, step, end_epoch)

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .baselines import BASELINES, run_baseline
+from .baselines import BASELINES, FlatDataError, check_l_max, run_baseline
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -117,11 +117,17 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
     return cfg, set(file_updates) | set(flag_updates)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _load(cfg: ExperimentConfig, methods):
-    """The dataset and loss spec for running ``methods``. The step settings
-    must be valid whichever method runs, the dataset must not be empty,
-    motaps needs lambda < lambda_max(n), and a logistic loss needs labels in
-    {-1, +1}: a 0/1 file would run with its 0 rows as constant log 2 terms."""
+    """The dataset and loss spec for running ``methods``. The seed must be
+    >= 0 and the step settings valid whichever method runs, the dataset must
+    not be empty, motaps needs lambda < lambda_max(n), and a logistic loss
+    labels in {-1, +1}: a 0/1 file would run its 0 rows as constant log 2s."""
+    _check_seed(cfg.seed)
     make_hyper(cfg)
     data = resolve_dataset(cfg.dataset)
     if data.n == 0:
@@ -145,11 +151,11 @@ def _load(cfg: ExperimentConfig, methods):
 
 
 def _unsupported_as_config_error(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with an operation the configured loss family
-    does not define (UnsupportedFamilyError) reported as a ConfigError."""
+    """``fn(*args, **kwargs)``, with an UnsupportedFamilyError (the loss
+    family does not define it) or FlatDataError reported as a ConfigError."""
     try:
         return fn(*args, **kwargs)
-    except UnsupportedFamilyError as exc:
+    except (UnsupportedFamilyError, FlatDataError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -270,8 +276,11 @@ def _compare_settings(method: str, cfg, spec, data):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return {"gamma": g, "gamma_tau": gt}, f"# motaps gamma={g!r} gamma_tau={gt!r} lambda={cfg.lam!r}"
+    if method in ("sag", "svrg", "sgd"):
+        l_max = check_l_max(smoothness_constants(spec, data)[1], f"compare takes {method}'s step from "
+                            "it: leave it out of methods, or use run with gamma (and for sgd "
+                            "sgd_schedule = constant)")
     if method in ("sag", "svrg"):
-        _, l_max = smoothness_constants(spec, data)
         g = 1.0 / (2.0 * l_max)
         return {"gamma": g}, f"# {method} gamma={g!r}"
     if method == "sgd":
@@ -305,6 +314,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     sizes = None
     if args.sizes:
         try:

@@ -138,11 +138,16 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """Serialize every field; parse_config(dump_config(cfg)) == cfg."""
+    """Serialize every field; parse_config(dump_config(cfg)) == cfg. A string
+    that would not read back as itself (one holding ``#`` or a line break,
+    or with surrounding whitespace) is a ConfigError naming its key."""
     lines = []
     for name in _FIELDS:
-        value = getattr(cfg, name)
-        lines.append(f"{_KEY_OF[name]} = {value!r}" if isinstance(value, float) else f"{_KEY_OF[name]} = {value}")
+        value, key = getattr(cfg, name), _KEY_OF[name]
+        if isinstance(value, str) and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+            raise ConfigError(f"{key} = {value!r} cannot be written to a config file: "
+                              "it holds '#' or a line break, or starts or ends with whitespace")
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,15 +211,7 @@ def make_hyper(cfg: ExperimentConfig, **overrides) -> HyperParams:
     """The step-size knobs of ``cfg``, with ``overrides`` (HyperParams field
     names; None keeps the value of ``cfg``) on top; values HyperParams
     rejects are a ConfigError."""
-    fields = dict(
-        gamma=cfg.gamma,
-        gamma_tau=cfg.gamma_tau,
-        lam=cfg.lam,
-        beta=cfg.beta,
-        step_cap=cfg.step_cap,
-        schedule=cfg.schedule,
-        mu=cfg.mu,
-    )
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(HyperParams)}
     fields.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         return HyperParams(**fields)

@@ -260,10 +260,9 @@ def load_libsvm(path, dim: int | None = None) -> Dataset:
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
-        if head == GZIP_MAGIC:
-            with gzip.open(fh, "rt", encoding="utf-8") as gz:
-                return parse_libsvm(gz, dim=dim)
-        return parse_libsvm(io.TextIOWrapper(fh, encoding="utf-8"), dim=dim)
+        gz = head == GZIP_MAGIC
+        with gzip.open(fh, "rt", encoding="utf-8") if gz else io.TextIOWrapper(fh, encoding="utf-8") as text:
+            return parse_libsvm(text, dim=dim)
 
 
 def normalize_samples(data: Dataset) -> Dataset:

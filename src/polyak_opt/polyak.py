@@ -18,11 +18,12 @@ Each method is one step of online SGD on a reformulated objective (see
 up to roundoff, and the aggregate branch reads all of its inputs from the
 pre-step state.
 
-All three run through one step kernel whose data steps cost O(nnz_i) on
-sparse data (see ``_Kernel``). ``run_epochs`` picks the method's step once per run, and
-``sp_step``, ``taps_step`` and ``motaps_step`` are single calls of it.
-``run_grid`` runs one method at many (γ, γ_τ) pairs as a single batch whose
-per-cell arithmetic is the kernel's, bit for bit (see ``_Batch``).
+All three, and SGD as the data step with coefficient 1, are steps of one
+kernel whose data steps cost O(nnz_i) on sparse data (see ``_Kernel``);
+``run_grid`` runs one method at many (γ, γ_τ) pairs as a batch whose cells
+are the kernel's arithmetic bit for bit (see ``_Batch``). It, ``run_epochs``
+and ``baselines.run_baseline`` are setup around one epoch loop and one
+record builder (``_epoch_loop``, ``_make_record``).
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class NumericError(ArithmeticError):
     """A step produced a non-finite loss, gradient, or tracker value.
 
     ``sample_index`` is the index being processed; when the error escapes
-    ``run_epochs``, ``records`` holds the trace of the epochs completed
-    before the abort.
+    a driver (``run_epochs``, ``run_baseline``), ``records`` holds the
+    trace of the epochs completed before the abort.
     """
 
     def __init__(self, message: str, sample_index: int | None = None):
@@ -236,6 +237,12 @@ def motaps_stepsizes(lam: float, n: int, preset: str = "half") -> tuple[float, f
 # the step kernel
 
 
+def _check_finite(i: int, fi: float, dval: float = 0.0) -> None:
+    """NumericError unless the loss and φ′ values sampled at i are finite."""
+    if not (math.isfinite(fi) and math.isfinite(dval)):
+        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+
+
 class _Kernel:
     """The steps of one run; a data step costs O(nnz_i) on sparse data.
 
@@ -253,9 +260,9 @@ class _Kernel:
     rounding differs from the reference's, and along an ill-conditioned sp
     trajectory that difference grows past what ``verify`` tolerates.
 
-    ``sp``, ``taps`` and ``motaps`` are the per-method steps, all with the
-    signature (i, γ, γ_τ) -> applied coefficient; ``fi_stars`` is anything
-    indexable by sample index, and ``state`` holds the trackers.
+    ``sp``, ``taps``, ``motaps`` and ``sgd`` are the per-method steps, all
+    with the signature (i, γ, γ_τ) -> applied coefficient; ``fi_stars`` is
+    anything indexable by sample index, and ``state`` holds the trackers.
     """
 
     def __init__(self, spec, data, w, *, state=None, fi_stars=None,
@@ -267,23 +274,25 @@ class _Kernel:
         self.v, self.s = w, 1.0
         self.z = w.copy() if beta else None
         self.wsq = float(w @ w)
-        lazy = not beta and data.X.nnz < data.n * data.dim
-        self._data_step = self._lazy_step if lazy else self._plain_step
+        self.lazy = not beta and data.X.nnz < data.n * data.dim
+        self._data_step = self._lazy_step if self.lazy else self._plain_step
 
     def fold(self) -> np.ndarray:
-        """Make v equal to w (s = 1) and ‖w‖² exact; returns w."""
+        """Fold s into v (s = 1), making ‖w‖² exact for the lazy step; returns w."""
         if self.s != 1.0:
             self.v *= self.s
             self.s = 1.0
-        self.wsq = float(self.v @ self.v)
+        if self.lazy:
+            self.wsq = float(self.v @ self.v)
         return self.v
 
     @staticmethod
     def _coefficient(i, fi, dval, gsq, target, shift, cap):
-        """c = min((f_i(w) − target)/(‖∇f_i(w)‖² + shift), cap), and c = 0
-        on a zero gradient when shift = 0."""
-        if not (math.isfinite(fi) and math.isfinite(dval)):
-            raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+        """c = min((f_i(w) − target)/(‖∇f_i(w)‖² + shift), cap), 0 on a zero
+        gradient when shift = 0, and 1 (an SGD step) when target is None."""
+        _check_finite(i, fi, dval)
+        if target is None:
+            return 1.0
         if not math.isfinite(gsq):
             # a finite gradient whose square norm overflows: the coefficient
             # would silently collapse to 0 and freeze the iterate mid-divergence
@@ -309,7 +318,10 @@ class _Kernel:
         if sigma:
             fi += 0.5 * sigma * float(w @ w)
             g += sigma * w
-        c = self._coefficient(i, fi, dval, float(g @ g), target, shift, cap)
+        if target is None:  # an sgd step, whose coefficient needs no ‖g‖²
+            c = self._coefficient(i, fi, dval, 0.0, target, shift, cap)
+        else:
+            c = self._coefficient(i, fi, dval, float(g @ g), target, shift, cap)
         if self.beta:
             self.z, self.v = momentum_step(self.z, w, lambda _: g, self.beta, gamma * c)
         else:
@@ -355,6 +367,9 @@ class _Kernel:
     def sp(self, i, gamma, gamma_tau):
         return self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)
 
+    def sgd(self, i, gamma, gamma_tau=0.0):
+        return self._data_step(i, gamma, None, 0.0, math.inf)
+
     def _tracker_step(self, i, gamma):
         st = self.state
         c = self._data_step(i, gamma, float(st.alpha[i]), 1.0, math.inf)
@@ -399,7 +414,7 @@ class _Kernel:
 # single steps: one call of the kernel on a copy of the input
 
 
-def _check_sample(i: int, high: int) -> None:
+def _check_index(i: int, high: int) -> None:
     if not 0 <= i < high:
         raise IndexError(f"sampled index {i} out of range [0, {high})")
 
@@ -421,7 +436,7 @@ def sp_step(
     step_cap: float = math.inf,
 ) -> StepOutcome:
     """One Polyak step on sample i; returns the new weight vector."""
-    _check_sample(i, data.n)
+    _check_index(i, data.n)
     kernel = _Kernel(spec, data, np.array(w, dtype=np.float64),
                      fi_stars={i: float(fi_star)}, step_cap=step_cap)
     c = kernel.sp(i, gamma, 0.0)
@@ -432,7 +447,7 @@ def taps_step(
     state: TapsState, spec: LossSpec, data: Dataset, sampled: int, gamma: float = 1.0
 ) -> StepOutcome:
     """One fixed-target step; ``sampled == n`` is the aggregate branch."""
-    _check_sample(sampled, data.n + 1)
+    _check_index(sampled, data.n + 1)
     st = _copy_state(state)
     kernel = _Kernel(spec, data, st.w, state=st)
     c = kernel.taps(sampled, gamma, 0.0)
@@ -452,7 +467,7 @@ def motaps_step(
 ) -> StepOutcome:
     """One moving-target step; ``sampled == n`` updates the trackers and τ."""
     check_lambda(lam, data.n)
-    _check_sample(sampled, data.n + 1)
+    _check_index(sampled, data.n + 1)
     st = _copy_state(state)
     kernel = _Kernel(spec, data, st.w, state=st, lam=lam)
     c = kernel.motaps(sampled, gamma, gamma_tau)
@@ -507,10 +522,11 @@ def fi_star_array(fi_star, n: int) -> np.ndarray:
     return arr
 
 
-def _check_run(method: str, data: Dataset, hyper: HyperParams, epochs: int) -> str:
-    """The lower-cased method name, once the run's arguments are valid."""
+def _check_run(method: str, names, data: Dataset, epochs: int, hyper: HyperParams | None = None) -> str:
+    """The lower-cased method name, once the run's arguments are valid;
+    ``names`` are the methods the calling driver runs."""
     meth = method.lower()
-    if meth not in METHODS:
+    if meth not in names:
         raise ValueError(f"unknown method {method!r}")
     if not epochs >= 1:
         raise ValueError("epochs must be >= 1")
@@ -519,6 +535,24 @@ def _check_run(method: str, data: Dataset, hyper: HyperParams, epochs: int) -> s
     if meth == "motaps":
         check_lambda(hyper.lam, data.n)
     return meth
+
+
+def _epoch_loop(seed: int, high: int, epochs: int, step, end_epoch) -> list:
+    """Every driver's loop: per epoch, ``high`` uniform draws i from one
+    generator seeded with ``seed``, each run as ``step(i, t)`` with t the
+    steps before it, then ``end_epoch(epoch, t)``, whose results it returns
+    (a NumericError leaves with them attached as ``records``)."""
+    rng, records, t = np.random.default_rng(seed), [], 0
+    try:
+        for epoch in range(1, epochs + 1):
+            for i in sample_indices(rng, high, high).tolist():
+                step(i, t)
+                t += 1
+            records.append(end_epoch(epoch, t))
+    except NumericError as err:
+        err.records = records
+        raise
+    return records
 
 
 def run_epochs(
@@ -542,14 +576,14 @@ def run_epochs(
     sampled steps for sp/spsmax and n+1 for the tracker methods, sampling
     uniformly (the aggregate branch is index n). After every epoch the
     kernel folds its scale into w, ``alpha_bar`` is recomputed exactly from
-    α, a record is appended, and ``observer(epoch, state_or_w)`` is invoked
+    α, a record is built, and ``observer(epoch, state_or_w)`` is invoked
     if given.
 
     ``fi_star`` (scalar or per-sample array) is the sp target; ``tau`` is
     the fixed taps target or the initial motaps τ. A numeric abort raises
     NumericError with the completed records attached.
     """
-    meth = _check_run(method, data, hyper, epochs)
+    meth = _check_run(method, METHODS, data, epochs, hyper)
     n, dim = data.n, data.dim
     fi_stars = fi_star_array(fi_star, n)
 
@@ -571,56 +605,47 @@ def run_epochs(
 
     kernel = _Kernel(spec, data, w, state=state, fi_stars=fi_stars.tolist(),
                      step_cap=hyper.step_cap, lam=hyper.lam, beta=hyper.beta)
-    step = getattr(kernel, "sp" if sp_like else meth)
-    rng = np.random.default_rng(seed)
-    high = n if sp_like else n + 1
-    records: list[TraceRecord] = []
-    t = 0
-    try:
-        for epoch in range(1, epochs + 1):
-            for i in sample_indices(rng, high, high).tolist():
-                gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
-                step(i, gamma_t, gamma_tau_t)
-                t += 1
-            w = kernel.fold()
-            if state is not None:
-                state.w = w
-                state.t = t
-                state.alpha_bar = float(np.mean(state.alpha))
-            records.append(
-                _make_record(meth, spec, data, w, state, hyper, fi_stars, certificate, epoch, t)
-            )
-            if observer is not None:
-                observer(epoch, state if state is not None else w)
-    except NumericError as err:
-        err.records = records
-        raise
-    return records
+
+    def end_epoch(epoch, t):
+        w = kernel.fold()
+        if state is not None:
+            state.w, state.t, state.alpha_bar = w, t, float(np.mean(state.alpha))
+        record = _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
+        if observer is not None:
+            observer(epoch, state if state is not None else w)
+        return record
+
+    kstep = getattr(kernel, "sp" if sp_like else meth)
+    step = lambda i, t: kstep(i, *_stepsizes_at(hyper, t, n))
+    return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)
 
 
-def _make_record(meth, spec, data, w, state, hyper, fi_stars, certificate, epoch, steps):
+def _make_record(meth, spec, data, w, certificate, epoch, passes,
+                 state=None, hyper=None, fi_stars=None) -> TraceRecord:
+    """Any method's trace record at ``w``, its surrogate fields None for a
+    baseline. ``full_loss`` comes first, so it opens the record."""
     from . import aux  # deferred: aux builds on the state types above
 
     loss = full_loss(spec, data, w)
     gnorm = float(np.linalg.norm(full_grad(spec, data, w)))
     dist = float(np.linalg.norm(w - certificate.w_star)) if certificate is not None else None
+    ev = tau_val = bar_val = None
     if meth in ("sp", "spsmax"):
         ev = aux.aux_value_sp(w, w, spec, data, fi_stars)
-        tau_val = bar_val = None
     elif meth == "taps":
         ev = aux.aux_value_taps(w, state.alpha, w, spec, data, state.tau_fixed)
         tau_val, bar_val = state.tau_fixed, state.alpha_bar
-    else:
+    elif meth == "motaps":
         ev = aux.aux_value_motaps(w, state.alpha, state.tau, w, spec, data, hyper.lam)
         tau_val, bar_val = state.tau, state.alpha_bar
     return TraceRecord(
         epoch=epoch,
-        passes=steps / data.n,
+        passes=passes,
         full_loss=loss,
         grad_norm=gnorm,
         dist_to_opt=dist,
-        aux_value=ev.h_value,
-        growth_ratio=aux.growth_ratio(ev.growth_lhs, ev.growth_rhs),
+        aux_value=None if ev is None else ev.h_value,
+        growth_ratio=None if ev is None else aux.growth_ratio(ev.growth_lhs, ev.growth_rhs),
         tau=tau_val,
         alpha_bar=bar_val,
     )
@@ -646,8 +671,8 @@ class _Batch:
       differently from ``math.exp``;
     * everything else is elementwise, in the kernel's order of operations.
 
-    A step returns the mask of the cells where the kernel would have raised
-    NumericError; ``drop`` removes them.
+    A step ends by dropping the cells where the kernel would have raised
+    NumericError.
     """
 
     _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
@@ -670,12 +695,12 @@ class _Batch:
         lazy = not self.beta and data.X.nnz < data.n * data.dim
         self._data_step = self._lazy_step if lazy else self._plain_step
 
-    def drop(self, bad):
-        keep = ~bad
-        for name in self._ROWS:
-            rows = getattr(self, name)
-            if rows is not None:
-                setattr(self, name, rows[keep])
+    def _drop(self, bad):
+        if bad.any():
+            for name in self._ROWS:
+                rows = getattr(self, name)
+                if rows is not None:
+                    setattr(self, name, rows[~bad])
 
     def end_epoch(self):
         """The kernel's fold and the exact tracker mean, for every cell."""
@@ -750,13 +775,13 @@ class _Batch:
             self.V = self.beta * self.V + (1.0 - self.beta) * self.Z
 
     def sp(self, i, gamma, gamma_tau):
-        return self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1]
+        self._drop(self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1])
 
     def _tracker_step(self, i, gamma):
         c, bad = self._data_step(i, gamma, self.A[:, i], 1.0, math.inf)
         self.A[:, i] += gamma * c
         self.abar += gamma * c / self.n
-        return bad
+        self._drop(bad)
 
     def taps(self, i, gamma, gamma_tau):
         if i < self.n:
@@ -765,7 +790,7 @@ class _Batch:
         self.A += delta[:, None]
         self.abar += delta
         self._idle()
-        return ~np.isfinite(delta)
+        self._drop(~np.isfinite(delta))
 
     def motaps(self, i, gamma, gamma_tau):
         if i < self.n:
@@ -777,7 +802,7 @@ class _Batch:
         self.abar = old_bar + delta
         self.tau = new_tau
         self._idle()
-        return ~(np.isfinite(delta) & np.isfinite(new_tau))
+        self._drop(~(np.isfinite(delta) & np.isfinite(new_tau)))
 
 
 def run_grid(
@@ -800,7 +825,7 @@ def run_grid(
     epoch is evaluated. The batch holds C×(n+d) floats for C cells (twice
     the d part with β > 0).
     """
-    meth = _check_run(method, data, hyper, epochs)
+    meth = _check_run(method, METHODS, data, epochs, hyper)
     for g, gt in cells:
         dataclasses.replace(hyper, gamma=g, gamma_tau=gt)  # validates the cell
     n = data.n
@@ -809,28 +834,20 @@ def run_grid(
     batch = _Batch(spec, data, hyper, cells, trackers=not sp_like,
                    tau=float(tau or 0.0), fi_stars=fi_stars.tolist())
     step = getattr(batch, "sp" if sp_like else meth)
-    rng = np.random.default_rng(seed)
+    # a constant step is the rows of the cells still in the batch
+    gammas = ((lambda t: (batch.gamma, batch.gamma_tau)) if hyper.schedule == "constant"
+              else lambda t: _stepsizes_at(hyper, t, n))
     high = n if sp_like else n + 1
-    t = 0
-    # a cell about to be dropped may overflow; the masks report it
-    with np.errstate(all="ignore"):
-        for _ in range(epochs):
-            for i in sample_indices(rng, high, high).tolist():
-                if hyper.schedule == "constant":
-                    gamma_t, gamma_tau_t = batch.gamma, batch.gamma_tau
-                else:
-                    gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
-                bad = step(i, gamma_t, gamma_tau_t)
-                if bad.any():
-                    batch.drop(bad)
-                t += 1
-            batch.end_epoch()
+    with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
+        _epoch_loop(seed, high, epochs, lambda i, t: step(i, *gammas(t)),
+                    lambda epoch, t: batch.end_epoch())
 
+    t = epochs * high
     finals: list[TraceRecord | None] = [None] * len(cells)
     for r, cell in enumerate(batch.cells.tolist()):
         w, state = batch.V[r].copy(), None
         if not sp_like:
             kind = TapsState if meth == "taps" else MotapsState
             state = kind(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]), t)
-        finals[cell] = _make_record(meth, spec, data, w, state, hyper, fi_stars, None, epochs, t)
+        finals[cell] = _make_record(meth, spec, data, w, None, epochs, t / n, state, hyper, fi_stars)
     return finals

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from polyak_opt.baselines import (
     AdamMoments,
+    FlatDataError,
     SagTable,
     adam_step,
     make_snapshot,
@@ -20,6 +21,7 @@ from polyak_opt.data import Dataset, SparseVector, synth_dataset
 from polyak_opt.losses import (
     LossSpec,
     full_grad,
+    full_loss,
     loss_grad_i,
     optimum_oracle,
     smoothness_constants,
@@ -58,6 +60,21 @@ class TestSgdStepsize:
         spec, data = half_square_1d()
         w = sgd_step(spec, data, np.array([2.0]), 0, 1, "constant", 1.0, 0.5)
         assert_array_equal(w, [1.0])
+
+    def test_step_on_sparse_row_matches_dense_gradient(self):
+        # a sparse row takes the kernel's scaled O(nnz) step
+        data = dense_dataset([[0.0, 2.0, 0.0, -1.0], [1.0, 1.0, 1.0, 1.0]], [1.0, -1.0])
+        spec = LossSpec(family="logistic", sigma=0.3)
+        w = np.array([0.5, -0.25, 1.0, 2.0])
+        _, g = loss_grad_i(spec, data, w, 0)
+        assert_allclose(sgd_step(spec, data, w, 0, 1, "constant", 1.0, 0.4), w - 0.4 * g,
+                        rtol=1e-14, atol=1e-15)
+        assert_array_equal(w, [0.5, -0.25, 1.0, 2.0])
+
+    def test_step_index_checked(self):
+        spec, data = half_square_1d()
+        with pytest.raises(IndexError):
+            sgd_step(spec, data, np.array([2.0]), -1, 1)
 
 
 class TestSag:
@@ -280,6 +297,38 @@ class TestRunBaseline:
             )
             assert records[-1].grad_norm < 1e-6
             assert records[-1].dist_to_opt < 1e-5
+
+    def test_sgd_on_sparse_rows_matches_dense_chain(self):
+        # the scaled sparse step rounds differently from the dense
+        # reference, in the last digits only
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((30, 12)) * (rng.random((30, 12)) < 0.25)
+        data = dense_dataset(rows, rng.choice([-1.0, 1.0], size=30))
+        spec = LossSpec(family="logistic", sigma=0.05)
+        assert data.X.nnz < 30 * 12
+        records = run_baseline("sgd", spec, data, epochs=3, seed=2, gamma=0.5,
+                               sgd_schedule="constant")
+        rng = np.random.default_rng(2)
+        w = np.zeros(12)
+        for _ in range(3):
+            for idx in sample_indices(rng, 30, 30):
+                _, g = loss_grad_i(spec, data, w, int(idx))
+                w = w - 0.5 * g
+        assert_allclose(records[-1].full_loss, full_loss(spec, data, w), rtol=1e-12)
+        assert_allclose(records[-1].grad_norm,
+                        float(np.linalg.norm(full_grad(spec, data, w))), rtol=1e-9)
+
+    def test_step_from_zero_l_max_is_flat_data_error(self):
+        spec = LossSpec(family="logistic")
+        data = dense_dataset(np.zeros((3, 2)), [1.0, -1.0, 1.0])
+        for method, schedule in (("sag", "inverse"), ("svrg", "inverse"), ("sgd", "inverse"),
+                                 ("sgd", "paper_literal"), ("sgd", "constant")):
+            with pytest.raises(FlatDataError, match="L_max = 0.0"):
+                run_baseline(method, spec, data, 1, 0, sgd_schedule=schedule)
+        for method in ("sgd", "sag", "svrg"):
+            records = run_baseline(method, spec, data, 1, 0, gamma=0.5, sgd_schedule="constant")
+            assert records[0].grad_norm == 0.0
+        assert run_baseline("adam", spec, data, 1, 0)[0].grad_norm == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

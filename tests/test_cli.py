@@ -225,6 +225,40 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--dataset", str(data_file))
         assert code == 2 and "no samples" in err
 
+    @pytest.mark.parametrize("method, settings", [
+        ("sag", ""),
+        ("svrg", ""),
+        ("sgd", "sgd_schedule = inverse\n"),
+        ("sgd", "sgd_schedule = paper_literal\n"),
+        ("sgd", "sgd_schedule = constant\n"),
+    ])
+    def test_step_from_zero_l_max_is_config_error(self, tmp_path, capsys, method, settings):
+        # rows with no features and sigma = 0: L_max = 0 gives no step size
+        data_file = tmp_path / "flat.txt"
+        data_file.write_text("1\n-1\n1\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {data_file}\n{settings}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--method", method,
+                                 "--epochs", "2")
+        assert code == 2 and err.startswith("error: L_max = 0.0") and out == ""
+
+    @pytest.mark.parametrize("method", ["sgd", "sag", "svrg", "adam"])
+    def test_explicit_step_runs_at_zero_l_max(self, tmp_path, capsys, method):
+        data_file = tmp_path / "flat.txt"
+        data_file.write_text("1\n-1\n1\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {data_file}\nsgd_schedule = constant\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--method", method,
+                               "--epochs", "2", "--gamma", "0.5")
+        assert code == 0
+        assert [r.grad_norm for r in parse_trace_csv(out)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["run", "grid", "compare", "verify"])
+    def test_negative_seed_is_config_error(self, capsys, command):
+        extra = () if command == "verify" else ("--dataset", SMALL, "--epochs", "1")
+        code, out, err = run_cli(capsys, command, "--seed", "-1", *extra)
+        assert code == 2 and err == "error: seed must be >= 0, got -1\n" and out == ""
+
     def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal")
@@ -477,6 +511,19 @@ class TestCompare:
                 capsys, "compare", "--dataset", SMALL, "--sigma", sigma, "--epochs", "1"
             )
             assert code == 2 and f"sigma = {float(sigma)!r}" in err and out == ""
+
+    def test_step_from_zero_l_max_is_config_error(self, tmp_path, capsys):
+        # rows with no features and sigma = 0: L_max = 0 gives no step size,
+        # and compare takes these steps from L_max whatever gamma says
+        data_file = tmp_path / "flat.txt"
+        data_file.write_text("1\n-1\n1\n", encoding="utf-8")
+        cfg = tmp_path / "cmp.cfg"
+        for method in ("sag", "svrg", "sgd"):
+            cfg.write_text(f"dataset = {data_file}\nepochs = 1\nmethods = sp,{method}\n"
+                           "gamma = 0.5\nsgd_schedule = constant\n", encoding="utf-8")
+            code, out, err = run_cli(capsys, "compare", "--config", str(cfg))
+            assert code == 2 and err.startswith("error: L_max = 0.0") and out == ""
+            assert "compare takes" in err and "leave it out of methods, or use run with gamma" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_baselines_warn_and_exit_3(self, tmp_path, capsys):

@@ -3,9 +3,13 @@ their mapping onto loss/hyperparameter objects."""
 
 import dataclasses
 import math
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polyak_opt.baselines import SGD_SCHEDULES
 from polyak_opt.config import (
     ConfigError,
     ExperimentConfig,
@@ -105,6 +109,68 @@ class TestParseConfig:
         path.write_text("method = taps\nepochs = 4\n", encoding="utf-8")
         cfg = load_config(path)
         assert cfg.method == "taps" and cfg.epochs == 4
+
+
+# strings that read back as themselves: no '#', no line break or other
+# control character, no surrounding whitespace
+_WRITABLE_TEXT = st.text(
+    st.characters(blacklist_characters="#", blacklist_categories=("Cc", "Zl", "Zp"))
+).map(str.strip)
+_CHOICES = {
+    "format": st.sampled_from(("csv", "json")),
+    "oracle": st.sampled_from(("none", "closed", "iter")),
+    "sgd_schedule": st.sampled_from(SGD_SCHEDULES),
+    "epochs": st.integers(min_value=1),
+}
+_FREE_TEXT = [f.name for f in dataclasses.fields(ExperimentConfig)
+              if isinstance(f.default, str) and f.name not in _CHOICES]
+
+
+def _values(field):
+    if field.name in _CHOICES:
+        return _CHOICES[field.name]
+    kind = type(field.default)
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers()
+    if kind is float:
+        return st.floats(allow_nan=False)
+    return _WRITABLE_TEXT
+
+
+_CONFIGS = st.builds(
+    ExperimentConfig, **{f.name: _values(f) for f in dataclasses.fields(ExperimentConfig)}
+)
+
+
+class TestDumpConfig:
+    @given(_CONFIGS)
+    def test_every_field_round_trips(self, cfg):
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @given(
+        st.sampled_from(_FREE_TEXT),
+        st.one_of(
+            st.tuples(_WRITABLE_TEXT, st.sampled_from("#\n\r\x0b\x0c\x1c\x85\u2028\u2029"),
+                      _WRITABLE_TEXT).map("".join),
+            st.tuples(st.sampled_from(" \t\u3000"), _WRITABLE_TEXT, st.booleans()).map(
+                lambda p: p[0] + p[1] if p[2] else p[1] + p[0]
+            ),
+        ),
+    )
+    def test_unwritable_string_names_its_key(self, name, value):
+        cfg = dataclasses.replace(ExperimentConfig(), **{name: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} = "):
+            dump_config(cfg)
+
+    def test_hash_in_path_is_not_cut_short(self):
+        with pytest.raises(ConfigError, match="^dataset = '/tmp/run#1.svm'"):
+            dump_config(ExperimentConfig(dataset="/tmp/run#1.svm"))
+
+    def test_newline_cannot_inject_a_key(self):
+        with pytest.raises(ConfigError, match="^out = "):
+            dump_config(ExperimentConfig(out="trace.csv\nmethod = adam"))
 
 
 class TestParseFloatList:
