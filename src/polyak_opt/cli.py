@@ -175,26 +175,29 @@ def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None
     baseline takes ``gamma`` as its step; None means its standard
     1/(2 L_max). With ``cells``, a list of (gamma, gamma_tau) pairs, the
     Polyak method runs at every pair as one batch and the records are each
-    cell's last one, None for a cell that aborted."""
+    cell's last one, None for a cell that aborted. numpy's overflow and
+    invalid-value warnings are silenced: a run that overflows ends as a
+    NumericError, reported once by the caller."""
     try:
-        if method in METHODS and cells is not None:
-            for g, gt in cells:
-                make_hyper(cfg, gamma=g, gamma_tau=gt)
-            return run_grid(
-                method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
-                fi_star=fi_star, tau=cfg.tau,
-            ), None
-        if method in METHODS:
-            hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
-            return run_epochs(
-                method, spec, data, hyper, cfg.epochs, cfg.seed, cert,
-                fi_star=fi_star, tau=cfg.tau,
-            ), None
-        if method in BASELINES:
-            return _unsupported_as_config_error(
-                run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
-                gamma=gamma, sgd_schedule=cfg.sgd_schedule,
-            ), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method in METHODS and cells is not None:
+                for g, gt in cells:
+                    make_hyper(cfg, gamma=g, gamma_tau=gt)
+                return run_grid(
+                    method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
+                    fi_star=fi_star, tau=cfg.tau,
+                ), None
+            if method in METHODS:
+                hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
+                return run_epochs(
+                    method, spec, data, hyper, cfg.epochs, cfg.seed, cert,
+                    fi_star=fi_star, tau=cfg.tau,
+                ), None
+            if method in BASELINES:
+                return _unsupported_as_config_error(
+                    run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
+                    gamma=gamma, sgd_schedule=cfg.sgd_schedule,
+                ), None
     except NumericError as err:
         return err.records, err
     raise ConfigError(f"unknown method {method!r}")

@@ -1,10 +1,11 @@
 """Sparse datasets: LIBSVM-format I/O and seeded synthetic problem generators.
 
-A ``Dataset`` stores its features once, as a CSR matrix (a
-``scipy.sparse.csr_array``), together with the labels, the per-row square
-norms and per-row (indices, values) views into the CSR arrays. A full-batch
-product costs O(nnz) and one sample is two array views, so nothing is ever
-stored or scanned at n x d. Model vectors are plain dense numpy arrays.
+A ``Dataset`` stores its features once, as a ``CSRMatrix`` (this module's
+own compressed-sparse-row type, built on numpy alone), together with the
+labels, the per-row square norms and per-row (indices, values) views into
+the CSR arrays. A full-batch product costs O(nnz) and one sample is two
+array views, so nothing is ever stored or scanned at n x d. Model vectors
+are plain dense numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -107,31 +107,125 @@ def dot(x, w: np.ndarray) -> float:
     return float(np.dot(x.values, w[x.indices]))
 
 
+def _spread(v, gather: np.ndarray, scatter: np.ndarray, data: np.ndarray, size_in: int,
+            size_out: int) -> np.ndarray:
+    """out[scatter[e]] += data[e] * v[gather[e]] over the stored entries e in
+    order, into a zeroed float64 output of length ``size_out``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size_in,):
+        raise ValueError(f"dimension mismatch: vector of shape {v.shape}, expected ({size_in},)")
+    if not data.size:  # bincount of nothing is an integer array
+        return np.zeros(size_out)
+    terms = v.take(gather)
+    terms *= data
+    return np.bincount(scatter, weights=terms, minlength=size_out)
+
+
+class CSRMatrix:
+    """Read-only n x d matrix in compressed sparse row form.
+
+    ``data`` (float64), ``indices`` and ``indptr`` (intp) are the CSR
+    arrays, ``row_ids[e]`` is the row of stored entry e, and ``shape`` is
+    (n, d). The caller hands over valid CSR arrays (indices within range
+    and increasing along each row); they are made read-only.
+
+    ``X @ w``, ``X.T @ u`` and ``gram()`` add each output's terms one at a
+    time in storage order (rows in order for ``gram``), starting from 0.0,
+    the order of a plain loop over the entries.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape", "nnz", "row_ids")
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.nnz = int(self.data.size)
+        self.row_ids = np.repeat(np.arange(self.shape[0], dtype=np.intp), np.diff(self.indptr))
+        for arr in (self.data, self.indices, self.indptr, self.row_ids):
+            arr.setflags(write=False)
+
+    def __matmul__(self, w) -> np.ndarray:
+        return _spread(w, self.indices, self.row_ids, self.data, self.shape[1], self.shape[0])
+
+    @property
+    def T(self) -> "_Transposed":
+        return _Transposed(self)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row_ids, self.indices] = self.data
+        return out
+
+    def gram(self) -> np.ndarray:
+        """Dense d x d X^T X: entry (j, k) sums X[r, j] * X[r, k] over the
+        rows r in order. Rows go in chunks of about max(d^2, 2^18) products,
+        each added onto the sums so far, so the temporaries stay bounded."""
+        n, d = self.shape
+        lens = np.diff(self.indptr)
+        ends = np.cumsum(lens * lens)  # products up to the end of each row
+        bound = max(d * d, 1 << 18)
+        sums = np.zeros(d * d)
+        r0 = 0
+        while r0 < n:
+            done = int(ends[r0 - 1]) if r0 else 0
+            r1 = max(int(np.searchsorted(ends, done + bound, side="right")), r0 + 1)
+            a, b = self.indptr[r0], self.indptr[r1]
+            rows = self.row_ids[a:b]
+            # stored entry (r, j) pairs with every entry (r, k) of its row
+            counts = lens[rows]
+            firsts = self.indptr[rows] - (np.cumsum(counts) - counts)
+            partners = np.repeat(firsts, counts) + np.arange(int(counts.sum()))
+            keys = np.repeat(self.indices[a:b] * d, counts) + self.indices[partners]
+            np.add.at(sums, keys, np.repeat(self.data[a:b], counts) * self.data[partners])
+            r0 = r1
+        return sums.reshape(d, d)
+
+
+class _Transposed:
+    """``X.T`` of a ``CSRMatrix``, for its product with a vector."""
+
+    __slots__ = ("X",)
+
+    def __init__(self, X: CSRMatrix):
+        self.X = X
+
+    def __matmul__(self, u) -> np.ndarray:
+        X = self.X
+        return _spread(u, X.row_ids, X.indices, X.data, X.shape[0], X.shape[1])
+
+
 class Dataset:
     """Immutable collection of sparse samples with real labels.
 
-    ``samples`` is a sequence of ``SparseVector`` rows or a scipy sparse
-    matrix (explicit zeros are dropped, duplicate entries summed). ``dim``
-    defaults to max index + 1 for rows and to the column count for a
-    matrix, and may be overridden upward (a dataset may simply not touch
+    ``samples`` is a sequence of ``SparseVector`` rows, a ``CSRMatrix``,
+    or a scipy sparse matrix (any object with a ``tocsr`` method; its
+    duplicate entries are summed). Explicit zeros in a matrix are dropped.
+    ``dim`` defaults to max index + 1 for rows and to the column count for
+    a matrix, and may be overridden upward (a dataset may simply not touch
     its trailing features).
 
-    ``X`` is the n x dim CSR matrix, and ``rows[i]`` is sample i as a
+    ``X`` is the n x dim ``CSRMatrix``, and ``rows[i]`` is sample i as a
     ``Row`` of views into it.
     """
 
     __slots__ = ("X", "labels", "dim", "row_sqnorms", "rows")
 
-    def __init__(self, samples: Sequence[SparseVector], labels, dim: int | None = None):
+    def __init__(self, samples: Sequence[SparseVector] | CSRMatrix, labels,
+                 dim: int | None = None):
         labels_arr = np.array(labels, dtype=np.float64)
-        if sp.issparse(samples):
-            csr = sp.csr_array(samples, dtype=np.float64, copy=True)
+        if hasattr(samples, "tocsr"):
+            csr = samples.tocsr().astype(np.float64)  # a copy
             csr.sum_duplicates()
-            csr.eliminate_zeros()
-            if not np.isfinite(csr.data).all():
+            samples = CSRMatrix(csr.data, csr.indices, csr.indptr, csr.shape)
+        if isinstance(samples, CSRMatrix):
+            keep = samples.data != 0.0
+            values, indices = samples.data[keep], samples.indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[samples.indptr]
+            if not np.isfinite(values).all():
                 raise ValueError("non-finite feature value")
-            indptr, indices, values = csr.indptr, csr.indices, csr.data
-            max_dim = csr.shape[1]
+            max_dim = samples.shape[1]
         else:
             samples = tuple(samples)
             indptr = np.zeros(len(samples) + 1, dtype=np.int64)
@@ -146,17 +240,14 @@ class Dataset:
             dim = max_dim
         elif dim < max_dim:
             raise ValueError(f"dim={dim} smaller than max feature index + 1 ({max_dim})")
-        # intp indices: numpy gathers and scatters with them without a cast
-        X = sp.csr_array(
-            (values, indices.astype(np.intp), indptr.astype(np.intp)), shape=(n, int(dim))
-        )
+        X = CSRMatrix(values, indices, indptr, (n, int(dim)))
         bounds = X.indptr.tolist()
         rows = tuple(
             Row(X.indices[a:b], X.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
         )
         with np.errstate(over="ignore"):  # a huge row's square norm is inf
             sqn = np.array([float(np.dot(r.values, r.values)) for r in rows])
-        for arr in (X.data, X.indices, X.indptr, labels_arr, sqn):
+        for arr in (labels_arr, sqn):
             arr.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels_arr)
@@ -237,11 +328,7 @@ def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
                 values.append(val)
         indptr.append(len(indices))
         labels.append(label)
-    X = sp.csr_array(
-        (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(labels), max(indices, default=-1) + 1),
-    )
+    X = CSRMatrix(values, indices, indptr, (len(labels), max(indices, default=-1) + 1))
     return Dataset(X, labels, dim=dim)
 
 
@@ -270,8 +357,14 @@ def normalize_samples(data: Dataset) -> Dataset:
     nrm = np.sqrt(data.row_sqnorms)
     nrm[nrm == 0.0] = 1.0
     X = data.X
-    values = X.data / np.repeat(nrm, np.diff(X.indptr))
-    return Dataset(sp.csr_array((values, X.indices, X.indptr), shape=X.shape), data.labels)
+    return Dataset(CSRMatrix(X.data / nrm[X.row_ids], X.indices, X.indptr, X.shape), data.labels)
+
+
+def _dense_csr(a: np.ndarray) -> CSRMatrix:
+    """The nonzeros of a dense 2-D array, row by row."""
+    rows, cols = np.nonzero(a)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1))))
+    return CSRMatrix(a[rows, cols], cols, indptr, a.shape)
 
 
 def synth_dataset(
@@ -304,7 +397,7 @@ def synth_dataset(
                 m = float(np.dot(x, w_true))
             X[r] = x
             labels.append(1.0 if m > 0 else -1.0)
-        return Dataset(sp.csr_array(X), labels), None
+        return Dataset(_dense_csr(X), labels), None
     if mode == "underparam":
         if n <= d:
             raise ValueError("underparam mode requires n > d")
@@ -313,7 +406,7 @@ def synth_dataset(
         y = X @ w_true
         if noise != 0.0:
             y = y + noise * rng.standard_normal(n)
-        data = Dataset(sp.csr_array(X), y)
+        data = Dataset(_dense_csr(X), y)
         if noise == 0.0:
             # planted vector is the exact minimizer iff the residual gradient
             # vanishes (least squares is convex, so zero gradient is global)

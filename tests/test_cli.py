@@ -3,6 +3,10 @@ every subcommand's output shape, and the documented exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,28 @@ class TestRun:
         records = parse_trace_csv(out)
         assert 0 < len(records) < 400
         assert not any(math.isnan(r.full_loss) for r in records)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numeric_abort_stderr_is_one_line(self, tmp_path, capsys):
+        # the overflows on the way to the abort raise no numpy warning
+        data_file = tmp_path / "two.txt"
+        data_file.write_text("1 1:1.0\n-1 1:1.0\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"dataset = {data_file}\nfamily = squared\nsgd_schedule = constant\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--method", "sgd", "--gamma", "10",
+            "--epochs", "400",
+        )
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            run_baseline("sgd", LossSpec("squared"), load_libsvm(data_file), 400, 0,
+                         gamma=10.0, sgd_schedule="constant")
+        abort = info.value
+        assert code == 3
+        assert err == f"error: numeric abort at sample {abort.sample_index}: {abort}\n"
+        assert out == trace_to_csv(abort.records) and 0 < len(abort.records) < 400
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_monomial_label_baseline_is_numeric_abort(self, tmp_path, capsys):
@@ -594,3 +620,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_run_imports_numpy_alone():
+    # importing scipy would about double the start-up time of every command
+    script = (
+        "import os, sys\n"
+        "import polyak_opt\n"
+        "from polyak_opt import cli\n"
+        "code = cli.main(['run', '--dataset', 'synth:separable:n=20,d=5', '--method', 'motaps',\n"
+        "                 '--epochs', '2', '--out', os.devnull])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout == "0 []\n"

@@ -23,6 +23,24 @@ from polyak_opt.data import (
 )
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def draw_sparse_dense(draws) -> np.ndarray:
+    """A dense n x dim array of a random sparse matrix: n in 0..6, empty
+    rows, unused trailing columns, any finite nonzero entries."""
+    n = draws.draw(st.integers(0, 6), label="n")
+    used = draws.draw(st.integers(0, 8), label="used features")
+    dim = used + draws.draw(st.integers(0, 3), label="trailing features")
+    dense = np.zeros((n, dim))
+    for r in range(n):
+        cols = draws.draw(st.lists(st.integers(0, max(used - 1, 0)), unique=True,
+                                  max_size=used), label=f"row {r}")
+        for c in cols:
+            dense[r, c] = draws.draw(FINITE.filter(lambda v: v != 0.0))
+    return dense
+
+
 class TestSparseVector:
     def test_basic_construction(self):
         v = SparseVector([0, 2], [0.5, 2.0])
@@ -128,17 +146,9 @@ class TestRoundTrip:
     def test_random_csr_round_trips(self, draws):
         # empty rows, unused trailing features, and any finite float
         # (subnormals, extremes, long reprs) in values and labels
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        n = draws.draw(st.integers(0, 6), label="n")
-        used = draws.draw(st.integers(0, 8), label="used features")
-        dim = used + draws.draw(st.integers(0, 3), label="trailing features")
-        dense = np.zeros((n, dim))
-        for r in range(n):
-            cols = draws.draw(st.lists(st.integers(0, max(used - 1, 0)), unique=True,
-                                      max_size=used), label=f"row {r}")
-            for c in cols:
-                dense[r, c] = draws.draw(finite.filter(lambda v: v != 0.0))
-        labels = draws.draw(st.lists(finite, min_size=n, max_size=n), label="labels")
+        dense = draw_sparse_dense(draws)
+        n, dim = dense.shape
+        labels = draws.draw(st.lists(FINITE, min_size=n, max_size=n), label="labels")
         ds = Dataset(sp.csr_array(dense), labels, dim=dim)
         again = parse_libsvm(serialize_libsvm(ds), dim=ds.dim)
         assert again == ds
@@ -156,6 +166,64 @@ class TestRoundTrip:
         zipped = tmp_path / "d.libsvm.gz"
         zipped.write_bytes(gzip.compress(serialize_libsvm(data).encode()))
         assert load_libsvm(plain) == load_libsvm(zipped) == data
+
+
+def assert_same_bits(ours, ref):
+    assert ours.dtype == ref.dtype == np.float64 and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+class TestCSRMatrix:
+    """The products of ``Dataset.X`` are scipy.sparse's, bit for bit."""
+
+    @given(st.data())
+    def test_products_match_scipy(self, draws):
+        # any float in the vectors: +-0.0, subnormals, inf and nan
+        dense = draw_sparse_dense(draws)
+        n, d = dense.shape
+        ref = sp.csr_array(dense)
+        X = Dataset(ref, np.zeros(n), dim=d).X
+        w = np.array(draws.draw(st.lists(st.floats(), min_size=d, max_size=d), label="w"))
+        u = np.array(draws.draw(st.lists(st.floats(), min_size=n, max_size=n), label="u"))
+        with np.errstate(all="ignore"):  # huge entries overflow, inf - inf is nan
+            assert_same_bits(X @ w, ref @ w)
+            assert_same_bits(X.T @ u, ref.T @ u)
+            assert_same_bits(X.gram(), (ref.T @ ref).toarray())
+        assert_same_bits(X.toarray(), dense)
+
+    def test_zero_vector_gives_positive_zeros(self):
+        # 0 * -3 is -0.0, and every sum starts from +0.0
+        dense = np.array([[-3.0, 0.0, -1.0], [0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
+        X = Dataset(sp.csr_array(dense), np.zeros(3)).X
+        for out in (X @ np.zeros(3), X.T @ np.zeros(3), X @ -np.zeros(3)):
+            assert_same_bits(out, np.zeros(3))
+
+    def test_empty_matrices(self):
+        for n, d in [(0, 0), (0, 3), (2, 0), (2, 3)]:
+            X = Dataset(sp.csr_array((n, d)), np.zeros(n), dim=d).X
+            assert_same_bits(X @ np.ones(d), np.zeros(n))
+            assert_same_bits(X.T @ np.ones(n), np.zeros(d))
+            assert_same_bits(X.gram(), np.zeros((d, d)))
+
+    def test_long_rows_match_scipy(self):
+        # 600 full rows of 40: sums longer than a pairwise summation's
+        # blocks, and 960 000 Gram products, several chunks' worth; each
+        # output must still be one running sum in storage order
+        rng = np.random.default_rng(7)
+        dense = rng.standard_normal((600, 40)) * 10.0 ** rng.integers(-8, 8, (600, 40))
+        ref = sp.csr_array(dense)
+        X = Dataset(ref, np.zeros(600)).X
+        w, u = rng.standard_normal(40), rng.standard_normal(600)
+        assert_same_bits(X @ w, ref @ w)
+        assert_same_bits(X.T @ u, ref.T @ u)
+        assert_same_bits(X.gram(), (ref.T @ ref).toarray())
+
+    def test_dimension_mismatch(self):
+        X = Dataset(sp.csr_array(np.ones((2, 3))), np.zeros(2)).X
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            X @ np.ones(2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            X.T @ np.ones(3)
 
 
 class TestNormalize:
