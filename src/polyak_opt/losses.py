@@ -188,6 +188,35 @@ def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
         return math.inf, math.copysign(math.inf, u)
 
 
+def _cells_phi(spec: LossSpec, data: Dataset, t: np.ndarray, i: int):
+    """``_scalar_phi`` of sample i at every margin in t, bit for bit, as two
+    arrays (values, derivatives).
+
+    The logistic branch maps ``math.exp`` and ``math.log1p`` over the
+    margins, since numpy's exp rounds differently: log1p(e^-|yt|) +
+    max(-yt, 0) is either branch of the scalar form with its terms swapped,
+    and the derivative is ``-y * (1 / (1 + e^yt))`` in the scalar order.
+    Where some e^yt overflows, and for the monomial family, it is
+    ``_scalar_phi`` per margin.
+    """
+    if spec.family == "squared":
+        r = t - float(data.labels[i])
+        return 0.5 * r * r, r
+    if spec.family == "logistic":
+        y = float(data.labels[i])
+        yt = y * t
+        try:
+            tail = 1.0 / (1.0 + np.fromiter(map(math.exp, yt.tolist()), np.float64, len(yt)))
+        except OverflowError:
+            pass
+        else:
+            head = np.fromiter(map(math.log1p, map(math.exp, (-np.abs(yt)).tolist())),
+                               np.float64, len(yt))
+            return head + np.maximum(-yt, 0.0), -y * tail
+    vals = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
+    return np.array(vals, dtype=np.float64).reshape(-1, 2).T
+
+
 @dataclass(frozen=True)
 class BatchEval:
     """All-samples evaluation at one w: margins t_i, values f_i(w),

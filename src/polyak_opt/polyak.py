@@ -38,6 +38,7 @@ from .data import Dataset
 from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfbench wraps it here
     LossSpec,
     OptimumCertificate,
+    _cells_phi,
     _scalar_phi,
     full_grad,
     full_loss,
@@ -667,8 +668,10 @@ class _Batch:
     * margins and square norms are one ddot per row (``np.vecdot``), on a
       C-contiguous gather for a sparse row, since a strided ddot rounds
       differently;
-    * φ is ``_scalar_phi`` per cell, since numpy's vectorised exp rounds
-      differently from ``math.exp``;
+    * φ is ``losses._cells_phi``: ``math.exp`` and ``math.log1p`` mapped
+      over the cells' margins, since numpy's vectorised exp rounds
+      differently, and ``_scalar_phi`` per cell at a step where some e^yt
+      overflows (and for the monomial family);
     * everything else is elementwise, in the kernel's order of operations.
 
     A step ends by dropping the cells where the kernel would have raised
@@ -710,11 +713,6 @@ class _Batch:
         if self.A is not None:
             self.abar = np.mean(self.A, axis=1)
 
-    def _phi(self, i, t):
-        spec, data = self.spec, self.data
-        vals = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
-        return np.array(vals, dtype=np.float64).reshape(-1, 2).T
-
     @staticmethod
     def _coefficient(fi, dval, gsq, target, shift, cap):
         c = np.minimum((fi - target) / (gsq + shift), cap)
@@ -727,7 +725,8 @@ class _Batch:
         idx, x = self.rows[i]
         V, sigma = self.V, self.sigma
         full = x.size == V.shape[1]
-        fi, dval = self._phi(i, np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x))
+        t = np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x)
+        fi, dval = _cells_phi(self.spec, self.data, t, i)
         if full:
             G = dval[:, None] * x
         else:
@@ -749,7 +748,7 @@ class _Batch:
         V, s, sigma, wsq = self.V, self.s, self.sigma, self.wsq
         Vi = np.ascontiguousarray(V[:, idx])
         t = s * np.vecdot(Vi, x)
-        fi, dval = self._phi(i, t)
+        fi, dval = _cells_phi(self.spec, self.data, t, i)
         xsq = self.sqnorms[i]
         fi += 0.5 * sigma * wsq
         gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * t + sigma * sigma * wsq, 0.0)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,6 +14,8 @@ from polyak_opt.losses import (
     EmptyDatasetError,
     LossSpec,
     UnsupportedFamilyError,
+    _cells_phi,
+    _scalar_phi,
     batch_eval,
     full_grad,
     full_loss,
@@ -190,6 +192,54 @@ class TestBatchEval:
         be = batch_eval(spec, data, np.array([800.0]))
         assert np.all(np.isfinite(be.values))
         assert np.all(np.isfinite(be.dvals))
+
+
+# math.exp overflows above log(max float) = 709.782712893384: margins on both
+# sides of it, and zeros, subnormals and infinities of either sign, and NaN
+EXP_EDGE = math.log(np.finfo(np.float64).max)
+TINY_OR_INF = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf]
+NEAR_EDGE = [EXP_EDGE, math.nextafter(EXP_EDGE, math.inf), 709.78, 709.79, 750.0, 1e300]
+EDGE_MARGINS = TINY_OR_INF + [math.nan] + NEAR_EDGE + [-t for t in NEAR_EDGE]
+CELL_SPECS = [
+    LossSpec(family="logistic"),
+    LossSpec(family="squared"),
+    LossSpec(family="monomial", power_r=1.0, scales=[1.0, 2.5, 0.5]),
+    LossSpec(family="monomial", power_r=0.75, scales=[1.0, 2.5, 0.5]),
+]
+
+
+def same_bits(got, want):
+    """Equal float arrays bit for bit, any NaN matching any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+class TestCellsPhi:
+    """``_cells_phi`` is ``_scalar_phi`` per margin, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
+    @given(
+        spec=st.sampled_from(CELL_SPECS),
+        i=st.integers(0, 2),
+        edges=st.lists(st.one_of(st.sampled_from(EDGE_MARGINS), st.floats()), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    @example(spec=CELL_SPECS[0], i=0, edges=[710.0], seed=0, log_scale=0.0)  # e^yt overflows
+    @example(spec=CELL_SPECS[0], i=1, edges=[-710.0], seed=0, log_scale=0.0)  # at y = -1
+    @example(spec=CELL_SPECS[0], i=0, edges=TINY_OR_INF, seed=0, log_scale=0.0)  # no overflow
+    def test_matches_scalar_phi(self, spec, i, edges, seed, log_scale):
+        data = dense_dataset([[1.0], [1.0], [1.0]], [1.0, -1.0, 0.3])
+        if spec.family == "logistic":
+            i %= 2  # labels of -1 or +1 only
+        rng = np.random.default_rng(seed)
+        t = rng.permutation(np.concatenate([edges, rng.standard_normal(24) * 10.0**log_scale]))
+        scalar = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
+        vals, dvals = _cells_phi(spec, data, t, i)
+        assert same_bits(vals, [v for v, _ in scalar])
+        assert same_bits(dvals, [dv for _, dv in scalar])
 
 
 class TestFullBatch:

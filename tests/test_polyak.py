@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from polyak_opt import losses
 from polyak_opt.aux import joint_projection_taps
 from polyak_opt.data import Dataset, SparseVector
 from polyak_opt.losses import LossSpec, full_grad, loss_grad_i, loss_i
@@ -795,6 +796,55 @@ class TestRunGrid:
         hyper = HyperParams(lam=0.2, **variant)
         args = (method, spec, data, hyper, GRID, 5, 11)
         finals = run_grid(*args, tau=0.05, fi_star=0.01)
+        assert None not in finals
+        assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
+
+    @staticmethod
+    def full_or_sparse(layout, scale_row1=1.0):
+        """Ten logistic rows: all four entries nonzero on every row ("dense",
+        the plain data step), or four of forty with the first row empty
+        ("sparse", the lazy data step); row 1 multiplied by ``scale_row1``."""
+        rows, labels, _ = sparse_problem(seed=4, n=10, d=4 if layout == "dense" else 40, k=4)
+        if layout == "dense":
+            rows[0] = 0.5
+        rows[1] *= scale_row1
+        return dense_dataset(rows, labels)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps"])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("spec", [
+        LossSpec(family="squared", sigma=1e-3),
+        LossSpec(family="monomial", power_r=1.0),
+        LossSpec(family="monomial", power_r=0.75, sigma=1e-3),
+    ], ids=["squared", "monomial-1", "monomial-0.75"])
+    def test_other_families_equal_run_epochs(self, method, layout, beta, spec):
+        data = self.full_or_sparse(layout)
+        hyper = HyperParams(lam=0.2, beta=beta, step_cap=0.4 if method == "spsmax" else math.inf)
+        args = (method, spec, data, hyper, GRID, 5, 11)
+        finals = run_grid(*args, tau=0.05, fi_star=0.01)
+        assert finals.count(None) < len(GRID)
+        assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
+
+    @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps"])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_logistic_overflow_cells(self, monkeypatch, method, layout):
+        # once the other rows have moved w, row 1 (scaled by 5000) has
+        # margins y*t far above 709.78, where math.exp(y*t) overflows and
+        # the step falls back to _scalar_phi per cell
+        data = self.full_or_sparse(layout, scale_row1=5000.0)
+        fallbacks, scalar_phi = [], losses._scalar_phi
+
+        def counting_phi(spec, data, t, i):
+            fallbacks.append(t)
+            return scalar_phi(spec, data, t, i)
+
+        monkeypatch.setattr(losses, "_scalar_phi", counting_phi)
+        hyper = HyperParams(lam=0.2, step_cap=0.4 if method == "spsmax" else math.inf)
+        args = (method, LossSpec(family="logistic", sigma=1e-3), data, hyper, GRID, 5, 11)
+        finals = run_grid(*args, tau=0.05, fi_star=0.01)
+        assert fallbacks and max(map(abs, fallbacks)) > 709.79
         assert None not in finals
         assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
 
