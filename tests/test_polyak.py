@@ -8,10 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from polyak_opt import losses
-from polyak_opt.aux import joint_projection_taps
+from polyak_opt.aux import joint_projection_taps, run_epochs_sgd_view
+from polyak_opt.baselines import run_baseline, sgd_step
+from polyak_opt.config import resolve_dataset
 from polyak_opt.data import Dataset, SparseVector
 from polyak_opt.losses import LossSpec, full_grad, loss_grad_i, loss_i
 from polyak_opt.polyak import (
@@ -544,6 +548,21 @@ class TestRunEpochs:
         assert plain == uncapped
         assert plain != capped
 
+    def test_sp_ignores_step_cap(self):
+        # only spsmax caps: sp with a binding step_cap is sp, in run_epochs,
+        # in run_grid, and in agreement with its own SGD view
+        data = resolve_dataset("synth:separable:n=50,d=5,seed=1")
+        spec = LossSpec(family="logistic")
+        capped, plain = HyperParams(step_cap=0.01), HyperParams()
+        sp = run_epochs("sp", spec, data, capped, epochs=2, seed=0)
+        assert sp == run_epochs("sp", spec, data, plain, epochs=2, seed=0)
+        assert sp != run_epochs("spsmax", spec, data, capped, epochs=2, seed=0)
+        assert sp == run_epochs_sgd_view("sp", spec, data, capped, epochs=2, seed=0)
+        cells = [(0.5, 0.1), (0.9, 0.1)]
+        grid = run_grid("sp", spec, data, capped, cells, 2, 0)
+        assert grid == run_grid("sp", spec, data, plain, cells, 2, 0)
+        assert grid != run_grid("spsmax", spec, data, capped, cells, 2, 0)
+
     def test_taps_gradient_decay_on_interpolating_data(self):
         spec, data = interpolating_problem()
         initial = float(np.linalg.norm(full_grad(spec, data, np.zeros(data.dim))))
@@ -644,18 +663,31 @@ class TestRunEpochs:
             assert st.alpha_bar == float(np.mean(st.alpha))
 
 
+def dense_phi(spec, t, y):
+    """φ_i(t) and φ_i′(t) written out for the dense reference: logistic,
+    squared, and the monomial family at r = 1 with unit scales and the
+    labels as offsets."""
+    if spec.family == "logistic":
+        with np.errstate(over="ignore"):  # e^yt = inf gives the limit φ′ = -0.0
+            return np.logaddexp(0.0, -y * t), -y / (1.0 + np.exp(y * t))
+    if spec.family == "squared":
+        return 0.5 * (t - y) ** 2, t - y
+    assert spec.power_r == 1.0 and spec.offsets is None and spec.scales is None
+    return (t - y) ** 2, 2.0 * (t - y)
+
+
 def dense_reference_run(method, spec, rows, labels, hyper, epochs, seed, tau=0.0):
-    """The four methods written out on dense rows, one dense gradient per
-    step, for the logistic loss: the O(nnz) kernel must land on the same
-    iterate. Returns the final (w, alpha, tau) and how many data steps had
-    1 - gamma*c*sigma <= 0."""
+    """The four methods and sgd (coefficient 1) written out on dense rows,
+    one dense gradient per step, with β > 0 as iterate averaging: the
+    O(nnz) kernel must land on the same iterate. Returns the final
+    (w, alpha, tau) and how many data steps had 1 - gamma*c*sigma <= 0."""
     n, d = rows.shape
-    sigma, gamma, gamma_tau = spec.sigma, hyper.gamma, hyper.gamma_tau
+    sigma, gamma, gamma_tau, beta = spec.sigma, hyper.gamma, hyper.gamma_tau, hyper.beta
     w, alpha, alpha_bar = np.zeros(d), np.zeros(n), 0.0
+    z = w.copy()
     flips = 0
     rng = np.random.default_rng(seed)
-    sp_like = method in ("sp", "spsmax")
-    high = n if sp_like else n + 1
+    high = n + 1 if method in ("taps", "motaps") else n
     for _ in range(epochs):
         for i in rng.integers(0, high, size=high):
             if i == n:
@@ -664,20 +696,30 @@ def dense_reference_run(method, spec, rows, labels, hyper, epochs, seed, tau=0.0
                     tau = (1 - gamma_tau) * tau + gamma_tau * motaps_tau_coeff(hyper.lam, n) * alpha_bar
                 alpha += delta
                 alpha_bar += delta
+                if beta:
+                    w = beta * w + (1.0 - beta) * z
                 continue
-            x, y = rows[i], labels[i]
-            yt = y * float(x @ w)
-            f = np.logaddexp(0.0, -yt) + 0.5 * sigma * float(w @ w)
-            g = -y / (1.0 + np.exp(yt)) * x + sigma * w
+            x = rows[i]
+            phi, dphi = dense_phi(spec, float(x @ w), labels[i])
+            f = phi + 0.5 * sigma * float(w @ w)
+            g = dphi * x + sigma * w
             gsq = float(g @ g)
-            if sp_like:
-                c = 0.0 if gsq <= 1e-30 else min(f / gsq, hyper.step_cap)
+            if method == "sgd":
+                c = 1.0
+            elif method in ("sp", "spsmax"):
+                c = 0.0 if gsq <= 1e-30 else f / gsq
+                if method == "spsmax":
+                    c = min(c, hyper.step_cap)
             else:
                 c = (f - alpha[i]) / (gsq + 1.0)
                 alpha[i] += gamma * c
                 alpha_bar += gamma * c / n
             flips += 1.0 - gamma * c * sigma <= 0.0
-            w = w - gamma * c * g
+            if beta:
+                z = z - gamma * c / (1.0 - beta) * g
+                w = beta * w + (1.0 - beta) * z
+            else:
+                w = w - gamma * c * g
         alpha_bar = float(np.mean(alpha))
     return w, alpha, tau, flips
 
@@ -741,6 +783,48 @@ class TestStepKernel:
         assert_allclose(out.state_after, dense, rtol=1e-15, atol=1e-15)
         assert_allclose(out.state_after, expected, rtol=1e-15, atol=1e-15)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps", "sgd"])
+    def test_plain_step_is_the_loss_grad_i_step(self, method, sigma):
+        # on all-dense rows the data step is in the SGD view's arithmetic: a
+        # step built from loss_grad_i's (f_i, g) equals the kernel's bit for bit
+        rng = np.random.default_rng(29)
+        n, d = 6, 4
+        data = dense_dataset(rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], size=n))
+        assert data.X.nnz == n * d
+        spec = LossSpec(family="logistic", sigma=sigma)
+        gamma, gamma_tau, lam, fi_star = 0.8, 0.3, 0.2, 0.01
+        cap = 0.05 if method == "spsmax" else math.inf
+        w, alpha = rng.standard_normal(d), rng.standard_normal(n)
+        capped = 0
+        for i in rng.integers(0, n, size=3 * n).tolist():
+            fi, g = loss_grad_i(spec, data, w, i)
+            gsq = float(g @ g)
+            want_alpha = alpha.copy()
+            if method == "sgd":
+                c = 1.0
+            elif method in ("sp", "spsmax"):
+                c = 0.0 if gsq <= 1e-30 else min((fi - fi_star) / gsq, cap)
+                capped += c == cap
+            else:
+                c = (fi - alpha[i]) / (gsq + 1.0)
+                want_alpha[i] += gamma * c
+            want_w = w - gamma * c * g
+            if method == "sgd":
+                w = sgd_step(spec, data, w, i, 1, schedule="constant", gamma=gamma)
+            elif method in ("sp", "spsmax"):
+                w = sp_step(spec, data, w, i, gamma=gamma, fi_star=fi_star, step_cap=cap).state_after
+            elif method == "taps":
+                state = taps_step(taps_state(w, alpha, 0.1), spec, data, i, gamma=gamma).state_after
+                w, alpha = state.w, state.alpha
+            else:
+                state = motaps_step(motaps_state(w, alpha, 0.1), spec, data, i,
+                                    gamma=gamma, gamma_tau=gamma_tau, lam=lam).state_after
+                w, alpha = state.w, state.alpha
+            assert w.tobytes() == want_w.tobytes()
+            assert alpha.tobytes() == want_alpha.tobytes()
+        assert (capped > 0) == (method == "spsmax")
+
     def test_dataset_memory_is_order_nnz(self):
         # n = 200, d = 50 000, 5 nonzeros per row: 1 000 nonzeros, where a
         # dense n x d copy alone would take 80 MB
@@ -757,6 +841,73 @@ class TestStepKernel:
             tracemalloc.stop()
         assert data.n == 200 and data.dim == d and data.X.nnz == 1000
         assert peak < 2 * 2**20
+
+
+@st.composite
+def random_glms(draw, layout):
+    """(spec, rows, labels): logistic, squared or monomial (r = 1) with
+    σ ∈ {0, 1e-3, 0.5}, on rows that are all dense (entries of magnitude
+    0.25 to 2), which take the plain data step, or on sparse rows with an
+    empty first row, which take the lazy one at β = 0."""
+    family = draw(st.sampled_from(["logistic", "squared", "monomial"]))
+    sigma = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(0.25, 2.0), min_size=n * d, max_size=n * d))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * d, max_size=n * d))
+    rows = (np.array(entries) * np.array(signs)).reshape(n, d)
+    if layout == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
+        rows *= np.array(keep).reshape(n, d)
+        rows[0] = 0.0
+    if family == "logistic":
+        labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    else:
+        labels = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return LossSpec(family=family, sigma=sigma), rows, np.array(labels)
+
+
+class TestKernelProperties:
+    """Two epochs of each method on random GLMs against the dense
+    reference and, where it is defined (β = 0, no cap), ``aux``'s SGD
+    view, at the tolerances of ``test_matches_dense_reference`` and
+    ``test_trace_equivalence``."""
+
+    @pytest.mark.parametrize("method, beta", [(m, b) for m in ("sp", "spsmax", "taps", "motaps")
+                                              for b in (0.0, 0.5)] + [("sgd", 0.0)])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @settings(max_examples=15)
+    @given(glm=st.data(), gamma=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
+    def test_matches_references(self, method, beta, layout, glm, gamma, seed):
+        spec, rows, labels = glm.draw(random_glms(layout))
+        data = dense_dataset(rows, labels)
+        assert (data.X.nnz < data.n * data.dim) == (layout == "sparse")
+        if method == "sgd":  # a constant step below 1/L_max, so the run stays bounded
+            hyper = HyperParams(gamma=gamma / (1.0 + float(np.max(data.row_sqnorms))))
+            records = run_baseline("sgd", spec, data, 2, seed, gamma=hyper.gamma, sgd_schedule="constant")
+            w_ref = dense_reference_run("sgd", spec, rows, labels, hyper, 2, seed)[0]
+            assert_allclose(records[-1].full_loss, losses.full_loss(spec, data, w_ref), rtol=1e-10)
+            assert_allclose(records[-1].grad_norm, float(np.linalg.norm(full_grad(spec, data, w_ref))),
+                            rtol=1e-10, atol=1e-14)
+            return
+        hyper = HyperParams(gamma=gamma, gamma_tau=0.3, lam=0.2, beta=beta,
+                            step_cap=0.3 if method == "spsmax" else math.inf)
+        final = {}
+        records = run_epochs(method, spec, data, hyper, 2, seed, tau=0.1,
+                             observer=lambda epoch, state: final.update(state=copy.deepcopy(state)))
+        w_ref, alpha_ref, tau_ref, _ = dense_reference_run(method, spec, rows, labels, hyper, 2, seed, tau=0.1)
+        state = final["state"]
+        if method in ("taps", "motaps"):
+            assert_allclose(state.alpha, alpha_ref, rtol=1e-10, atol=1e-14)
+            assert_allclose(state.tau if method == "motaps" else state.tau_fixed, tau_ref, rtol=1e-10)
+            state = state.w
+        assert_allclose(state, w_ref, rtol=1e-10, atol=1e-14)
+        if beta or method == "spsmax":
+            return
+        view = run_epochs_sgd_view(method, spec, data, hyper, 2, seed, tau=0.1)
+        for ours, ref in zip(records, view, strict=True):
+            for name in ("full_loss", "grad_norm", "aux_value", "growth_ratio"):
+                a, b = getattr(ours, name), getattr(ref, name)
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (name, a, b)
 
 
 GRID = [(g, gt) for g in (0.1, 0.7, 1.1) for gt in (1e-3, 0.5)]
@@ -867,6 +1018,66 @@ class TestRunGrid:
         finals = run_grid(*args)
         assert finals[1] is None and None not in (finals[0], finals[2])
         assert finals == self.per_cell(*args)
+
+    @staticmethod
+    def raise_sites():
+        """One grid per NumericError raise site of ``_Kernel._coefficient``:
+        (method, spec, data, hyper, cells, epochs, keyword arguments, the
+        cells whose run aborts, and the message they abort with). The
+        comment names the finiteness checks of ``_Batch._coefficient`` that
+        catch the aborting cells; all but the first are caught by one alone."""
+        squared = LossSpec(family="squared")
+        # a monomial loss a(t - b)^2, inf with φ′ = 2e250 at t = 0 on sample 0
+        huge = LossSpec(family="monomial", power_r=1.0, offsets=np.array([-1e100, 0.0]),
+                        scales=np.array([1e150, 1.0]))
+        # a|t - b|^0.1 at t = 0 and b = 5e-324 on sample 0: a finite loss, φ′ = inf
+        steep = LossSpec(family="monomial", power_r=0.05, offsets=np.array([5e-324, 1.0]),
+                         scales=np.array([1e20, 1.0]))
+        empty_first = Dataset([SparseVector([], []), SparseVector([0], [1.0])], [0.0, 1.0], dim=1)
+        loss, gnorm, coeff = "non-finite loss/gradient", "gradient norm overflow", "non-finite step coefficient"
+        return {
+            # f and c: the margin's residual u grows 4× per step at γ = 10,
+            # and 0.5u^2 overflows before (0.1u)^2
+            "loss": ("sp", squared, dense_dataset([[0.1]], [1.0]), HyperParams(),
+                     [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, {}, [1], loss),
+            # dval: β > 0 takes the plain step, whose g on an empty row is 0
+            "dval": ("sp", steep, empty_first, HyperParams(beta=0.5),
+                     [(0.9, 0.1), (6.0, 0.1)], 2, {}, [0, 1], loss),
+            # gsq: u grows 4× per step at γ = 10, and (10u)^2 overflows
+            # before 0.5u^2, so c = f/inf = 0
+            "gsq": ("sp", squared, dense_dataset([[10.0]], [1.0]), HyperParams(),
+                    [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, {}, [1], gnorm),
+            # c: the aggregate step at γ = 1 puts α at τ = -1.6e308, and then
+            # f - α overflows in the run's last step, so no later check
+            # sees the inf coefficient's effect (seed 2 draws 1, then 0)
+            "c": ("taps", squared, dense_dataset([[1.0]], [6.4e153]), HyperParams(),
+                  [(0.5, 0.1), (1.0, 0.1), (0.25, 0.1)], 1, {"tau": -1.6e308}, [1], coeff),
+            # f: ‖g‖² = (2e250 · 1e-280)^2 takes sp's zero-gradient branch, c = 0
+            "zero-gradient": ("sp", huge, dense_dataset([[1e-280], [1.0]], [0.0, 1.0]),
+                              HyperParams(), [(0.9, 0.1), (6.0, 0.1)], 2, {}, [0, 1], loss),
+            # f: the cap makes c = 0.4 finite; u grows 3× per step at γ = 1000,
+            # and f overflows at step 325, the run's last
+            "cap": ("spsmax", squared, dense_dataset([[0.1]], [1.0]), HyperParams(step_cap=0.4),
+                    [(1.0, 0.1), (1000.0, 0.1), (100.0, 0.1)], 325, {}, [1], loss),
+        }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("site", ["loss", "dval", "gsq", "c", "zero-gradient", "cap"])
+    def test_numeric_error_sites(self, site):
+        method, spec, data, hyper, cells, epochs, kwargs, aborts, message = self.raise_sites()[site]
+        finals, errors = [], []
+        for g, gt in cells:
+            cell = HyperParams(**{**vars(hyper), "gamma": g, "gamma_tau": gt})
+            try:
+                finals.append(run_epochs(method, spec, data, cell, epochs, 2, **kwargs)[-1])
+            except NumericError as err:
+                finals.append(None)
+                errors.append(str(err))
+        assert [r for r, rec in enumerate(finals) if rec is None] == aborts
+        assert all(err.startswith(message) for err in errors)
+        grid = run_grid(method, spec, data, hyper, cells, epochs, 2, **kwargs)
+        # repr, since a surviving cell's huge iterate can give a NaN growth ratio
+        assert list(map(repr, grid)) == list(map(repr, finals))
 
     def test_arguments_checked(self):
         spec, data = interpolating_problem(n=4, d=2)
