@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossSpec, OptimumCertificate, batch_eval, loss_grad_i
+from .losses import BatchEval, LossSpec, OptimumCertificate, batch_eval, loss_grad_i
 from .polyak import (
     METHODS,
     ZERO_GRAD_SQNORM,
@@ -54,7 +54,8 @@ class AuxEval:
 
     ``h_value`` is the mean of ``component_values``; ``growth_lhs`` is the
     mean of the stacked component gradient square-norms and ``growth_rhs``
-    is 2G·h_value for the method's growth constant G.
+    is 2G·h_value for the method's growth constant G. ``batch`` is the
+    loss batch evaluated at w, which a trace record reuses.
     """
 
     h_value: float
@@ -62,6 +63,7 @@ class AuxEval:
     component_grad_sqnorms: np.ndarray
     growth_lhs: float
     growth_rhs: float
+    batch: BatchEval
 
 
 def growth_ratio(lhs: float, rhs: float) -> float:
@@ -169,7 +171,7 @@ def aux_value_sp(w, w_t, spec: LossSpec, data: Dataset, fi_stars) -> AuxEval:
     sqnorms = np.where(live, (diff / denom) ** 2 * cur.grad_sqnorms, 0.0)
     h = float(np.mean(components))
     lhs = float(np.mean(sqnorms))
-    return AuxEval(h, components, sqnorms, lhs, 2.0 * h)
+    return AuxEval(h, components, sqnorms, lhs, 2.0 * h, cur)
 
 
 def aux_value_taps(w, alpha, w_t, spec: LossSpec, data: Dataset, tau: float) -> AuxEval:
@@ -186,7 +188,7 @@ def aux_value_taps(w, alpha, w_t, spec: LossSpec, data: Dataset, tau: float) -> 
     sqnorms = np.append(ctilde * ctilde * (cur.grad_sqnorms + 1.0), n * gap * gap)
     h = float(np.mean(components))
     lhs = float(np.mean(sqnorms))
-    return AuxEval(h, components, sqnorms, lhs, 2.0 * h)
+    return AuxEval(h, components, sqnorms, lhs, 2.0 * h, cur)
 
 
 def aux_value_motaps(
@@ -215,7 +217,7 @@ def aux_value_motaps(
     )
     h = float(np.mean(components))
     lhs = float(np.mean(sqnorms))
-    return AuxEval(h, components, sqnorms, lhs, 2.0 * oml * (2 * n + 1) * h)
+    return AuxEval(h, components, sqnorms, lhs, 2.0 * oml * (2 * n + 1) * h, cur)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Sparse datasets: LIBSVM-format I/O and seeded synthetic problem generators.
 
-A ``Dataset`` stores its features once, as a ``CSRMatrix`` (this module's
-own compressed-sparse-row type, built on numpy alone), together with the
+A ``Dataset`` stores its features as a ``CSRMatrix`` (this module's own
+compressed-sparse-row type, built on numpy alone), together with the
 labels, the per-row square norms and per-row (indices, values) views into
 the CSR arrays. A full-batch product costs O(nnz) and one sample is two
-array views, so nothing is ever stored or scanned at n x d. Model vectors
-are plain dense numpy arrays.
+array views, so nothing is ever stored or scanned at n x d beyond the
+nonzeros. A matrix whose rows are all full also keeps a d x n copy of its
+values (8 bytes per nonzero), so that its products are row reductions
+rather than scatter-adds (see ``CSRMatrix``). Model vectors are plain
+dense numpy arrays.
 """
 
 from __future__ import annotations
@@ -107,13 +110,19 @@ def dot(x, w: np.ndarray) -> float:
     return float(np.dot(x.values, w[x.indices]))
 
 
+def _vector(v, size: int) -> np.ndarray:
+    """v as a float64 vector of length ``size``, or ValueError."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"dimension mismatch: vector of shape {v.shape}, expected ({size},)")
+    return v
+
+
 def _spread(v, gather: np.ndarray, scatter: np.ndarray, data: np.ndarray, size_in: int,
             size_out: int) -> np.ndarray:
     """out[scatter[e]] += data[e] * v[gather[e]] over the stored entries e in
     order, into a zeroed float64 output of length ``size_out``."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (size_in,):
-        raise ValueError(f"dimension mismatch: vector of shape {v.shape}, expected ({size_in},)")
+    v = _vector(v, size_in)
     if not data.size:  # bincount of nothing is an integer array
         return np.zeros(size_out)
     terms = v.take(gather)
@@ -132,22 +141,48 @@ class CSRMatrix:
     ``X @ w``, ``X.T @ u`` and ``gram()`` add each output's terms one at a
     time in storage order (rows in order for ``gram``), starting from 0.0,
     the order of a plain loop over the entries.
+
+    ``dense`` is True when every row is full (nnz = n·d). Such a matrix,
+    unless it has a single row or column, also keeps ``columns``, a
+    C-contiguous d x n copy of ``data`` (8 bytes per nonzero), and its
+    products are row reductions: ``X @ w`` is
+    ``np.add.reduce(columns * w[:, None], axis=0, initial=0.0)`` and
+    ``X.T @ u`` the same over ``data`` seen as n x d. numpy reduces along
+    axis 0 of a C-contiguous array one row at a time into the output, so
+    each output is the same sequential sum, in storage order, as the
+    scatter-add's. Two cases would break that:
+
+    * a reduced array with one column is summed pairwise, not in order,
+      so a matrix with one row (for ``X @ w``) or one column (for
+      ``X.T @ u``) keeps the scatter-add for both products;
+    * the sum must start from +0.0: ``initial=0.0`` pins it, so that a
+      column of -0.0 terms (w = 0 against negative entries) sums to +0.0.
+
+    Every other matrix scatter-adds its products with ``np.bincount``.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "nnz", "row_ids")
+    __slots__ = ("data", "indices", "indptr", "shape", "nnz", "row_ids", "dense", "columns")
 
     def __init__(self, data, indices, indptr, shape):
         self.data = np.asarray(data, dtype=np.float64)
         self.indices = np.asarray(indices, dtype=np.intp)
         self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.shape = (int(shape[0]), int(shape[1]))
+        n, d = self.shape = (int(shape[0]), int(shape[1]))
         self.nnz = int(self.data.size)
-        self.row_ids = np.repeat(np.arange(self.shape[0], dtype=np.intp), np.diff(self.indptr))
+        self.row_ids = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
+        self.dense = self.nnz == n * d
+        self.columns = None
+        if self.dense and n > 1 and d > 1:
+            self.columns = np.ascontiguousarray(self.data.reshape(n, d).T)
+            self.columns.setflags(write=False)
         for arr in (self.data, self.indices, self.indptr, self.row_ids):
             arr.setflags(write=False)
 
     def __matmul__(self, w) -> np.ndarray:
-        return _spread(w, self.indices, self.row_ids, self.data, self.shape[1], self.shape[0])
+        if self.columns is None:
+            return _spread(w, self.indices, self.row_ids, self.data, self.shape[1], self.shape[0])
+        return np.add.reduce(self.columns * _vector(w, self.shape[1])[:, None], axis=0,
+                             initial=0.0)
 
     @property
     def T(self) -> "_Transposed":
@@ -193,7 +228,10 @@ class _Transposed:
 
     def __matmul__(self, u) -> np.ndarray:
         X = self.X
-        return _spread(u, X.row_ids, X.indices, X.data, X.shape[0], X.shape[1])
+        n, d = X.shape
+        if X.columns is None:
+            return _spread(u, X.row_ids, X.indices, X.data, n, d)
+        return np.add.reduce(X.data.reshape(n, d) * _vector(u, n)[:, None], axis=0, initial=0.0)
 
 
 class Dataset:

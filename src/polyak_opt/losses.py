@@ -250,8 +250,12 @@ def full_loss(spec: LossSpec, data: Dataset, w: np.ndarray) -> float:
 def full_grad(spec: LossSpec, data: Dataset, w: np.ndarray) -> np.ndarray:
     if data.n == 0:
         raise EmptyDatasetError("full_grad over empty dataset")
-    be = batch_eval(spec, data, w)
-    g = data.X.T @ be.dvals / data.n
+    return _mean_grad(spec, data, w, batch_eval(spec, data, w).dvals)
+
+
+def _mean_grad(spec: LossSpec, data: Dataset, w: np.ndarray, dvals: np.ndarray) -> np.ndarray:
+    """The mean gradient X^T phi' / n + sigma w from the phi' values at w."""
+    g = data.X.T @ dvals / data.n
     if spec.sigma != 0.0:
         g += spec.sigma * w
     return g

@@ -39,6 +39,7 @@ from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfb
     LossSpec,
     OptimumCertificate,
     _cells_phi,
+    _mean_grad,
     _scalar_phi,
     full_grad,
     full_loss,
@@ -276,17 +277,18 @@ class _Kernel:
 
     def __init__(self, spec, data, w, *, state=None, fi_stars=None,
                  step_cap=math.inf, lam=0.0, beta=0.0):
-        self.spec, self.data, self.n = spec, data, data.n
-        self.rows, self.sqnorms = data.rows, data.row_sqnorms.tolist()
+        self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
         self.sigma, self.beta = spec.sigma, beta
         self.state, self.fi_stars, self.step_cap = state, fi_stars, step_cap
         self.tau_coeff = motaps_tau_coeff(lam, self.n) if isinstance(state, MotapsState) else None
         self.v, self.s = w, 1.0
         self.z = w.copy() if beta else None
         self.wsq = float(w.dot(w))
-        self.lazy = not beta and data.X.nnz < data.n * data.dim
-        self._data_step = self._lazy_step if self.lazy else self._plain_step
-        if not self.lazy:  # _plain_step's g, and its σw or γc·g
+        self.lazy = not (beta or data.X.dense)
+        if self.lazy:
+            self._data_step, self.sqnorms = self._lazy_step, data.row_sqnorms.tolist()
+        else:  # _plain_step's g, and its σw or γc·g
+            self._data_step = self._plain_step
             self._g, self._tmp = np.empty_like(w), np.empty_like(w)
 
     def fold(self) -> np.ndarray:
@@ -649,12 +651,16 @@ def run_epochs(
 def _make_record(meth, spec, data, w, certificate, epoch, passes,
                  state=None, hyper=None, fi_stars=None) -> TraceRecord:
     """Any method's trace record at ``w``, its surrogate fields None for a
-    baseline. ``full_loss`` comes first, so it opens the record."""
+    baseline.
+
+    A Polyak method's record opens with its surrogate, ``aux.aux_value_*``
+    anchored at w, whose one loss batch evaluation at w also gives the
+    full loss (the mean of its values, as ``full_loss``) and the gradient
+    (from its φ′ values, as ``full_grad``). A baseline's record opens with
+    ``full_loss`` and then calls ``full_grad``.
+    """
     from . import aux  # deferred: aux builds on the state types above
 
-    loss = full_loss(spec, data, w)
-    gnorm = float(np.linalg.norm(full_grad(spec, data, w)))
-    dist = float(np.linalg.norm(w - certificate.w_star)) if certificate is not None else None
     ev = tau_val = bar_val = None
     if meth in ("sp", "spsmax"):
         ev = aux.aux_value_sp(w, w, spec, data, fi_stars)
@@ -664,6 +670,12 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
     elif meth == "motaps":
         ev = aux.aux_value_motaps(w, state.alpha, state.tau, w, spec, data, hyper.lam)
         tau_val, bar_val = state.tau, state.alpha_bar
+    if ev is None:
+        loss, grad = full_loss(spec, data, w), full_grad(spec, data, w)
+    else:
+        loss, grad = float(np.mean(ev.batch.values)), _mean_grad(spec, data, w, ev.batch.dvals)
+    gnorm = float(np.linalg.norm(grad))
+    dist = float(np.linalg.norm(w - certificate.w_star)) if certificate is not None else None
     return TraceRecord(
         epoch=epoch,
         passes=passes,
@@ -712,8 +724,7 @@ class _Batch:
     _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
 
     def __init__(self, spec, data, hyper, cells, *, trackers, tau, fi_stars, step_cap):
-        self.spec, self.data, self.n = spec, data, data.n
-        self.rows, self.sqnorms = data.rows, data.row_sqnorms.tolist()
+        self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
         self.sigma, self.beta, self.fi_stars = spec.sigma, hyper.beta, fi_stars
         self.step_cap, self.tau_coeff = step_cap, motaps_tau_coeff(hyper.lam, self.n)
         size = len(cells)
@@ -726,8 +737,10 @@ class _Batch:
         self.A = np.zeros((size, self.n)) if trackers else None
         self.abar = np.zeros(size) if trackers else None
         self.tau = np.full(size, tau) if trackers else None
-        lazy = not self.beta and data.X.nnz < data.n * data.dim
-        self._data_step = self._lazy_step if lazy else self._plain_step
+        if self.beta or data.X.dense:
+            self._data_step = self._plain_step
+        else:
+            self._data_step, self.sqnorms = self._lazy_step, data.row_sqnorms.tolist()
 
     def _keep(self, ok):
         if np.count_nonzero(ok) < ok.size:

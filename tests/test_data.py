@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from polyak_opt.data import (
@@ -19,11 +20,22 @@ from polyak_opt.data import (
     normalize_samples,
     parse_libsvm,
     serialize_libsvm,
+    _spread,
     synth_dataset,
 )
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def draw_full(draws) -> np.ndarray:
+    """An n x d array with every entry nonzero: n and d in 1..40, and any
+    finite nonzero floats, some drawn entry by entry and the rest one
+    drawn fill value (drawing all 1600 one by one is slow)."""
+    n = draws.draw(st.integers(1, 40), label="n")
+    d = draws.draw(st.integers(1, 40), label="d")
+    nonzero = FINITE.filter(lambda v: v != 0.0)
+    return draws.draw(arrays(np.float64, (n, d), elements=nonzero, fill=nonzero), label="entries")
 
 
 def draw_sparse_dense(draws) -> np.ndarray:
@@ -173,6 +185,12 @@ def assert_same_bits(ours, ref):
     assert ours.tobytes() == ref.tobytes()
 
 
+def assert_same_bits_but_nans(ours, ref):
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert_same_bits(np.where(nan, 0.0, ours), np.where(nan, 0.0, ref))
+
+
 class TestCSRMatrix:
     """The products of ``Dataset.X`` are scipy.sparse's, bit for bit."""
 
@@ -190,6 +208,61 @@ class TestCSRMatrix:
             assert_same_bits(X.T @ u, ref.T @ u)
             assert_same_bits(X.gram(), (ref.T @ ref).toarray())
         assert_same_bits(X.toarray(), dense)
+
+    @given(st.data())
+    def test_full_matrix_products_match_scipy(self, draws):
+        # every row full: the row-reduction products, and the one-row and
+        # one-column matrices that fall back to the scatter-add
+        dense = draw_full(draws)
+        n, d = dense.shape
+        ref = sp.csr_array(dense)
+        X = Dataset(ref, np.zeros(n), dim=d).X
+        assert X.dense
+        w = draws.draw(arrays(np.float64, d, elements=st.floats()), label="w")
+        u = draws.draw(arrays(np.float64, n, elements=st.floats()), label="u")
+        with np.errstate(all="ignore"):
+            xw, xtu = X @ w, X.T @ u
+            # Where two NaNs meet, IEEE 754 leaves open which one the sum
+            # keeps: scipy's X.T @ u keeps the later one on x86, numpy's add
+            # and bincount the earlier. So NaNs match scipy's as NaNs, and
+            # the scatter-add's bit for bit.
+            assert_same_bits_but_nans(xw, ref @ w)
+            assert_same_bits_but_nans(xtu, ref.T @ u)
+            assert_same_bits(xw, _spread(w, X.indices, X.row_ids, X.data, d, n))
+            assert_same_bits(xtu, _spread(u, X.row_ids, X.indices, X.data, n, d))
+
+    def test_one_row_full_matrix_matches_scipy(self):
+        # X @ w over one row would reduce a single column, which numpy sums
+        # pairwise; 1e16 and then 39 ones sum to 1e16 in order (each +1 is
+        # half an ulp and rounds back to even) but not pairwise
+        row = np.ones((1, 40))
+        row[0, 0] = 1e16
+        ref = sp.csr_array(row)
+        X = Dataset(ref, np.zeros(1)).X
+        assert X.dense
+        assert_same_bits(X @ np.ones(40), ref @ np.ones(40))
+        assert_same_bits(X.T @ np.array([0.7]), ref.T @ np.array([0.7]))
+
+    def test_one_column_full_matrix_matches_scipy(self):
+        # the same for X.T @ u over a single column
+        col = np.ones((40, 1))
+        col[0, 0] = 1e16
+        ref = sp.csr_array(col)
+        X = Dataset(ref, np.zeros(40)).X
+        assert X.dense
+        assert_same_bits(X.T @ np.ones(40), ref.T @ np.ones(40))
+        assert_same_bits(X @ np.array([0.7]), ref @ np.array([0.7]))
+
+    def test_full_matrix_zero_vector_gives_positive_zeros(self):
+        # negative entries times +0.0 are -0.0 terms (times -0.0, +0.0):
+        # each sum must still start from +0.0
+        dense = -np.arange(1.0, 13.0).reshape(3, 4)
+        X = Dataset(sp.csr_array(dense), np.zeros(3)).X
+        assert X.columns is not None
+        for out in (X @ np.zeros(4), X @ -np.zeros(4)):
+            assert_same_bits(out, np.zeros(3))
+        for out in (X.T @ np.zeros(3), X.T @ -np.zeros(3)):
+            assert_same_bits(out, np.zeros(4))
 
     def test_zero_vector_gives_positive_zeros(self):
         # 0 * -3 is -0.0, and every sum starts from +0.0

@@ -614,6 +614,60 @@ class TestRunEpochs:
         )
         assert calls == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_record_evaluates_the_batch_once(self, monkeypatch, dense):
+        # the surrogate's batch evaluation gives the record its loss and
+        # gradient too; the record equals the one rebuilt from full_loss,
+        # full_grad and aux_value_* called separately
+        from polyak_opt import aux
+        from polyak_opt.data import synth_dataset
+        from polyak_opt.traces import TraceRecord
+
+        if dense:
+            data = synth_dataset(4, 12, 3, "separable")[0]
+        else:
+            data = Dataset([SparseVector([i % 5, 5 + i % 2], [1.0 + i / 7, -0.5]) for i in range(12)],
+                           [(-1.0) ** i for i in range(12)], dim=8)
+        assert data.X.dense is dense
+        spec = LossSpec("logistic", sigma=1e-2)
+        cert = losses.optimum_oracle(spec, data)
+        hyper = HyperParams(gamma=0.8, gamma_tau=0.2, lam=0.1)
+        for method in ("sp", "spsmax", "taps", "motaps"):
+            calls = []
+
+            def counted(*args, _batch_eval=losses.batch_eval):
+                calls.append(args)
+                return _batch_eval(*args)
+
+            for owner in (aux, losses):
+                monkeypatch.setattr(owner, "batch_eval", counted)
+            states = []
+
+            def keep(epoch, st):
+                states.append(st.copy() if isinstance(st, np.ndarray) else copy.deepcopy(st))
+
+            recs = run_epochs(method, spec, data, hyper, epochs=3, seed=1, certificate=cert,
+                              fi_star=cert.fi_star, tau=0.3, observer=keep)
+            monkeypatch.undo()
+            assert len(calls) == len(recs) == 3
+            for rec, st in zip(recs, states):
+                w = st if isinstance(st, np.ndarray) else st.w
+                if method in ("sp", "spsmax"):
+                    ev = aux.aux_value_sp(w, w, spec, data, cert.fi_star)
+                    tau = bar = None
+                elif method == "taps":
+                    ev = aux.aux_value_taps(w, st.alpha, w, spec, data, st.tau_fixed)
+                    tau, bar = st.tau_fixed, st.alpha_bar
+                else:
+                    ev = aux.aux_value_motaps(w, st.alpha, st.tau, w, spec, data, hyper.lam)
+                    tau, bar = st.tau, st.alpha_bar
+                assert rec == TraceRecord(
+                    rec.epoch, rec.passes, losses.full_loss(spec, data, w),
+                    float(np.linalg.norm(full_grad(spec, data, w))),
+                    float(np.linalg.norm(w - cert.w_star)), ev.h_value,
+                    aux.growth_ratio(ev.growth_lhs, ev.growth_rhs), tau, bar,
+                )
+
     def test_divergence_attaches_partial_trace(self):
         # gamma=10 on f(w) = (w-1)^2/2 multiplies the residual by -4 each
         # step, so the iterates overflow after a few hundred epochs
