@@ -40,10 +40,10 @@ from .polyak import (
     MotapsState,
     TapsState,
     _check_run,
+    _epoch_loop,
     _make_record,
     _stepsizes_at,
     fi_star_array,
-    sample_indices,
 )
 from .traces import TraceRecord
 
@@ -369,43 +369,36 @@ def run_epochs_sgd_view(
     fi_star=0.0,
     tau: float | None = None,
 ) -> list[TraceRecord]:
-    """Trace of the explicit-SGD route, mirroring run_epochs' sampling,
-    initialization and recording so the two traces compare field by field."""
+    """Trace of the explicit-SGD route, on run_epochs' epoch loop
+    (``polyak._epoch_loop``) with its initialization and recording, so the
+    two traces compare field by field."""
     meth = _check_run(method, METHODS, data, epochs, hyper)
     if hyper.beta != 0.0:
         raise ValueError("the SGD view is defined for plain (beta=0) steps")
     if meth == "spsmax" and math.isfinite(hyper.step_cap):
         raise ValueError("a finite step_cap is not an SGD step on the surrogate")
-    n, dim = data.n, data.dim
+    n = data.n
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
-    w = np.zeros(dim)
-    alpha = np.zeros(n)
-    tau_val = float(tau or 0.0)
-    rng = np.random.default_rng(seed)
-    high = n if sp_like else n + 1
-    records = []
-    t = 0
-    for epoch in range(1, epochs + 1):
-        for idx in sample_indices(rng, high, high):
-            i = int(idx)
-            gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
-            if sp_like:
-                w = sgd_view_sp_step(spec, data, w, i, gamma_t, float(fi_stars[i]))
-            elif meth == "taps":
-                w, alpha = sgd_view_taps_step(w, alpha, spec, data, i, gamma_t, tau_val)
-            else:
-                w, alpha, tau_val = sgd_view_motaps_step(
-                    w, alpha, tau_val, spec, data, i, gamma_t, gamma_tau_t, hyper.lam
-                )
-            t += 1
+    w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), float(tau or 0.0)
+
+    def step(i, t):
+        nonlocal w, alpha, tau_val
+        gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
         if sp_like:
-            state = None
+            w = sgd_view_sp_step(spec, data, w, i, gamma_t, float(fi_stars[i]))
         elif meth == "taps":
-            state = TapsState(w, alpha, float(np.mean(alpha)), tau_val, t)
+            w, alpha = sgd_view_taps_step(w, alpha, spec, data, i, gamma_t, tau_val)
         else:
-            state = MotapsState(w, alpha, float(np.mean(alpha)), tau_val, t)
-        records.append(
-            _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
-        )
-    return records
+            w, alpha, tau_val = sgd_view_motaps_step(
+                w, alpha, tau_val, spec, data, i, gamma_t, gamma_tau_t, hyper.lam
+            )
+
+    def end_epoch(epoch, t):
+        state = None
+        if not sp_like:
+            kind = TapsState if meth == "taps" else MotapsState
+            state = kind(w, alpha, float(np.mean(alpha)), tau_val, t)
+        return _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
+
+    return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)

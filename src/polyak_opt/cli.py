@@ -5,14 +5,12 @@ run as one batch, with a best-cell summary), ``compare`` (several methods
 on one dataset in a long-format trace), ``verify`` (the randomized property
 suites), and ``gen`` (write a synthetic dataset as a LIBSVM file).
 
-Settings resolve as defaults < ``--config`` file < explicit flags. The
-thread count resolves as config file < ``POLYAK_OPT_THREADS`` <
-``--threads`` and is advisory: it is validated, but every command runs in
-one thread, because the step loop is Python-bound and holds the GIL, so
-worker threads made ``grid`` slower. Exit codes: 0 success, 1 failed
-verification, 2 bad configuration or input, 3 numeric abort (partial trace
-still written). Only a ``ConfigError``, a ``ParseError`` or a missing file is
-reported as exit 2; every other exception is a bug and propagates.
+Settings resolve as defaults < ``--config`` file < explicit flags. Every
+command runs in one thread; ``--threads N`` is still accepted for old
+scripts and ignored. Exit codes: 0 success, 1 failed verification, 2 bad
+configuration or input, 3 numeric abort (partial trace still written).
+Only a ``ConfigError``, a ``ParseError`` or a missing file is reported as
+exit 2; every other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -66,7 +63,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="output file; omit for stdout")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--oracle", choices=("none", "closed", "iter"))
-    p.add_argument("--threads", type=int, metavar="N")
+    p.add_argument("--threads", type=int, metavar="N",
+                   help="ignored: every command runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,14 +103,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
     flag_updates = {
         name: value
         for name, value in vars(args).items()
-        if name not in ("command", "config") and value is not None
+        if name not in ("command", "config", "threads") and value is not None
     }
-    if "threads" not in flag_updates and "POLYAK_OPT_THREADS" in os.environ:
-        raw = os.environ["POLYAK_OPT_THREADS"]
-        try:
-            flag_updates["threads"] = int(raw)
-        except ValueError:
-            raise ConfigError(f"POLYAK_OPT_THREADS must be an integer, got {raw!r}") from None
     cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
     return cfg, set(file_updates) | set(flag_updates)
 
@@ -166,27 +158,18 @@ def _certificate(cfg: ExperimentConfig, spec, data):
     return _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
 
 
-def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None, cells=None):
+def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None):
     """One run of ``method`` on ``data``: ``(records, None)``, or the records
     completed before a numeric abort and its NumericError.
 
     A Polyak method takes the step settings of ``cfg`` with ``gamma`` and
     ``gamma_tau`` on top where given, and ``fi_star`` as its sp target. A
     baseline takes ``gamma`` as its step; None means its standard
-    1/(2 L_max). With ``cells``, a list of (gamma, gamma_tau) pairs, the
-    Polyak method runs at every pair as one batch and the records are each
-    cell's last one, None for a cell that aborted. numpy's overflow and
-    invalid-value warnings are silenced: a run that overflows ends as a
-    NumericError, reported once by the caller."""
+    1/(2 L_max). numpy's overflow and invalid-value warnings are silenced:
+    a run that overflows ends as a NumericError, reported once by the
+    caller."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if method in METHODS and cells is not None:
-                for g, gt in cells:
-                    make_hyper(cfg, gamma=g, gamma_tau=gt)
-                return run_grid(
-                    method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
-                    fi_star=fi_star, tau=cfg.tau,
-                ), None
             if method in METHODS:
                 hyper = make_hyper(cfg, gamma=gamma, gamma_tau=gamma_tau)
                 return run_epochs(
@@ -231,11 +214,18 @@ def cmd_grid(args) -> int:
     cfg, _ = _resolve_config(args)
     if cfg.method not in METHODS:
         raise ConfigError(f"grid sweeps a Polyak method, got {cfg.method!r}")
+    if cfg.schedule != "constant":
+        raise ConfigError(f"grid needs schedule = constant: {cfg.schedule} sets gamma and "
+                          "gamma_tau itself, so every cell would be the same run")
     data, spec = _load(cfg, [cfg.method])
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
-    finals, _ = _trace(cfg.method, cfg, spec, data, None, fi_star=cfg.fi_star, cells=cells)
+    for g, gt in cells:
+        make_hyper(cfg, gamma=g, gamma_tau=gt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finals = run_grid(cfg.method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
+                          fi_star=cfg.fi_star, tau=cfg.tau)
     results = []
     for rec in finals:
         # an abort, a non-finite value or a blown-up loss is divergence

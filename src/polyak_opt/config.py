@@ -38,8 +38,8 @@ class ExperimentConfig:
 
     ``lam`` is spelled ``lambda`` in config files and on the command line.
     ``methods`` (comparison list) and the two grid axes are comma-separated
-    strings so the file format stays flat. ``threads`` is advisory: the
-    commands run in one thread whatever it is set to.
+    strings so the file format stays flat. ``budget`` caps the ``iter``
+    oracle's Newton iterations and, like ``epochs``, must be >= 1.
     """
 
     dataset: str = "synth:separable:n=100,d=20"
@@ -63,7 +63,6 @@ class ExperimentConfig:
     budget: int = 500000
     out: str = ""
     format: str = "csv"
-    threads: int = 0
     methods: str = "sp,taps,motaps,sgd,sag,svrg"
     gamma_grid: str = "0.01,0.1,0.4,0.7,0.9,1.0,1.1"
     gamma_tau_grid: str = "1e-05,0.0001,0.001,0.01,0.1,0.5,0.9"
@@ -76,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"oracle must be one of {_ORACLES}, got {self.oracle!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.budget < 1:
+            raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if self.sgd_schedule not in SGD_SCHEDULES:
             raise ConfigError(
                 f"sgd_schedule must be one of {SGD_SCHEDULES}, got {self.sgd_schedule!r}"

@@ -140,7 +140,11 @@ class CSRMatrix:
 
     ``X @ w``, ``X.T @ u`` and ``gram()`` add each output's terms one at a
     time in storage order (rows in order for ``gram``), starting from 0.0,
-    the order of a plain loop over the entries.
+    the order of a plain loop over the entries and of scipy.sparse, so the
+    products are scipy's bit for bit. The one exception is a sum where NaNs
+    of both signs meet: IEEE 754 leaves open which NaN it keeps, and scipy
+    keeps the later one where ``np.bincount`` and numpy's add keep the
+    earlier, so such an output is NaN in both but its sign may differ.
 
     ``dense`` is True when every row is full (nnz = n·d). Such a matrix,
     unless it has a single row or column, also keeps ``columns``, a

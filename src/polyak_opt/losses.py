@@ -374,12 +374,14 @@ def optimum_oracle(
     (the d x d Hessian is never formed) and an Armijo line search, run to
     ||grad f|| <= 1e-11 or until ``budget`` Newton iterations are spent
     (default 500 000; required when sigma = 0, where the unregularized
-    optimum may lie at infinity). The certificate counts as converged at
-    ||grad f(w_star)|| <= 1e-8; non-convergence is flagged on the
-    certificate, not raised.
+    optimum may lie at infinity). A ``budget`` below 1 is a ValueError. The
+    certificate counts as converged at ||grad f(w_star)|| <= 1e-8;
+    non-convergence is flagged on the certificate, not raised.
     """
     if data.n == 0:
         raise EmptyDatasetError("optimum oracle over empty dataset")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if spec.family == "squared":
         A = data.X.gram() + data.n * spec.sigma * np.eye(data.dim)
         rhs = data.X.T @ data.labels

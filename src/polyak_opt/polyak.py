@@ -872,9 +872,13 @@ def run_grid(
     at that γ and γ_τ (from w⁰ = 0, no certificate) would return, bit for
     bit, or None where that run would raise NumericError. Only the last
     epoch is evaluated. The batch holds C×(n+d) floats for C cells (twice
-    the d part with β > 0).
+    the d part with β > 0). ``hyper.schedule`` must be constant: any other
+    sets γ and γ_τ itself, so every cell would be the same run.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
+    if hyper.schedule != "constant":
+        raise ValueError(f"the {hyper.schedule} schedule sets gamma and gamma_tau itself, "
+                         "so every grid cell would be the same run")
     for g, gt in cells:
         dataclasses.replace(hyper, gamma=g, gamma_tau=gt)  # validates the cell
     n = data.n
@@ -883,12 +887,10 @@ def run_grid(
     batch = _Batch(spec, data, hyper, cells, trackers=not sp_like, tau=float(tau or 0.0),
                    fi_stars=fi_stars.tolist(), step_cap=_step_cap(meth, hyper))
     step = getattr(batch, "sp" if sp_like else meth)
-    # a constant step is the rows of the cells still in the batch
-    gammas = ((lambda t: (batch.gamma, batch.gamma_tau)) if hyper.schedule == "constant"
-              else lambda t: _stepsizes_at(hyper, t, n))
     high = n if sp_like else n + 1
     with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
-        _epoch_loop(seed, high, epochs, lambda i, t: step(i, *gammas(t)),
+        # the step sizes are the rows of the cells still in the batch
+        _epoch_loop(seed, high, epochs, lambda i, t: step(i, batch.gamma, batch.gamma_tau),
                     lambda epoch, t: batch.end_epoch())
 
     t = epochs * high

@@ -1,5 +1,5 @@
-"""End-to-end command-line behavior: flag/config/environment precedence,
-every subcommand's output shape, and the documented exit codes."""
+"""End-to-end command-line behavior: flag/config precedence, every
+subcommand's output shape, and the documented exit codes."""
 
 import json
 import math
@@ -98,6 +98,15 @@ class TestRun:
         assert "numeric abort" in err
         records = parse_trace_csv(trace.read_text(encoding="utf-8"))
         assert 0 < len(records) < 400
+
+    def test_budget_below_one_is_config_error(self, tmp_path, capsys):
+        # a budget of -3 would certify w = 0 and put every sp target at f_i(0)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = {SMALL}\nbudget = -3\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--method", "sp", "--oracle", "iter", "--sigma", "0.01",
+        )
+        assert code == 2 and "budget must be >= 1, got -3" in err and out == ""
 
     def test_unknown_method_is_config_error(self, capsys):
         code, _, err = run_cli(
@@ -364,21 +373,24 @@ class TestGrid:
         code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--gamma", "-1")
         assert code == 2 and "gamma" in err and out == ""
 
-    def test_thread_flag_beats_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("POLYAK_OPT_THREADS", "not-a-number")
-        cfg = self.write_cfg(tmp_path, "0.5", "0.1")
-        code, _, err = run_cli(capsys, "grid", "--config", str(cfg))
-        assert code == 2
-        code, out, _ = run_cli(
-            capsys, "grid", "--config", str(cfg), "--threads", "1"
-        )
-        assert code == 0 and out.strip().splitlines()[-1].startswith("# best")
+    def test_benchmark_calls_with_threads_flag(self, tmp_path, capsys):
+        # the benchmark's dense-grid calls: --threads is accepted and ignored
+        common = ["--dataset", "synth:separable:n=100,d=20,seed=3", "--threads", "1"]
+        grid, compare = tmp_path / "grid.csv", tmp_path / "compare.csv"
+        assert main(["grid", "--method", "motaps", "--epochs", "2", "--out", str(grid), *common]) == 0
+        assert main(["compare", "--epochs", "2", "--out", str(compare), *common]) == 0
+        lines = grid.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 49 + 1 and lines[-1].startswith("# best")
+        rows = [line.split(",", 1)[0] for line in compare.read_text(encoding="utf-8").splitlines()
+                if not line.startswith(("#", "method,"))]
+        assert sorted(set(rows)) == sorted(["sp", "taps", "motaps", "sgd", "sag", "svrg"])
+        assert len(rows) == 6 * 2
 
-    def test_environment_threads_used(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("POLYAK_OPT_THREADS", "2")
-        cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1")
-        code, out, _ = run_cli(capsys, "grid", "--config", str(cfg))
-        assert code == 0 and len(out.strip().splitlines()) == 4
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "0.5", "0.1")
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "threads = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg))
+        assert code == 2 and "unknown key 'threads'" in err and out == ""
 
 
 def write_sparse(path, seed, n=12, d=40, k=4):
@@ -438,7 +450,16 @@ class TestGridMatchesRun:
             f"gamma_grid = {gammas}\ngamma_tau_grid = {gamma_taus}\n",
             encoding="utf-8",
         )
-        code, out, _ = run_cli(capsys, "grid", "--config", str(cfg))
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg))
+        if "motaps_decreasing" in settings:
+            # the schedule sets gamma and gamma_tau itself: every cell would
+            # be the same run, so grid refuses it
+            assert code == 2 and "schedule = constant" in err and out == ""
+            runs = {run_cli(capsys, "run", "--config", str(cfg), "--gamma", gamma,
+                            "--gamma-tau", gamma_tau)[1]
+                    for gamma in gammas.split(",") for gamma_tau in gamma_taus.split(",")}
+            assert len(runs) == 1
+            return
         assert code == 0
         cells = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
         assert len(cells) == len(gammas.split(",")) * len(gamma_taus.split(","))

@@ -65,6 +65,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config("epochs = soon\n")
 
+    def test_budget_below_one_rejected(self):
+        for raw in ("0", "-3"):
+            with pytest.raises(ConfigError, match=f"budget must be >= 1, got {raw}"):
+                parse_config(f"budget = {raw}\n")
+        assert parse_config("budget = 1\n").budget == 1
+
     def test_invalid_choice_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             parse_config("format = xml\n")
@@ -100,7 +106,6 @@ class TestParseConfig:
             budget=1000,
             out="trace.csv",
             format="json",
-            threads=2,
         )
         assert parse_config(dump_config(cfg)) == cfg
 
@@ -121,6 +126,7 @@ _CHOICES = {
     "oracle": st.sampled_from(("none", "closed", "iter")),
     "sgd_schedule": st.sampled_from(SGD_SCHEDULES),
     "epochs": st.integers(min_value=1),
+    "budget": st.integers(min_value=1),
 }
 _FREE_TEXT = [f.name for f in dataclasses.fields(ExperimentConfig)
               if isinstance(f.default, str) and f.name not in _CHOICES]

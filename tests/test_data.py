@@ -204,8 +204,11 @@ class TestCSRMatrix:
         w = np.array(draws.draw(st.lists(st.floats(), min_size=d, max_size=d), label="w"))
         u = np.array(draws.draw(st.lists(st.floats(), min_size=n, max_size=n), label="u"))
         with np.errstate(all="ignore"):  # huge entries overflow, inf - inf is nan
-            assert_same_bits(X @ w, ref @ w)
-            assert_same_bits(X.T @ u, ref.T @ u)
+            # NaNs of both signs in w or u can meet in one sum, where the
+            # NaN kept is left open (see the full-matrix test): NaNs match
+            # as NaNs, every other output bit for bit
+            assert_same_bits_but_nans(X @ w, ref @ w)
+            assert_same_bits_but_nans(X.T @ u, ref.T @ u)
             assert_same_bits(X.gram(), (ref.T @ ref).toarray())
         assert_same_bits(X.toarray(), dense)
 
@@ -230,6 +233,16 @@ class TestCSRMatrix:
             assert_same_bits_but_nans(xtu, ref.T @ u)
             assert_same_bits(xw, _spread(w, X.indices, X.row_ids, X.data, d, n))
             assert_same_bits(xtu, _spread(u, X.row_ids, X.indices, X.data, n, d))
+
+    def test_mixed_sign_nans_match_as_nans(self):
+        # scipy keeps the later NaN of a sum and numpy's sums the earlier,
+        # so X.T @ u differs from scipy's here in the NaN's sign bit alone
+        ref = sp.csr_array(np.ones((6, 12)))
+        X = Dataset(ref, np.zeros(6), dim=12).X
+        u = np.array([np.nan, -np.nan] * 3)
+        w = np.array([np.nan, -np.nan] * 6)
+        assert_same_bits_but_nans(X.T @ u, ref.T @ u)
+        assert_same_bits_but_nans(X @ w, ref @ w)
 
     def test_one_row_full_matrix_matches_scipy(self):
         # X @ w over one row would reduce a single column, which numpy sums

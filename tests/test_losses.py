@@ -372,6 +372,13 @@ class TestOptimumOracle:
         assert not cert.converged
         assert cert.grad_norm_at_opt > 1e-8
 
+    def test_budget_below_one_rejected(self):
+        # a budget of 0 would certify w = 0, whatever the optimum
+        data, _ = synth_dataset(3, 10, 3, "separable")
+        for family, budget in (("logistic", 0), ("logistic", -3), ("squared", 0)):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                optimum_oracle(LossSpec(family=family, sigma=0.01), data, budget=budget)
+
     def test_monomial_unsupported(self):
         data = dense_dataset([[1.0]], [0.0])
         with pytest.raises(UnsupportedFamilyError):

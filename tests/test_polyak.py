@@ -23,6 +23,7 @@ from polyak_opt.polyak import (
     MotapsState,
     NumericError,
     TapsState,
+    _epoch_loop,
     choose_lambda,
     decreasing_schedule,
     lambda_max,
@@ -33,6 +34,7 @@ from polyak_opt.polyak import (
     rule_of_thumb,
     run_epochs,
     run_grid,
+    sample_indices,
     sp_step,
     taps_step,
 )
@@ -967,9 +969,35 @@ class TestKernelProperties:
 GRID = [(g, gt) for g in (0.1, 0.7, 1.1) for gt in (1e-3, 0.5)]
 
 
+class TestEpochLoop:
+    """``_epoch_loop``, the one loop that draws sample indices for
+    ``run_epochs``, ``run_grid``, the baselines and the SGD view."""
+
+    def test_steps_draws_and_epoch_ends(self):
+        seed, high, epochs = 7, 5, 3
+        calls = []
+        records = _epoch_loop(seed, high, epochs, lambda i, t: calls.append((i, t)),
+                              lambda epoch, t: ("end", epoch, t))
+        assert [t for _, t in calls] == list(range(epochs * high))
+        rng = np.random.default_rng(seed)
+        draws = [sample_indices(rng, high, high).tolist() for _ in range(epochs)]
+        assert [i for i, _ in calls] == sum(draws, [])
+        assert records == [("end", epoch, epoch * high) for epoch in range(1, epochs + 1)]
+
+    def test_numeric_error_carries_completed_epochs(self):
+        def step(i, t):
+            if t == 9:  # the second step of epoch 3
+                raise NumericError("boom", sample_index=i)
+
+        with pytest.raises(NumericError, match="boom") as info:
+            _epoch_loop(0, 4, 5, step, lambda epoch, t: (epoch, t))
+        assert info.value.records == [(1, 4), (2, 8)]
+
+
 class TestRunGrid:
     """``run_grid`` against one ``run_epochs`` per cell: whole last records,
-    compared with ``==``."""
+    compared with ``==``. Under ``motaps_decreasing``, which sets γ and γ_τ
+    itself, every cell is the same run, and ``run_grid`` refuses it."""
 
     @staticmethod
     def per_cell(method, spec, data, hyper, cells, epochs, seed, **kwargs):
@@ -1000,6 +1028,12 @@ class TestRunGrid:
             data = sparse_problem(seed=4)[2]
         hyper = HyperParams(lam=0.2, **variant)
         args = (method, spec, data, hyper, GRID, 5, 11)
+        if hyper.schedule != "constant":
+            assert self.per_cell(*args, tau=0.05, fi_star=0.01) == [run_epochs(
+                method, spec, data, hyper, 5, 11, tau=0.05, fi_star=0.01)[-1]] * len(GRID)
+            with pytest.raises(ValueError, match="every grid cell would be the same run"):
+                run_grid(*args, tau=0.05, fi_star=0.01)
+            return
         finals = run_grid(*args, tau=0.05, fi_star=0.01)
         assert None not in finals
         assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
