@@ -67,10 +67,9 @@ from .losses import (
 from .polyak import (
     METHODS,
     HyperParams,
-    MotapsState,
     NumericError,
     StepOutcome,
-    TapsState,
+    TrackerState,
     choose_lambda,
     decreasing_schedule,
     lambda_max,

@@ -37,8 +37,7 @@ from .polyak import (
     METHODS,
     ZERO_GRAD_SQNORM,
     HyperParams,
-    MotapsState,
-    TapsState,
+    TrackerState,
     _check_run,
     _epoch_loop,
     _make_record,
@@ -291,7 +290,8 @@ def star_convexity_probe(h_t: float, h_star: float, grad_t, z_t, z_star) -> floa
 def growth_check(method: str, state, spec: LossSpec, data: Dataset, hyper=None, fi_stars=None):
     """(lhs, rhs, ratio) of the gradient-growth condition at a state
     evaluated at its own anchor. For sp, ``state`` is the weight vector
-    itself and fi_stars defaults to zeros; motaps reads λ from ``hyper``."""
+    itself and fi_stars defaults to zeros; taps and motaps take a
+    ``TrackerState``, and motaps reads λ from ``hyper``, which it needs."""
     meth = method.lower()
     if meth in ("sp", "spsmax"):
         w = state.w if hasattr(state, "w") else state
@@ -299,10 +299,11 @@ def growth_check(method: str, state, spec: LossSpec, data: Dataset, hyper=None, 
             fi_stars = np.zeros(data.n)
         ev = aux_value_sp(w, w, spec, data, fi_stars)
     elif meth == "taps":
-        ev = aux_value_taps(state.w, state.alpha, state.w, spec, data, state.tau_fixed)
+        ev = aux_value_taps(state.w, state.alpha, state.w, spec, data, state.tau)
     elif meth == "motaps":
-        lam = hyper.lam if hyper is not None else 0.1
-        ev = aux_value_motaps(state.w, state.alpha, state.tau, state.w, spec, data, lam)
+        if hyper is None:
+            raise ValueError("motaps's growth check needs hyper for lambda")
+        ev = aux_value_motaps(state.w, state.alpha, state.tau, state.w, spec, data, hyper.lam)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ev.growth_lhs, ev.growth_rhs, growth_ratio(ev.growth_lhs, ev.growth_rhs)
@@ -395,10 +396,7 @@ def run_epochs_sgd_view(
             )
 
     def end_epoch(epoch, t):
-        state = None
-        if not sp_like:
-            kind = TapsState if meth == "taps" else MotapsState
-            state = kind(w, alpha, float(np.mean(alpha)), tau_val, t)
+        state = None if sp_like else TrackerState(w, alpha, float(np.mean(alpha)), tau_val, t)
         return _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
 
     return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)

@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one method, one trace file), ``grid`` (γ × γ_τ sweep,
-run as one batch, with a best-cell summary), ``compare`` (several methods
+Subcommands: ``run`` (one method, one trace file), ``grid`` (a γ × γ_τ
+sweep for motaps and a γ sweep for the methods that do not read γ_τ, run
+as one batch, with a best-cell summary), ``compare`` (several methods
 on one dataset in a long-format trace), ``verify`` (the randomized property
 suites), and ``gen`` (write a synthetic dataset as a LIBSVM file).
 
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
         ("run", "run one method and write its per-epoch trace"),
-        ("grid", "sweep the gamma x gamma_tau grid and report the best cell"),
+        ("grid", "sweep the gamma (x gamma_tau for motaps) grid and report the best cell"),
         ("compare", "run several methods with their standard settings on one dataset"),
     ):
         _add_common_flags(sub.add_parser(name, help=doc))
@@ -220,9 +221,12 @@ def cmd_grid(args) -> int:
     data, spec = _load(cfg, [cfg.method])
     gammas = parse_float_list(cfg.gamma_grid)
     gamma_taus = parse_float_list(cfg.gamma_tau_grid)
+    for g in gammas:
+        for gt in gamma_taus:
+            make_hyper(cfg, gamma=g, gamma_tau=gt)
+    if cfg.method != "motaps":  # only motaps reads gamma_tau: one cell per gamma
+        gamma_taus = [cfg.gamma_tau]
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
-    for g, gt in cells:
-        make_hyper(cfg, gamma=g, gamma_tau=gt)
     with np.errstate(over="ignore", invalid="ignore"):
         finals = run_grid(cfg.method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
                           fi_star=cfg.fi_star, tau=cfg.tau)

@@ -12,6 +12,9 @@ Three related methods share the machinery here:
 * ``motaps``  like ``taps`` but the target τ is itself learned, damped by
               λ ∈ [0, lambda_max(n)).
 
+Both tracker methods keep their iterate in one ``TrackerState``; taps
+leaves its τ as given, bit for bit, and motaps overwrites it.
+
 Each method is one step of online SGD on a reformulated objective (see
 ``aux``), which fixes several conventions used below: the tracker mean
 ``alpha_bar`` is maintained incrementally but must always equal mean(alpha)
@@ -69,19 +72,9 @@ class NumericError(ArithmeticError):
 
 
 @dataclass
-class TapsState:
-    """Iterate of the fixed-target method: weights, trackers and their mean."""
-
-    w: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: float
-    tau_fixed: float
-    t: int = 0
-
-
-@dataclass
-class MotapsState:
-    """Iterate of the moving-target method; ``tau`` is learned."""
+class TrackerState:
+    """Iterate of taps and motaps: weights, trackers, their mean and the
+    target τ, which taps holds fixed and motaps learns."""
 
     w: np.ndarray
     alpha: np.ndarray
@@ -272,7 +265,9 @@ class _Kernel:
 
     ``sp``, ``taps``, ``motaps`` and ``sgd`` are the per-method steps, all
     with the signature (i, γ, γ_τ) -> applied coefficient; ``fi_stars`` is
-    anything indexable by sample index, and ``state`` holds the trackers.
+    anything indexable by sample index, and ``state`` is the ``TrackerState``.
+    taps and motaps share ``_tracker_step`` and ``_aggregate`` and differ
+    only in the τ they hand the latter: taps its own, motaps the learned one.
     """
 
     def __init__(self, spec, data, w, *, state=None, fi_stars=None,
@@ -280,7 +275,7 @@ class _Kernel:
         self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
         self.sigma, self.beta = spec.sigma, beta
         self.state, self.fi_stars, self.step_cap = state, fi_stars, step_cap
-        self.tau_coeff = motaps_tau_coeff(lam, self.n) if isinstance(state, MotapsState) else None
+        self.tau_coeff = motaps_tau_coeff(lam, self.n)
         self.v, self.s = w, 1.0
         self.z = w.copy() if beta else None
         self.wsq = float(w.dot(w))
@@ -395,37 +390,32 @@ class _Kernel:
         st.alpha_bar += gc / self.n
         return c
 
+    def _aggregate(self, delta, new_tau):
+        """Move every α_j and ᾱ by ``delta`` and set τ to ``new_tau``, both
+        computed by the caller from the pre-step state: the aggregate branch
+        is one simultaneous SGD step, and sequencing the τ assignment between
+        the α and ᾱ updates would detach alpha_bar from mean(alpha)."""
+        if not (math.isfinite(delta) and math.isfinite(new_tau)):
+            raise NumericError("non-finite aggregate update", sample_index=self.n)
+        st = self.state
+        st.alpha += delta
+        st.alpha_bar += delta
+        st.tau = new_tau
+        self._idle()
+        return 0.0
+
     def taps(self, i, gamma, gamma_tau):
         if i < self.n:
             return self._tracker_step(i, gamma)
         st = self.state
-        delta = gamma * (st.tau_fixed - st.alpha_bar)
-        if not math.isfinite(delta):
-            raise NumericError("non-finite aggregate update", sample_index=i)
-        st.alpha += delta
-        st.alpha_bar += delta
-        self._idle()
-        return 0.0
+        return self._aggregate(gamma * (st.tau - st.alpha_bar), st.tau)
 
     def motaps(self, i, gamma, gamma_tau):
         if i < self.n:
             return self._tracker_step(i, gamma)
-        # The aggregate branch is one simultaneous SGD step on the target
-        # component, so every line reads the pre-step values. Sequencing the τ
-        # assignment between the α and ᾱ updates would detach alpha_bar from
-        # mean(alpha) by γ·(τ_new − τ_old) at each aggregate step.
         st = self.state
-        old_tau = st.tau
-        old_bar = st.alpha_bar
-        delta = gamma * (old_tau - old_bar)
-        new_tau = (1.0 - gamma_tau) * old_tau + gamma_tau * self.tau_coeff * old_bar
-        if not (math.isfinite(delta) and math.isfinite(new_tau)):
-            raise NumericError("non-finite aggregate update", sample_index=i)
-        st.alpha += delta
-        st.alpha_bar = old_bar + delta
-        st.tau = new_tau
-        self._idle()
-        return 0.0
+        return self._aggregate(gamma * (st.tau - st.alpha_bar),
+                               (1.0 - gamma_tau) * st.tau + gamma_tau * self.tau_coeff * st.alpha_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +452,10 @@ def sp_step(
 
 
 def taps_step(
-    state: TapsState, spec: LossSpec, data: Dataset, sampled: int, gamma: float = 1.0
+    state: TrackerState, spec: LossSpec, data: Dataset, sampled: int, gamma: float = 1.0
 ) -> StepOutcome:
-    """One fixed-target step; ``sampled == n`` is the aggregate branch."""
+    """One fixed-target step; ``sampled == n`` is the aggregate branch.
+    ``state.tau`` is the fixed target, carried over unchanged."""
     _check_index(sampled, data.n + 1)
     st = _copy_state(state)
     kernel = _Kernel(spec, data, st.w, state=st)
@@ -475,7 +466,7 @@ def taps_step(
 
 
 def motaps_step(
-    state: MotapsState,
+    state: TrackerState,
     spec: LossSpec,
     data: Dataset,
     sampled: int,
@@ -483,7 +474,8 @@ def motaps_step(
     gamma_tau: float = 0.1,
     lam: float = 0.1,
 ) -> StepOutcome:
-    """One moving-target step; ``sampled == n`` updates the trackers and τ."""
+    """One moving-target step; ``sampled == n`` updates the trackers and
+    ``state.tau``, the learned target."""
     check_lambda(lam, data.n)
     _check_index(sampled, data.n + 1)
     st = _copy_state(state)
@@ -506,7 +498,7 @@ def momentum_step(z, w, direction, beta: float, gamma: float):
 
 
 def _copy_state(state):
-    """A TapsState or MotapsState with its own float64 copies of w and α."""
+    """A TrackerState with its own float64 copies of w and α."""
     return dataclasses.replace(
         state,
         w=np.array(state.w, dtype=np.float64),
@@ -595,7 +587,7 @@ def run_epochs(
 ) -> list[TraceRecord]:
     """Run a Polyak-family method for whole epochs and return its trace.
 
-    Initialization is w⁰ = 0 and α⁰ = ᾱ⁰ = τ⁰ = 0 unless ``init_state``
+    Initialization is w⁰ = 0, α⁰ = ᾱ⁰ = 0 and τ⁰ = ``tau`` unless ``init_state``
     supplies a starting state (copied, never mutated). Each epoch takes n
     sampled steps for sp/spsmax and n+1 for the tracker methods, sampling
     uniformly (the aggregate branch is index n). After every epoch the
@@ -604,7 +596,9 @@ def run_epochs(
     if given.
 
     ``fi_star`` (scalar or per-sample array) is the sp target; ``tau`` is
-    the fixed taps target or the initial motaps τ. A numeric abort raises
+    the fixed taps target or the initial motaps τ. ``init_state`` is a
+    weight vector for sp/spsmax and a ``TrackerState`` for taps and motaps,
+    whose ``tau`` then replaces ``tau``. A numeric abort raises
     NumericError with the completed records attached.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
@@ -616,8 +610,7 @@ def run_epochs(
         state = None
         w = np.zeros(dim) if init_state is None else np.array(init_state, dtype=np.float64)
     elif init_state is None:
-        kind = TapsState if meth == "taps" else MotapsState
-        state = kind(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
+        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
     else:
         state = _copy_state(init_state)
     if state is not None:
@@ -661,15 +654,13 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
     """
     from . import aux  # deferred: aux builds on the state types above
 
-    ev = tau_val = bar_val = None
+    ev = None
     if meth in ("sp", "spsmax"):
         ev = aux.aux_value_sp(w, w, spec, data, fi_stars)
     elif meth == "taps":
-        ev = aux.aux_value_taps(w, state.alpha, w, spec, data, state.tau_fixed)
-        tau_val, bar_val = state.tau_fixed, state.alpha_bar
+        ev = aux.aux_value_taps(w, state.alpha, w, spec, data, state.tau)
     elif meth == "motaps":
         ev = aux.aux_value_motaps(w, state.alpha, state.tau, w, spec, data, hyper.lam)
-        tau_val, bar_val = state.tau, state.alpha_bar
     if ev is None:
         loss, grad = full_loss(spec, data, w), full_grad(spec, data, w)
     else:
@@ -684,8 +675,8 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
         dist_to_opt=dist,
         aux_value=None if ev is None else ev.h_value,
         growth_ratio=None if ev is None else aux.growth_ratio(ev.growth_lhs, ev.growth_rhs),
-        tau=tau_val,
-        alpha_bar=bar_val,
+        tau=None if state is None else state.tau,
+        alpha_bar=None if state is None else state.alpha_bar,
     )
 
 
@@ -832,26 +823,25 @@ class _Batch:
         self.abar += gc / self.n
         self._keep(ok)
 
+    def _aggregate(self, delta, new_tau):
+        """``_Kernel._aggregate`` for every cell, dropping the cells where it
+        would raise."""
+        self.A += delta[:, None]
+        self.abar += delta
+        self.tau = new_tau
+        self._idle()
+        self._keep(np.isfinite(delta) & np.isfinite(new_tau))
+
     def taps(self, i, gamma, gamma_tau):
         if i < self.n:
             return self._tracker_step(i, gamma)
-        delta = gamma * (self.tau - self.abar)
-        self.A += delta[:, None]
-        self.abar += delta
-        self._idle()
-        self._keep(np.isfinite(delta))
+        self._aggregate(gamma * (self.tau - self.abar), self.tau)
 
     def motaps(self, i, gamma, gamma_tau):
         if i < self.n:
             return self._tracker_step(i, gamma)
-        old_tau, old_bar = self.tau, self.abar
-        delta = gamma * (old_tau - old_bar)
-        new_tau = (1.0 - gamma_tau) * old_tau + gamma_tau * self.tau_coeff * old_bar
-        self.A += delta[:, None]
-        self.abar = old_bar + delta
-        self.tau = new_tau
-        self._idle()
-        self._keep(np.isfinite(delta) & np.isfinite(new_tau))
+        self._aggregate(gamma * (self.tau - self.abar),
+                        (1.0 - gamma_tau) * self.tau + gamma_tau * self.tau_coeff * self.abar)
 
 
 def run_grid(
@@ -898,7 +888,6 @@ def run_grid(
     for r, cell in enumerate(batch.cells.tolist()):
         w, state = batch.V[r].copy(), None
         if not sp_like:
-            kind = TapsState if meth == "taps" else MotapsState
-            state = kind(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]), t)
+            state = TrackerState(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]), t)
         finals[cell] = _make_record(meth, spec, data, w, None, epochs, t / n, state, hyper, fi_stars)
     return finals

@@ -32,8 +32,7 @@ from .data import Dataset, SparseVector
 from .losses import LossSpec, loss_grad_i
 from .polyak import (
     HyperParams,
-    MotapsState,
-    TapsState,
+    TrackerState,
     lambda_max,
     motaps_step,
     run_epochs,
@@ -87,7 +86,7 @@ def growth_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                 fi_stars = np.abs(rng.standard_normal(n)) * 0.1
                 _, _, r_sp = aux.growth_check("sp", w, spec, data, fi_stars=fi_stars)
                 _, _, r_taps = aux.growth_check(
-                    "taps", TapsState(w, alpha, float(np.mean(alpha)), tau), spec, data
+                    "taps", TrackerState(w, alpha, float(np.mean(alpha)), tau), spec, data
                 )
                 dev = max(abs(r_sp - 1.0), abs(r_taps - 1.0))
                 if dev > worst:
@@ -98,7 +97,7 @@ def growth_suite(rng: np.random.Generator, sizes) -> SuiteReport:
         for lam in (0.0, 0.3, 0.7 * lambda_max(n), lambda_max(n)):
             for _ in range(85):
                 alpha = rng.standard_normal(n)
-                state = MotapsState(
+                state = TrackerState(
                     rng.standard_normal(d),
                     alpha,
                     float(np.mean(alpha)),
@@ -175,7 +174,7 @@ def sgd_equivalence_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             gamma_tau = float(rng.uniform(0.05, 0.9))
             lam = float(rng.uniform(0.0, lambda_max(n)))
             i = int(rng.integers(n + 1))
-            st = TapsState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
+            st = TrackerState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
             out = taps_step(st, spec, data, i, gamma)
             vw, valpha = aux.sgd_view_taps_step(w, alpha, spec, data, i, gamma, tau)
             dev = max(
@@ -185,7 +184,7 @@ def sgd_equivalence_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             note(dev, f"taps single step i={i} n={n}")
             failed = failed or dev > step_tol
 
-            mst = MotapsState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
+            mst = TrackerState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
             mout = motaps_step(mst, spec, data, i, gamma, gamma_tau, lam)
             mw, malpha, mtau = aux.sgd_view_motaps_step(
                 w, alpha, tau, spec, data, i, gamma, gamma_tau, lam
@@ -260,8 +259,8 @@ def invariance_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                 note(dev, value_tol, f"component mean n={n}")
         # the incrementally maintained tracker mean stays glued to mean(alpha)
         # across hundreds of raw steps (no epoch-end recompute here)
-        tstate = TapsState(np.zeros(d), np.zeros(n), 0.0, 0.1)
-        mstate = MotapsState(np.zeros(d), np.zeros(n), 0.0, 0.1)
+        tstate = TrackerState(np.zeros(d), np.zeros(n), 0.0, 0.1)
+        mstate = TrackerState(np.zeros(d), np.zeros(n), 0.0, 0.1)
         for _ in range(300):
             i = int(rng.integers(n + 1))
             tstate = taps_step(tstate, spec, sdata, i, 0.8).state_after

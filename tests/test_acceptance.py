@@ -49,8 +49,7 @@ from polyak_opt.losses import (
 )
 from polyak_opt.polyak import (
     HyperParams,
-    MotapsState,
-    TapsState,
+    TrackerState,
     decreasing_schedule,
     lambda_max,
     motaps_step,
@@ -178,7 +177,7 @@ def test_c01_growth_equalities_sp_taps():
         _, _, ratio = growth_check("sp", w, spec, data, fi_stars=fi_stars)
         worst = max(worst, abs(ratio - 1.0))
         alpha = rng.standard_normal(n)
-        state = TapsState(w, alpha, float(np.mean(alpha)), rng.standard_normal())
+        state = TrackerState(w, alpha, float(np.mean(alpha)), rng.standard_normal())
         _, _, ratio = growth_check("taps", state, spec, data)
         worst = max(worst, abs(ratio - 1.0))
         count += 1
@@ -202,7 +201,7 @@ def test_c02_growth_inequality_motaps():
         spec, data = random_problem(rng, n, d, count)
         w = rng.standard_normal(d)
         alpha = rng.standard_normal(n)
-        state = MotapsState(w, alpha, float(np.mean(alpha)), rng.standard_normal())
+        state = TrackerState(w, alpha, float(np.mean(alpha)), rng.standard_normal())
         for lam in (rng.uniform(0.0, lambda_max(n)), lambda_max(n)):
             hyper = HyperParams(lam=lam)
             _, _, ratio = growth_check("motaps", state, spec, data, hyper=hyper)
@@ -227,7 +226,7 @@ def test_c03_projection_equivalences():
         w = rng.standard_normal(d)
         alpha = rng.standard_normal(n)
         i = int(rng.integers(0, n))
-        state = TapsState(w, alpha, float(np.mean(alpha)), 0.0)
+        state = TrackerState(w, alpha, float(np.mean(alpha)), 0.0)
         stepped = taps_step(state, spec, data, i, gamma=1.0).state_after
         w_proj, a_proj = joint_projection_taps(w, float(alpha[i]), spec, data, i)
         fi = loss_i(spec, data, w, i)
@@ -340,7 +339,7 @@ def test_c07_taps_fixed_point():
     data, _ = synth_dataset(9, 15, 6, "underparam", noise=0.4)
     spec = LossSpec("squared", 0.3)
     cert = optimum_oracle(spec, data)
-    init = TapsState(
+    init = TrackerState(
         cert.w_star.copy(), cert.fi_star.copy(), cert.f_star, cert.f_star
     )
     moved = [0.0]
@@ -392,7 +391,7 @@ def test_c08_motaps_lambda_residual_tradeoff():
     assert cert.f_star > 0.1  # genuinely non-interpolating
     lams = (0.5, 0.1, 0.01)
     epochs, tail_len = 500, 50
-    init = MotapsState(
+    init = TrackerState(
         cert.w_star.copy(), cert.fi_star.copy(), cert.f_star, cert.f_star
     )
     res = {}
@@ -436,7 +435,7 @@ def test_c09_decreasing_schedule_contracts():
     at_2000, at_20000 = [], []
     for seed in range(5):
         rng = np.random.default_rng(900 + seed)
-        state = MotapsState(np.zeros(data.dim), np.zeros(n), 0.0, 0.0)
+        state = TrackerState(np.zeros(data.dim), np.zeros(n), 0.0, 0.0)
         for t in range(20000):
             g_t = decreasing_schedule(t, lam, mu, n)
             i = int(rng.integers(0, n + 1))

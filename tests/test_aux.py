@@ -34,8 +34,7 @@ from polyak_opt.losses import (
 )
 from polyak_opt.polyak import (
     HyperParams,
-    MotapsState,
-    TapsState,
+    TrackerState,
     lambda_max,
     motaps_step,
     run_epochs,
@@ -364,7 +363,7 @@ class TestGrowthCheck:
     def test_taps_equality(self):
         rng = np.random.default_rng(71)
         spec, data = random_problem(rng)
-        st = TapsState(
+        st = TrackerState(
             rng.standard_normal(data.dim), rng.standard_normal(data.n), 0.0, 0.5
         )
         _, _, ratio = growth_check("taps", st, spec, data)
@@ -374,11 +373,20 @@ class TestGrowthCheck:
         rng = np.random.default_rng(73)
         spec, data = random_problem(rng)
         hyper = HyperParams(lam=0.4)
-        st = MotapsState(
+        st = TrackerState(
             rng.standard_normal(data.dim), rng.standard_normal(data.n), 0.0, 0.2
         )
         _, _, ratio = growth_check("motaps", st, spec, data, hyper=hyper)
         assert ratio <= 1.0 + 1e-12
+
+    def test_motaps_needs_lambda(self):
+        rng = np.random.default_rng(73)
+        spec, data = random_problem(rng)
+        st = TrackerState(
+            rng.standard_normal(data.dim), rng.standard_normal(data.n), 0.0, 0.2
+        )
+        with pytest.raises(ValueError, match="lambda"):
+            growth_check("motaps", st, spec, data)
 
     def test_stationary_state_ratio_is_one(self):
         data = dense_dataset([[1.0]], [0.0])
@@ -456,7 +464,7 @@ class TestSgdViewSteps:
         a0 = rng.standard_normal(n)
         tau = 0.3
         for i in range(n + 1):
-            st0 = TapsState(w0.copy(), a0.copy(), float(np.mean(a0)), tau)
+            st0 = TrackerState(w0.copy(), a0.copy(), float(np.mean(a0)), tau)
             ref = taps_step(st0, spec, data, i, gamma=0.8).state_after
             w2, a2 = sgd_view_taps_step(w0, a0, spec, data, i, 0.8, tau)
             assert_allclose(w2, ref.w, rtol=1e-12, atol=1e-14)
@@ -471,7 +479,7 @@ class TestSgdViewSteps:
         tau = 0.4
         for lam, gamma, gamma_tau in [(0.1, 0.9, 0.1), (0.5, 0.3, 0.7), (0.0, 1.0, 0.2)]:
             for i in range(n + 1):
-                st0 = MotapsState(w0.copy(), a0.copy(), float(np.mean(a0)), tau)
+                st0 = TrackerState(w0.copy(), a0.copy(), float(np.mean(a0)), tau)
                 ref = motaps_step(
                     st0, spec, data, i, gamma=gamma, gamma_tau=gamma_tau, lam=lam
                 ).state_after
@@ -559,7 +567,7 @@ class TestFaultInjection:
         n = data.n
         w0 = rng.standard_normal(data.dim)
         a0 = rng.standard_normal(n)
-        st0 = MotapsState(w0.copy(), a0.copy(), float(np.mean(a0)), 0.9)
+        st0 = TrackerState(w0.copy(), a0.copy(), float(np.mean(a0)), 0.9)
         ref = motaps_step(st0, spec, data, n, gamma=0.9, gamma_tau=0.3, lam=0.4)
         with inject_tau_gradient_fault():
             _, _, tau_bad = sgd_view_motaps_step(

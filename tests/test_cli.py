@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: flag/config precedence, every
 subcommand's output shape, and the documented exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from polyak_opt import cli
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
-from polyak_opt.config import resolve_dataset
+from polyak_opt.config import ExperimentConfig, resolve_dataset
 from polyak_opt.data import load_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
 from polyak_opt.polyak import NumericError, lambda_max
@@ -314,13 +315,26 @@ class TestGrid:
         return cfg
 
     def test_csv_shape_and_best_line(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1,0.2")
+        cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1,0.2", method="motaps")
         code, out, _ = run_cli(capsys, "grid", "--config", str(cfg))
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "gamma,gamma_tau,final_grad_norm,final_loss"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("# best gamma=")
+
+    def test_methods_without_gamma_tau_sweep_gamma_only(self, tmp_path, capsys):
+        # taps never reads gamma_tau: one row per gamma, at the configured
+        # gamma_tau, whose grid is still checked
+        cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1,0.2")
+        code, out, _ = run_cli(capsys, "grid", "--config", str(cfg), "--gamma-tau", "0.3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 2 + 1
+        assert [line.split(",")[:2] for line in lines[1:3]] == [["0.5", "0.3"], ["1.0", "0.3"]]
+        cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1,1.5")
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg))
+        assert code == 2 and "gamma_tau" in err and out == ""
 
     def test_json_cells(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "0.5,1.0", "0.1")
@@ -462,7 +476,9 @@ class TestGridMatchesRun:
             return
         assert code == 0
         cells = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
-        assert len(cells) == len(gammas.split(",")) * len(gamma_taus.split(","))
+        # only motaps reads gamma_tau; the others sweep gamma alone
+        swept = len(gamma_taus.split(",")) if "motaps" in settings else 1
+        assert len(cells) == len(gammas.split(",")) * swept
         aborted = 0
         for gamma, gamma_tau, grad_norm, loss in cells:
             code, out, _ = run_cli(
@@ -641,6 +657,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_flags_are_config_keys(self):
+        # every common flag sets the config field of its dest; these ten
+        # keys have no flag and are set in a config file only
+        flags = set(vars(cli.build_parser().parse_args(["run"]))) - {"command", "config", "threads"}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert flags <= fields
+        assert fields - flags == {
+            "family", "power_r", "step_cap", "schedule", "mu", "budget",
+            "methods", "gamma_grid", "gamma_tau_grid", "sgd_schedule",
+        }
 
 
 def test_run_imports_numpy_alone():

@@ -20,9 +20,8 @@ from polyak_opt.data import Dataset, SparseVector
 from polyak_opt.losses import LossSpec, full_grad, loss_grad_i, loss_i
 from polyak_opt.polyak import (
     HyperParams,
-    MotapsState,
     NumericError,
-    TapsState,
+    TrackerState,
     _epoch_loop,
     choose_lambda,
     decreasing_schedule,
@@ -53,17 +52,17 @@ def half_square_1d():
 
 def taps_state(w, alpha, tau=0.0):
     alpha = np.asarray(alpha, dtype=np.float64)
-    return TapsState(
+    return TrackerState(
         w=np.asarray(w, dtype=np.float64),
         alpha=alpha.copy(),
         alpha_bar=float(np.mean(alpha)),
-        tau_fixed=tau,
+        tau=tau,
     )
 
 
 def motaps_state(w, alpha, tau=0.0):
     alpha = np.asarray(alpha, dtype=np.float64)
-    return MotapsState(
+    return TrackerState(
         w=np.asarray(w, dtype=np.float64),
         alpha=alpha.copy(),
         alpha_bar=float(np.mean(alpha)),
@@ -328,9 +327,31 @@ class TestTapsStep:
 
     def test_nonfinite_tracker_aborts(self):
         spec, data = half_square_1d()
-        st = TapsState(np.array([1.0]), np.array([np.inf]), math.inf, 0.0)
+        st = TrackerState(np.array([1.0]), np.array([np.inf]), math.inf, 0.0)
         with pytest.raises(NumericError):
             taps_step(st, spec, data, 1, gamma=1.0)
+
+    def test_aggregate_keeps_a_negative_zero_target(self):
+        # taps holds tau as given: a motaps step with gamma_tau = 0 would
+        # compute (1 - 0)*(-0.0) + 0*c*abar, which is +0.0 for abar > 0
+        spec = LossSpec(family="squared")
+        data = dense_dataset([[1.0], [1.0]], [0.0, 0.0])
+        st = taps_step(taps_state([0.5], [1.0, 3.0], tau=-0.0), spec, data, 2, gamma=0.5).state_after
+        assert st.alpha_bar > 0.0
+        assert math.copysign(1.0, st.tau) == -1.0
+
+    def test_run_keeps_a_negative_zero_target(self):
+        spec, data = LossSpec(family="logistic"), dense_dataset([[1.0, -0.5]], [1.0])
+        seed, epochs = 3, 6
+        # index n = 1 is the aggregate branch; the trackers start, and stay,
+        # above the target, so every aggregate step sees abar > 0
+        rng = np.random.default_rng(seed)
+        draws = np.concatenate([sample_indices(rng, 2, 2) for _ in range(epochs)])
+        assert 1 in draws.tolist()
+        init = TrackerState(np.zeros(2), np.array([2.0]), 2.0, tau=-0.0)
+        records = run_epochs("taps", spec, data, HyperParams(gamma=0.5), epochs, seed, init_state=init)
+        assert all(rec.alpha_bar > 0.0 for rec in records)
+        assert [math.copysign(1.0, rec.tau) for rec in records] == [-1.0] * epochs
 
 
 class TestMotapsStep:
@@ -658,8 +679,8 @@ class TestRunEpochs:
                     ev = aux.aux_value_sp(w, w, spec, data, cert.fi_star)
                     tau = bar = None
                 elif method == "taps":
-                    ev = aux.aux_value_taps(w, st.alpha, w, spec, data, st.tau_fixed)
-                    tau, bar = st.tau_fixed, st.alpha_bar
+                    ev = aux.aux_value_taps(w, st.alpha, w, spec, data, st.tau)
+                    tau, bar = st.tau, st.alpha_bar
                 else:
                     ev = aux.aux_value_motaps(w, st.alpha, st.tau, w, spec, data, hyper.lam)
                     tau, bar = st.tau, st.alpha_bar
@@ -810,8 +831,7 @@ class TestStepKernel:
             return
         assert_allclose(st.w, w_ref, rtol=1e-10, atol=1e-14)
         assert_allclose(st.alpha, alpha_ref, rtol=1e-10, atol=1e-14)
-        tau = st.tau if method == "motaps" else st.tau_fixed
-        assert_allclose(tau, tau_ref, rtol=1e-10)
+        assert_allclose(st.tau, tau_ref, rtol=1e-10)
 
     def test_scale_collapse_folds_to_the_dense_step(self):
         # gamma*c*sigma >= 1 zeroes or flips the scale of w, so the kernel
@@ -954,7 +974,7 @@ class TestKernelProperties:
         state = final["state"]
         if method in ("taps", "motaps"):
             assert_allclose(state.alpha, alpha_ref, rtol=1e-10, atol=1e-14)
-            assert_allclose(state.tau if method == "motaps" else state.tau_fixed, tau_ref, rtol=1e-10)
+            assert_allclose(state.tau, tau_ref, rtol=1e-10)
             state = state.w
         assert_allclose(state, w_ref, rtol=1e-10, atol=1e-14)
         if beta or method == "spsmax":
