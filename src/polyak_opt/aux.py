@@ -381,7 +381,7 @@ def run_epochs_sgd_view(
     n = data.n
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
-    w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), float(tau or 0.0)
+    w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), 0.0 if tau is None else float(tau)
 
     def step(i, t):
         nonlocal w, alpha, tau_val

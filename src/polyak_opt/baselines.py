@@ -107,11 +107,11 @@ class SagTable:
 
     def check_sum(self, data: Dataset, tol: float = 1e-9) -> float:
         """Relative drift of grad_sum against a fresh Σ dvals[i]·x_i;
-        raises above ``tol``."""
+        raises above ``tol`` or on NaN."""
         fresh = data.X.T @ self.dvals
         scale = max(float(np.linalg.norm(fresh)), 1.0)
         err = float(np.linalg.norm(self.grad_sum - fresh)) / scale
-        if err > tol:
+        if not err <= tol:
             raise ArithmeticError(f"SAG table drifted: relative error {err:.3e}")
         return err
 

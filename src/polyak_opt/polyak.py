@@ -610,7 +610,7 @@ def run_epochs(
         state = None
         w = np.zeros(dim) if init_state is None else np.array(init_state, dtype=np.float64)
     elif init_state is None:
-        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, float(tau or 0.0))
+        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, 0.0 if tau is None else float(tau))
     else:
         state = _copy_state(init_state)
     if state is not None:
@@ -874,7 +874,8 @@ def run_grid(
     n = data.n
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
-    batch = _Batch(spec, data, hyper, cells, trackers=not sp_like, tau=float(tau or 0.0),
+    batch = _Batch(spec, data, hyper, cells, trackers=not sp_like,
+                   tau=0.0 if tau is None else float(tau),
                    fi_stars=fi_stars.tolist(), step_cap=_step_cap(meth, hyper))
     step = getattr(batch, "sp" if sp_like else meth)
     high = n if sp_like else n + 1

@@ -15,6 +15,10 @@ Five suites, each summarized by its worst-case violation:
 * gradient_check        analytic stacked gradients against central finite
                         differences of the surrogate values.
 
+Every suite judges its checks by one rule: a check fails unless its
+deviation is at most its tolerance, so a NaN deviation fails the suite
+(and shows as ``worst=nan``).
+
 ``run_all`` executes them deterministically from a seed; with
 ``inject_fault=True`` it deliberately corrupts one gradient formula
 (``aux.inject_tau_gradient_fault``) to demonstrate the suites can fail.
@@ -22,6 +26,7 @@ Five suites, each summarized by its worst-case violation:
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -53,6 +58,24 @@ class SuiteReport:
     detail: str = ""
 
 
+class _Tally:
+    """Verdict of one suite: a check fails unless ``dev <= tol`` (so NaN
+    fails); ``worst`` is the largest deviation seen, NaN once any is NaN,
+    and ``detail`` names where it came from."""
+
+    def __init__(self, name: str, tolerance: float):
+        self.name, self.tolerance = name, tolerance
+        self.worst, self.detail, self.failed = 0.0, "", False
+
+    def note(self, dev, what: str, tol: float | None = None) -> None:
+        if not math.isnan(self.worst) and not dev <= self.worst:
+            self.worst, self.detail = dev, what
+        self.failed = self.failed or not dev <= (self.tolerance if tol is None else tol)
+
+    def report(self) -> SuiteReport:
+        return SuiteReport(self.name, not self.failed, self.worst, self.tolerance, self.detail)
+
+
 def _dataset(rng: np.random.Generator, n: int, d: int, labels: str) -> Dataset:
     x = rng.standard_normal((n, d))
     y = rng.choice([-1.0, 1.0], size=n) if labels == "signs" else rng.standard_normal(n)
@@ -73,9 +96,7 @@ def _random_specs(rng: np.random.Generator):
 
 
 def growth_suite(rng: np.random.Generator, sizes) -> SuiteReport:
-    tol = 1e-12
-    worst = 0.0
-    detail = ""
+    tally = _Tally("growth", 1e-12)
     for n, d in sizes:
         for spec, kind in _random_specs(rng):
             data = _dataset(rng, n, d, kind)
@@ -88,9 +109,9 @@ def growth_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                 _, _, r_taps = aux.growth_check(
                     "taps", TrackerState(w, alpha, float(np.mean(alpha)), tau), spec, data
                 )
-                dev = max(abs(r_sp - 1.0), abs(r_taps - 1.0))
-                if dev > worst:
-                    worst, detail = dev, f"equality at n={n} d={d} {spec.family}"
+                what = f"equality at n={n} d={d} {spec.family}"
+                tally.note(abs(r_sp - 1.0), what)
+                tally.note(abs(r_taps - 1.0), what)
         # the motaps side is an inequality; sweep λ up to and including the cap
         data = _dataset(rng, n, d, "signs")
         spec = LossSpec("logistic", sigma=0.1)
@@ -104,16 +125,12 @@ def growth_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                     float(rng.standard_normal()),
                 )
                 _, _, ratio = aux.growth_check("motaps", state, spec, data, HyperParams(lam=lam))
-                over = ratio - 1.0
-                if over > worst:
-                    worst, detail = over, f"bound at n={n} λ={lam:.3g}"
-    return SuiteReport("growth", worst <= tol, worst, tol, detail)
+                tally.note(ratio - 1.0, f"bound at n={n} λ={lam:.3g}")
+    return tally.report()
 
 
 def projection_suite(rng: np.random.Generator, sizes) -> SuiteReport:
-    tol = 1e-8
-    worst = 0.0
-    detail = ""
+    tally = _Tally("projection", 1e-8)
     for _, d in sizes:
         for _ in range(50):
             x0 = rng.standard_normal(d)
@@ -121,12 +138,8 @@ def projection_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             b = float(rng.standard_normal())
             closed = aux.project_hyperplane(x0, a, b)
             kkt = aux.kkt_projection(x0, a, b)
-            dev = max(
-                float(np.max(np.abs(closed - kkt))),
-                abs(float(a @ closed) - b),
-            )
-            if dev > worst:
-                worst, detail = dev, f"hyperplane d={d}"
+            tally.note(float(np.max(np.abs(closed - kkt))), f"hyperplane d={d}")
+            tally.note(abs(float(a @ closed) - b), f"hyperplane d={d}")
     for n, d in sizes:
         spec = LossSpec("logistic", sigma=0.2)
         data = _dataset(rng, n, d, "signs")
@@ -141,27 +154,15 @@ def projection_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                 np.append(g, -1.0),
                 float(g @ w) - fi,  # linearized f_i(w_t) + <g, x − w_t> = α at x
             )
-            dev = max(
-                float(np.max(np.abs(w_plus - stacked[:d]))),
-                abs(a_plus - stacked[d]),
-            )
-            if dev > worst:
-                worst, detail = dev, f"joint projection n={n} d={d}"
-    return SuiteReport("projection", worst <= tol, worst, tol, detail)
+            what = f"joint projection n={n} d={d}"
+            tally.note(float(np.max(np.abs(w_plus - stacked[:d]))), what)
+            tally.note(abs(a_plus - stacked[d]), what)
+    return tally.report()
 
 
 def sgd_equivalence_suite(rng: np.random.Generator, sizes) -> SuiteReport:
     step_tol = 1e-12
-    trace_tol = 1e-10
-    worst = 0.0
-    detail = ""
-
-    def note(dev, what):
-        nonlocal worst, detail
-        if dev > worst:
-            worst, detail = dev, what
-
-    failed = False
+    tally = _Tally("sgd_equivalence", 1e-10)  # the trace tolerance
     for n, d in sizes:
         spec = LossSpec("logistic", sigma=0.3)
         data = _dataset(rng, n, d, "signs")
@@ -177,25 +178,19 @@ def sgd_equivalence_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             st = TrackerState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
             out = taps_step(st, spec, data, i, gamma)
             vw, valpha = aux.sgd_view_taps_step(w, alpha, spec, data, i, gamma, tau)
-            dev = max(
-                float(np.max(np.abs(out.state_after.w - vw))),
-                float(np.max(np.abs(out.state_after.alpha - valpha))),
-            )
-            note(dev, f"taps single step i={i} n={n}")
-            failed = failed or dev > step_tol
+            what = f"taps single step i={i} n={n}"
+            tally.note(float(np.max(np.abs(out.state_after.w - vw))), what, step_tol)
+            tally.note(float(np.max(np.abs(out.state_after.alpha - valpha))), what, step_tol)
 
             mst = TrackerState(w.copy(), alpha.copy(), float(np.mean(alpha)), tau)
             mout = motaps_step(mst, spec, data, i, gamma, gamma_tau, lam)
             mw, malpha, mtau = aux.sgd_view_motaps_step(
                 w, alpha, tau, spec, data, i, gamma, gamma_tau, lam
             )
-            dev = max(
-                float(np.max(np.abs(mout.state_after.w - mw))),
-                float(np.max(np.abs(mout.state_after.alpha - malpha))),
-                abs(mout.state_after.tau - mtau),
-            )
-            note(dev, f"motaps single step i={i} n={n}")
-            failed = failed or dev > step_tol
+            what = f"motaps single step i={i} n={n}"
+            tally.note(float(np.max(np.abs(mout.state_after.w - mw))), what, step_tol)
+            tally.note(float(np.max(np.abs(mout.state_after.alpha - malpha))), what, step_tol)
+            tally.note(abs(mout.state_after.tau - mtau), what, step_tol)
         # short whole traces, every method
         for method, hyper in (
             ("sp", HyperParams(gamma=0.7)),
@@ -209,25 +204,13 @@ def sgd_equivalence_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                     va, vb = getattr(a_rec, field), getattr(b_rec, field)
                     if va is None and vb is None:
                         continue
-                    dev = abs(va - vb)
-                    note(dev, f"{method} trace field {field} n={n}")
-                    failed = failed or dev > trace_tol
-    return SuiteReport("sgd_equivalence", not failed, worst, trace_tol, detail)
+                    tally.note(abs(va - vb), f"{method} trace field {field} n={n}")
+    return tally.report()
 
 
 def invariance_suite(rng: np.random.Generator, sizes) -> SuiteReport:
     value_tol = 1e-12  # the two value identities
-    drift_tol = 1e-9  # tracker-mean consistency along runs
-    worst = 0.0
-    detail = ""
-    failed = False
-
-    def note(dev, sub_tol, what):
-        nonlocal worst, detail, failed
-        if dev > worst:
-            worst, detail = dev, what
-        failed = failed or dev > sub_tol
-
+    tally = _Tally("invariance", 1e-9)  # tracker-mean consistency along runs
     for n, d in sizes:
         data = _dataset(rng, n, d, "reals")
         # sp surrogate unchanged under f_i -> c_i f_i (realized through the
@@ -241,7 +224,7 @@ def invariance_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             ha = aux.aux_value_sp(w, w, spec_a, data, np.zeros(n))
             hb = aux.aux_value_sp(w, w, spec_b, data, np.zeros(n))
             scale = max(abs(ha.h_value), 1e-30)
-            note(abs(ha.h_value - hb.h_value) / scale, value_tol, f"scaling invariance n={n}")
+            tally.note(abs(ha.h_value - hb.h_value) / scale, f"scaling invariance n={n}", value_tol)
         # h equals the mean of its components for every surrogate
         spec = LossSpec("logistic", sigma=0.1)
         sdata = _dataset(rng, n, d, "signs")
@@ -256,7 +239,7 @@ def invariance_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             ):
                 scale = max(abs(ev.h_value), 1e-30)
                 dev = abs(ev.h_value - float(np.mean(ev.component_values))) / scale
-                note(dev, value_tol, f"component mean n={n}")
+                tally.note(dev, f"component mean n={n}", value_tol)
         # the incrementally maintained tracker mean stays glued to mean(alpha)
         # across hundreds of raw steps (no epoch-end recompute here)
         tstate = TrackerState(np.zeros(d), np.zeros(n), 0.0, 0.1)
@@ -267,14 +250,12 @@ def invariance_suite(rng: np.random.Generator, sizes) -> SuiteReport:
             mstate = motaps_step(mstate, spec, sdata, i, 0.8, 0.3, 0.2).state_after
             for label, state in (("taps", tstate), ("motaps", mstate)):
                 dev = abs(state.alpha_bar - float(np.mean(state.alpha)))
-                note(dev, drift_tol, f"{label} tracker mean n={n}")
-    return SuiteReport("invariance", not failed, worst, drift_tol, detail)
+                tally.note(dev, f"{label} tracker mean n={n}")
+    return tally.report()
 
 
 def gradient_check_suite(rng: np.random.Generator, sizes) -> SuiteReport:
-    tol = 1e-5
-    worst = 0.0
-    detail = ""
+    tally = _Tally("gradient_check", 1e-5)
     for n, d in sizes:
         for spec, kind in ((LossSpec("logistic", sigma=0.2), "signs"), (LossSpec("squared"), "reals")):
             data = _dataset(rng, n, d, kind)
@@ -319,9 +300,8 @@ def gradient_check_suite(rng: np.random.Generator, sizes) -> SuiteReport:
                     zm[k] -= h
                     num[k] = (value(zp) - value(zm)) / (2.0 * h)
                 dev = float(np.max(np.abs(num - ana))) / max(1.0, float(np.max(np.abs(ana))))
-                if dev > worst:
-                    worst, detail = dev, f"{name} gradient {spec.family} n={n}"
-    return SuiteReport("gradient_check", worst <= tol, worst, tol, detail)
+                tally.note(dev, f"{name} gradient {spec.family} n={n}")
+    return tally.report()
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,12 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def fold_max(*devs):
+    """Largest deviation, NaN if any is NaN (the builtin max drops a NaN
+    that is not its first argument)."""
+    return float(np.max(devs))
+
+
 def fd_gradient(func, x, h_scale=1e-6):
     """Central finite differences of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -175,11 +181,11 @@ def test_c01_growth_equalities_sp_taps():
         w = rng.standard_normal(d)
         fi_stars = rng.standard_normal(n)
         _, _, ratio = growth_check("sp", w, spec, data, fi_stars=fi_stars)
-        worst = max(worst, abs(ratio - 1.0))
+        worst = fold_max(worst, abs(ratio - 1.0))
         alpha = rng.standard_normal(n)
         state = TrackerState(w, alpha, float(np.mean(alpha)), rng.standard_normal())
         _, _, ratio = growth_check("taps", state, spec, data)
-        worst = max(worst, abs(ratio - 1.0))
+        worst = fold_max(worst, abs(ratio - 1.0))
         count += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -205,7 +211,7 @@ def test_c02_growth_inequality_motaps():
         for lam in (rng.uniform(0.0, lambda_max(n)), lambda_max(n)):
             hyper = HyperParams(lam=lam)
             _, _, ratio = growth_check("motaps", state, spec, data, hyper=hyper)
-            worst = max(worst, ratio)
+            worst = fold_max(worst, ratio)
     elapsed = time.perf_counter() - start
     ok = worst <= 1.0 + 1e-12 and elapsed < 5.0
     report("C02", ok, f"motaps growth bound: worst ratio={worst:.15f} "
@@ -238,7 +244,7 @@ def test_c03_projection_equivalences():
             (w_proj, a_proj),
             (stacked[:d], float(stacked[d])),
         ):
-            worst = max(
+            worst = fold_max(
                 worst,
                 float(np.max(np.abs(stepped.w - other_w))),
                 abs(float(stepped.alpha[i]) - other_a),
@@ -275,7 +281,7 @@ def test_c04_sgd_viewpoint_trace_equality():
                 if va is None or vb is None:
                     assert va is None and vb is None
                 else:
-                    worst = max(worst, rel_err(float(va), float(vb)))
+                    worst = fold_max(worst, rel_err(float(va), float(vb)))
     ok = worst <= 1e-10
     report("C04", ok, f"sgd-view trace equality (sp/taps/motaps, 20 epochs): "
                       f"worst rel dev={worst:.3e} tol=1e-10")
@@ -345,7 +351,7 @@ def test_c07_taps_fixed_point():
     moved = [0.0]
 
     def observer(_epoch, state):
-        moved[0] = max(
+        moved[0] = fold_max(
             moved[0],
             float(np.max(np.abs(state.w - cert.w_star))),
             float(np.max(np.abs(state.alpha - cert.fi_star))),
@@ -475,10 +481,10 @@ def test_c10_sp_invariances():
         iterates[name] = snaps
     worst_scale = 0.0
     for wa, wb in zip(iterates["base"], iterates["scaled"]):
-        worst_scale = max(worst_scale, float(np.max(np.abs(wa - wb))))
+        worst_scale = fold_max(worst_scale, float(np.max(np.abs(wa - wb))))
     for ra, rb in zip(traces["base"], traces["scaled"]):
-        worst_scale = max(worst_scale, rel_err(ra.aux_value, rb.aux_value))
-        worst_scale = max(worst_scale, rel_err(ra.growth_ratio, rb.growth_ratio))
+        worst_scale = fold_max(worst_scale, rel_err(ra.aux_value, rb.aux_value))
+        worst_scale = fold_max(worst_scale, rel_err(ra.growth_ratio, rb.growth_ratio))
 
     # power rule on single monomial steps, margins kept away from zero
     rng = np.random.default_rng(104)
@@ -500,7 +506,7 @@ def test_c10_sp_invariances():
             )
             w_pow = sp_step(spec_pow, prob, w, i, gamma=0.8).state_after
             w_base = sp_step(spec_base, prob, w, i, gamma=0.8 / p).state_after
-            worst_power = max(worst_power, float(np.max(np.abs(w_pow - w_base))))
+            worst_power = fold_max(worst_power, float(np.max(np.abs(w_pow - w_base))))
     ok = worst_scale <= 1e-12 and worst_power <= 1e-10
     report("C10", ok, f"sp invariances: scaling dev={worst_scale:.3e} "
                       f"(tol 1e-12), power-rule dev={worst_power:.3e} "
@@ -522,7 +528,7 @@ def test_c11_motaps_surrogate_value_at_optimum():
                 cert.w_star, cert.fi_star, cert.f_star, cert.w_star, spec, data, lam
             )
             expected = lam * cert.f_star**2 / (2 * (n + 1))
-            worst = max(worst, rel_err(ev.h_value, expected))
+            worst = fold_max(worst, rel_err(ev.h_value, expected))
     ok = worst <= 1e-12
     report("C11", ok, f"motaps surrogate value at optimum: worst rel "
                       f"dev={worst:.3e} tol=1e-12")
@@ -557,11 +563,11 @@ def test_c12_gradient_checks():
         else:
             w = rng.standard_normal(d)
         i = int(rng.integers(0, n))
-        worst["loss_i"] = max(
+        worst["loss_i"] = fold_max(
             worst["loss_i"],
             check(grad_i(spec, data, w, i), fd_gradient(lambda v: loss_i(spec, data, v, i), w)),
         )
-        worst["full"] = max(
+        worst["full"] = fold_max(
             worst["full"],
             check(full_grad(spec, data, w), fd_gradient(lambda v: full_loss(spec, data, v), w)),
         )
@@ -570,14 +576,14 @@ def test_c12_gradient_checks():
         alpha = rng.standard_normal(n)
         tau = float(rng.standard_normal())
         lam = float(rng.uniform(0.0, 0.8))
-        worst["sp"] = max(
+        worst["sp"] = fold_max(
             worst["sp"],
             check(
                 mean_grad_sp(w, w_t, spec, data, fi_stars),
                 fd_gradient(lambda v: aux_value_sp(v, w_t, spec, data, fi_stars).h_value, w),
             ),
         )
-        worst["taps"] = max(
+        worst["taps"] = fold_max(
             worst["taps"],
             check(
                 mean_grad_taps(w, alpha, w_t, spec, data, tau),
@@ -587,7 +593,7 @@ def test_c12_gradient_checks():
                 ),
             ),
         )
-        worst["motaps"] = max(
+        worst["motaps"] = fold_max(
             worst["motaps"],
             check(
                 mean_grad_motaps(w, alpha, tau, w_t, spec, data, lam),
@@ -599,7 +605,7 @@ def test_c12_gradient_checks():
                 ),
             ),
         )
-    worst_all = max(worst.values())
+    worst_all = fold_max(*worst.values())
     ok = worst_all <= 1e-5
     detail = " ".join(f"{k}={v:.2e}" for k, v in worst.items())
     report("C12", ok, f"gradient checks (100 instances each): {detail} "

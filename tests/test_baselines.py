@@ -133,6 +133,13 @@ class TestSag:
         with pytest.raises(ArithmeticError):
             table.check_sum(data)
 
+    def test_check_sum_raises_on_nan(self):
+        data = dense_dataset(np.eye(3), np.ones(3))
+        table = SagTable.zeros(3, 3)
+        table.grad_sum[1] = np.nan
+        with pytest.raises(ArithmeticError, match="nan"):
+            table.check_sum(data)
+
 
 class TestSvrg:
     def test_at_reference_point_moves_along_full_gradient(self):

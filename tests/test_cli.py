@@ -59,6 +59,14 @@ class TestRun:
         assert main([*args, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_negative_zero_target_is_kept(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--dataset", SMALL, "--method", "taps", "--tau", "-0.0", "--epochs", "2",
+        )
+        assert code == 0
+        records = parse_trace_csv(out)
+        assert [math.copysign(1.0, r.tau) for r in records] == [-1.0, -1.0]
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

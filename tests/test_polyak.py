@@ -50,17 +50,7 @@ def half_square_1d():
     return LossSpec(family="squared"), dense_dataset([[1.0]], [0.0])
 
 
-def taps_state(w, alpha, tau=0.0):
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return TrackerState(
-        w=np.asarray(w, dtype=np.float64),
-        alpha=alpha.copy(),
-        alpha_bar=float(np.mean(alpha)),
-        tau=tau,
-    )
-
-
-def motaps_state(w, alpha, tau=0.0):
+def tracker_state(w, alpha, tau=0.0):
     alpha = np.asarray(alpha, dtype=np.float64)
     return TrackerState(
         w=np.asarray(w, dtype=np.float64),
@@ -246,7 +236,7 @@ class TestSpStep:
 class TestTapsStep:
     def test_data_branch_worked_example(self):
         spec, data = half_square_1d()
-        out = taps_step(taps_state([2.0], [0.0]), spec, data, 0, gamma=1.0)
+        out = taps_step(tracker_state([2.0], [0.0]), spec, data, 0, gamma=1.0)
         st = out.state_after
         assert_allclose(out.polyak_coeff, 0.4, rtol=1e-15)
         assert_allclose(st.alpha, [0.4], rtol=1e-15)
@@ -256,7 +246,7 @@ class TestTapsStep:
 
     def test_matched_tracker_is_a_fixed_point(self):
         spec, data = half_square_1d()
-        st0 = taps_state([2.0], [2.0])  # alpha_i == f_i(w)
+        st0 = tracker_state([2.0], [2.0])  # alpha_i == f_i(w)
         out = taps_step(st0, spec, data, 0, gamma=1.0)
         assert out.polyak_coeff == 0.0
         assert_array_equal(out.state_after.w, st0.w)
@@ -265,7 +255,7 @@ class TestTapsStep:
     def test_aggregate_worked_example(self):
         spec, data = half_square_1d()
         data2 = dense_dataset([[1.0], [1.0]], [0.0, 0.0])
-        st0 = taps_state([0.5], [1.0, 3.0], tau=0.0)
+        st0 = tracker_state([0.5], [1.0, 3.0], tau=0.0)
         out = taps_step(st0, spec, data2, 2, gamma=1.0)
         st = out.state_after
         assert out.polyak_coeff == 0.0
@@ -275,7 +265,7 @@ class TestTapsStep:
 
     def test_input_state_not_mutated(self):
         spec, data = half_square_1d()
-        st0 = taps_state([2.0], [0.0])
+        st0 = tracker_state([2.0], [0.0])
         taps_step(st0, spec, data, 0, gamma=1.0)
         assert_array_equal(st0.w, [2.0])
         assert_array_equal(st0.alpha, [0.0])
@@ -285,7 +275,7 @@ class TestTapsStep:
         spec, data = half_square_1d()
         for bad in (-1, 2):
             with pytest.raises(IndexError):
-                taps_step(taps_state([2.0], [0.0]), spec, data, bad)
+                taps_step(tracker_state([2.0], [0.0]), spec, data, bad)
 
     def test_aggregate_unit_step_lands_on_target(self):
         rng = np.random.default_rng(53)
@@ -294,7 +284,7 @@ class TestTapsStep:
             n = int(rng.integers(2, 8))
             data = dense_dataset(rng.standard_normal((n, 3)), rng.standard_normal(n))
             tau = float(rng.standard_normal())
-            st0 = taps_state(rng.standard_normal(3), rng.standard_normal(n), tau=tau)
+            st0 = tracker_state(rng.standard_normal(3), rng.standard_normal(n), tau=tau)
             st = taps_step(st0, spec, data, n, gamma=1.0).state_after
             assert_allclose(np.mean(st.alpha), tau, rtol=1e-12, atol=1e-12)
             assert_allclose(st.alpha_bar, tau, rtol=1e-12, atol=1e-12)
@@ -305,7 +295,7 @@ class TestTapsStep:
             n, d = 5, 4
             data = dense_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
             spec = LossSpec(family="logistic", sigma=0.1)
-            st0 = taps_state(rng.standard_normal(d), rng.standard_normal(n))
+            st0 = tracker_state(rng.standard_normal(d), rng.standard_normal(n))
             i = int(rng.integers(n))
             st = taps_step(st0, spec, data, i, gamma=1.0).state_after
             w_proj, alpha_proj = joint_projection_taps(
@@ -319,7 +309,7 @@ class TestTapsStep:
         n, d = 12, 5
         data = dense_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
         spec = LossSpec(family="logistic")
-        st = taps_state(rng.standard_normal(d), rng.standard_normal(n), tau=0.3)
+        st = tracker_state(rng.standard_normal(d), rng.standard_normal(n), tau=0.3)
         for _ in range(300):
             st = taps_step(st, spec, data, int(rng.integers(n + 1)), gamma=0.9).state_after
             drift = abs(st.alpha_bar - float(np.mean(st.alpha)))
@@ -336,7 +326,7 @@ class TestTapsStep:
         # compute (1 - 0)*(-0.0) + 0*c*abar, which is +0.0 for abar > 0
         spec = LossSpec(family="squared")
         data = dense_dataset([[1.0], [1.0]], [0.0, 0.0])
-        st = taps_step(taps_state([0.5], [1.0, 3.0], tau=-0.0), spec, data, 2, gamma=0.5).state_after
+        st = taps_step(tracker_state([0.5], [1.0, 3.0], tau=-0.0), spec, data, 2, gamma=0.5).state_after
         assert st.alpha_bar > 0.0
         assert math.copysign(1.0, st.tau) == -1.0
 
@@ -353,6 +343,18 @@ class TestTapsStep:
         assert all(rec.alpha_bar > 0.0 for rec in records)
         assert [math.copysign(1.0, rec.tau) for rec in records] == [-1.0] * epochs
 
+    @pytest.mark.parametrize("trace", [
+        lambda *args: run_epochs("taps", *args, 3, 5, tau=-0.0),
+        lambda *args: run_epochs_sgd_view("taps", *args, 3, 5, tau=-0.0),
+        lambda *args: run_grid("taps", *args, [(0.5, 0.1), (0.9, 0.1)], 3, 5, tau=-0.0),
+    ], ids=["run_epochs", "sgd_view", "run_grid"])
+    def test_runs_started_at_a_negative_zero_target_keep_it(self, trace):
+        # tau=-0.0 is a target like any other, not a missing one
+        spec = LossSpec(family="logistic")
+        data = dense_dataset([[1.0, -0.5], [0.3, 2.0]], [1.0, -1.0])
+        records = trace(spec, data, HyperParams(gamma=0.5))
+        assert [math.copysign(1.0, rec.tau) for rec in records] == [-1.0] * len(records)
+
 
 class TestMotapsStep:
     def test_data_branch_matches_taps_exactly(self):
@@ -362,9 +364,9 @@ class TestMotapsStep:
         spec = LossSpec(family="logistic")
         w0, a0 = rng.standard_normal(d), rng.standard_normal(n)
         for i in range(n):
-            t_out = taps_step(taps_state(w0, a0, tau=0.7), spec, data, i, gamma=0.9)
+            t_out = taps_step(tracker_state(w0, a0, tau=0.7), spec, data, i, gamma=0.9)
             m_out = motaps_step(
-                motaps_state(w0, a0, tau=0.7), spec, data, i,
+                tracker_state(w0, a0, tau=0.7), spec, data, i,
                 gamma=0.9, gamma_tau=0.1, lam=0.0,
             )
             assert_array_equal(m_out.state_after.w, t_out.state_after.w)
@@ -376,7 +378,7 @@ class TestMotapsStep:
         n = 9
         data = dense_dataset(np.eye(n), np.zeros(n))
         spec = LossSpec(family="squared")
-        st0 = motaps_state(np.zeros(n), 8.2 * np.ones(n), tau=0.0)
+        st0 = tracker_state(np.zeros(n), 8.2 * np.ones(n), tau=0.0)
         out = motaps_step(st0, spec, data, n, gamma=1.0, gamma_tau=0.1, lam=0.1)
         st = out.state_after
         assert_allclose(st.tau, 0.81, rtol=1e-14)
@@ -390,7 +392,7 @@ class TestMotapsStep:
         data = dense_dataset([[1.0], [1.0]], [0.0, 2.0])
         spec = LossSpec(family="squared")
         f_mean = 0.5
-        st0 = motaps_state([1.0], [0.5, 0.5], tau=f_mean)
+        st0 = tracker_state([1.0], [0.5, 0.5], tau=f_mean)
         lam, gamma_tau = 0.3, 0.2
         for i in range(2):
             out = motaps_step(st0, spec, data, i, gamma=0.9, gamma_tau=gamma_tau, lam=lam)
@@ -404,15 +406,15 @@ class TestMotapsStep:
     def test_lambda_cap_enforced(self):
         spec, data = half_square_1d()
         with pytest.raises(ValueError):
-            motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=0.7)
+            motaps_step(tracker_state([1.0], [0.0]), spec, data, 0, lam=0.7)
 
     def test_lambda_max_itself_rejected(self):
         # lambda must lie in [0, lambda_max(n)): the cap itself is out
         spec, data = half_square_1d()
         with pytest.raises(ValueError, match="lambda_max"):
-            motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=lambda_max(1))
+            motaps_step(tracker_state([1.0], [0.0]), spec, data, 0, lam=lambda_max(1))
         below = math.nextafter(lambda_max(1), 0.0)
-        motaps_step(motaps_state([1.0], [0.0]), spec, data, 0, lam=below)
+        motaps_step(tracker_state([1.0], [0.0]), spec, data, 0, lam=below)
 
     def test_lambda_zero_gap_contraction(self):
         # with lam=0 and gamma_tau = gamma*n the target chases alpha_bar:
@@ -423,7 +425,7 @@ class TestMotapsStep:
         gamma_tau = gamma * n
         data = dense_dataset(rng.standard_normal((n, 2)), rng.standard_normal(n))
         spec = LossSpec(family="squared")
-        st = motaps_state(rng.standard_normal(2), rng.standard_normal(n), tau=2.0)
+        st = tracker_state(rng.standard_normal(2), rng.standard_normal(n), tau=2.0)
         for _ in range(8):
             gap = st.tau - st.alpha_bar
             st = motaps_step(
@@ -438,7 +440,7 @@ class TestMotapsStep:
         n, d = 10, 4
         data = dense_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
         spec = LossSpec(family="logistic")
-        st = motaps_state(rng.standard_normal(d), rng.standard_normal(n), tau=0.5)
+        st = tracker_state(rng.standard_normal(d), rng.standard_normal(n), tau=0.5)
         for _ in range(300):
             st = motaps_step(
                 st, spec, data, int(rng.integers(n + 1)),
@@ -535,7 +537,7 @@ class TestRunEpochs:
             observer=lambda epoch, st: seen.append(st.w.copy()),
         )
         rng = np.random.default_rng(5)
-        st = taps_state(np.zeros(3), np.zeros(n), tau=0.2)
+        st = tracker_state(np.zeros(3), np.zeros(n), tau=0.2)
         manual = []
         for _ in range(3):
             for i in rng.integers(0, n + 1, size=n + 1):
@@ -618,7 +620,7 @@ class TestRunEpochs:
 
     def test_init_state_used_and_not_mutated(self):
         spec, data = interpolating_problem(n=6, d=3)
-        st0 = taps_state(np.full(3, 2.0), np.full(6, 0.5), tau=0.1)
+        st0 = tracker_state(np.full(3, 2.0), np.full(6, 0.5), tau=0.1)
         w_before = st0.w.copy()
         from_zero = run_epochs("taps", spec, data, HyperParams(), epochs=1, seed=3, tau=0.1)
         warm = run_epochs(
@@ -891,10 +893,10 @@ class TestStepKernel:
             elif method in ("sp", "spsmax"):
                 w = sp_step(spec, data, w, i, gamma=gamma, fi_star=fi_star, step_cap=cap).state_after
             elif method == "taps":
-                state = taps_step(taps_state(w, alpha, 0.1), spec, data, i, gamma=gamma).state_after
+                state = taps_step(tracker_state(w, alpha, 0.1), spec, data, i, gamma=gamma).state_after
                 w, alpha = state.w, state.alpha
             else:
-                state = motaps_step(motaps_state(w, alpha, 0.1), spec, data, i,
+                state = motaps_step(tracker_state(w, alpha, 0.1), spec, data, i,
                                     gamma=gamma, gamma_tau=gamma_tau, lam=lam).state_after
                 w, alpha = state.w, state.alpha
             assert w.tobytes() == want_w.tobytes()
