@@ -40,10 +40,10 @@ from .config import (
     resolve_dataset,
 )
 from .data import (
+    CSRMatrix,
     Dataset,
     DimensionMismatch,
     ParseError,
-    SparseVector,
     load_libsvm,
     normalize_samples,
     parse_libsvm,

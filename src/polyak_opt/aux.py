@@ -168,8 +168,8 @@ def aux_value_sp(w, w_t, spec: LossSpec, data: Dataset, fi_stars) -> AuxEval:
     denom = np.where(live, anchor.grad_sqnorms, 1.0)
     components = np.where(live, 0.5 * diff * diff / denom, 0.0)
     sqnorms = np.where(live, (diff / denom) ** 2 * cur.grad_sqnorms, 0.0)
-    h = float(np.mean(components))
-    lhs = float(np.mean(sqnorms))
+    h = float(components.sum() / components.size)
+    lhs = float(sqnorms.sum() / sqnorms.size)
     return AuxEval(h, components, sqnorms, lhs, 2.0 * h, cur)
 
 
@@ -181,12 +181,12 @@ def aux_value_taps(w, alpha, w_t, spec: LossSpec, data: Dataset, tau: float) -> 
     denom = anchor.grad_sqnorms + 1.0
     diff = cur.values - alpha
     ctilde = diff / denom
-    alpha_bar = float(np.mean(alpha))
+    alpha_bar = float(alpha.sum() / alpha.size)
     gap = alpha_bar - tau
     components = np.append(0.5 * diff * diff / denom, 0.5 * n * gap * gap)
     sqnorms = np.append(ctilde * ctilde * (cur.grad_sqnorms + 1.0), n * gap * gap)
-    h = float(np.mean(components))
-    lhs = float(np.mean(sqnorms))
+    h = float(components.sum() / components.size)
+    lhs = float(sqnorms.sum() / sqnorms.size)
     return AuxEval(h, components, sqnorms, lhs, 2.0 * h, cur)
 
 
@@ -203,7 +203,7 @@ def aux_value_motaps(
     denom = anchor.grad_sqnorms + 1.0
     diff = cur.values - alpha
     ctilde = diff / denom
-    alpha_bar = float(np.mean(alpha))
+    alpha_bar = float(alpha.sum() / alpha.size)
     gap = alpha_bar - tau
     alpha_coord, tau_grad = _coupling_grads(alpha_bar, tau, lam, n)
     components = np.append(
@@ -214,8 +214,8 @@ def aux_value_motaps(
         (oml * ctilde) ** 2 * (cur.grad_sqnorms + 1.0),
         n * alpha_coord * alpha_coord + tau_grad * tau_grad,
     )
-    h = float(np.mean(components))
-    lhs = float(np.mean(sqnorms))
+    h = float(components.sum() / components.size)
+    lhs = float(sqnorms.sum() / sqnorms.size)
     return AuxEval(h, components, sqnorms, lhs, 2.0 * oml * (2 * n + 1) * h, cur)
 
 
@@ -287,24 +287,32 @@ def star_convexity_probe(h_t: float, h_star: float, grad_t, z_t, z_star) -> floa
 # growth check
 
 
+def _anchored(meth: str, spec: LossSpec, data: Dataset, w, state, hyper, fi_stars):
+    """The surrogate of method ``meth`` at w anchored at w (taps and motaps
+    read α and τ from ``state``, motaps λ from ``hyper``), or None for a
+    method without one. It looks ``aux_value_*`` up in this module's
+    namespace at each call, so a wrapper set on this module sees every
+    record's surrogate."""
+    if meth in ("sp", "spsmax"):
+        return aux_value_sp(w, w, spec, data, fi_stars)
+    if meth == "taps":
+        return aux_value_taps(w, state.alpha, w, spec, data, state.tau)
+    if meth == "motaps":
+        return aux_value_motaps(w, state.alpha, state.tau, w, spec, data, hyper.lam)
+    return None
+
+
 def growth_check(method: str, state, spec: LossSpec, data: Dataset, hyper=None, fi_stars=None):
     """(lhs, rhs, ratio) of the gradient-growth condition at a state
     evaluated at its own anchor. For sp, ``state`` is the weight vector
     itself and fi_stars defaults to zeros; taps and motaps take a
     ``TrackerState``, and motaps reads λ from ``hyper``, which it needs."""
     meth = method.lower()
-    if meth in ("sp", "spsmax"):
-        w = state.w if hasattr(state, "w") else state
-        if fi_stars is None:
-            fi_stars = np.zeros(data.n)
-        ev = aux_value_sp(w, w, spec, data, fi_stars)
-    elif meth == "taps":
-        ev = aux_value_taps(state.w, state.alpha, state.w, spec, data, state.tau)
-    elif meth == "motaps":
-        if hyper is None:
-            raise ValueError("motaps's growth check needs hyper for lambda")
-        ev = aux_value_motaps(state.w, state.alpha, state.tau, state.w, spec, data, hyper.lam)
-    else:
+    if meth == "motaps" and hyper is None:
+        raise ValueError("motaps's growth check needs hyper for lambda")
+    w = state.w if hasattr(state, "w") else state
+    ev = _anchored(meth, spec, data, w, state, hyper, np.zeros(data.n) if fi_stars is None else fi_stars)
+    if ev is None:
         raise ValueError(f"unknown method {method!r}")
     return ev.growth_lhs, ev.growth_rhs, growth_ratio(ev.growth_lhs, ev.growth_rhs)
 

@@ -10,8 +10,9 @@ Settings resolve as defaults < ``--config`` file < explicit flags. Every
 command runs in one thread; ``--threads N`` is still accepted for old
 scripts and ignored. Exit codes: 0 success, 1 failed verification, 2 bad
 configuration or input, 3 numeric abort (partial trace still written).
-Only a ``ConfigError``, a ``ParseError`` or a missing file is reported as
-exit 2; every other exception is a bug and propagates.
+Only a ``ConfigError``, a ``ParseError`` or an ``OSError`` (a file that
+is missing, a directory, or cannot be read or written) is reported as exit
+2; every other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -100,7 +101,11 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
     file_updates = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_updates = parse_updates(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not UTF-8 text: {exc.reason}") from None
+        file_updates = parse_updates(text)
     flag_updates = {
         name: value
         for name, value in vars(args).items()
@@ -346,7 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,9 @@ The ``dataset`` value is either a LIBSVM file path or a synthetic spec
 from __future__ import annotations
 
 import dataclasses
+import gzip
 import math
+import zlib
 from dataclasses import dataclass
 
 from .baselines import SGD_SCHEDULES
@@ -170,12 +172,15 @@ def parse_float_list(raw: str) -> list[float]:
 
 def resolve_dataset(spec: str) -> Dataset:
     """Load a LIBSVM path or build a ``synth:...`` dataset; a spec the
-    generator rejects, or a file that is not UTF-8 text, is a ConfigError."""
+    generator rejects, a file that is not UTF-8 text, or a corrupt or
+    truncated gzip file is a ConfigError."""
     if not spec.startswith("synth:"):
         try:
             return load_libsvm(spec)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{spec} is not UTF-8 text: {exc.reason}") from None
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ConfigError(f"{spec} is not a readable gzip file: {exc}") from None
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"synthetic spec must be synth:<mode>:k=v,..., got {spec!r}")

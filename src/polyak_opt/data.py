@@ -1,7 +1,8 @@
 """Sparse datasets: LIBSVM-format I/O and seeded synthetic problem generators.
 
-A ``Dataset`` stores its features as a ``CSRMatrix`` (this module's own
-compressed-sparse-row type, built on numpy alone), together with the
+A ``Dataset`` is built from a ``CSRMatrix`` (this module's own
+compressed-sparse-row type, built on numpy alone) or from a dense 2-D
+array, and stores its features as one ``CSRMatrix``, together with the
 labels, the per-row square norms and per-row (indices, values) views into
 the CSR arrays. A full-batch product costs O(nnz) and one sample is two
 array views, so nothing is ever stored or scanned at n x d beyond the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,62 +36,6 @@ class DimensionMismatch(ValueError):
     """A sparse index addresses past the end of a dense vector."""
 
 
-class SparseVector:
-    """Immutable sparse row: strictly increasing indices, finite nonzero values.
-
-    Explicit zeros are dropped at construction; duplicate or decreasing
-    indices are rejected.
-    """
-
-    __slots__ = ("indices", "values")
-
-    def __init__(self, indices, values):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-D and the same length")
-        if idx.size and idx[0] < 0:
-            raise ValueError("negative feature index")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("non-finite feature value")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("feature indices must be strictly increasing")
-        keep = val != 0.0
-        if not keep.all():
-            idx = idx[keep]
-            val = val[keep]
-        idx.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseVector is immutable")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def sqnorm(self) -> float:
-        return float(np.dot(self.values, self.values))
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseVector)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self):
-        pairs = " ".join(f"{i}:{v!r}" for i, v in zip(self.indices, self.values))
-        return f"SparseVector({pairs})"
-
-
 class Row(NamedTuple):
     """One sample of a ``Dataset``: read-only views of its CSR slice."""
 
@@ -98,9 +43,9 @@ class Row(NamedTuple):
     values: np.ndarray
 
 
-def dot(x, w: np.ndarray) -> float:
-    """Inner product of a sparse row (a ``SparseVector`` or a ``Row``) with a
-    dense vector. Empty row -> 0."""
+def dot(x: Row, w: np.ndarray) -> float:
+    """Inner product of a sparse row (a ``Row``, or anything with sorted
+    ``indices`` and matching ``values``) with a dense vector. Empty row -> 0."""
     if x.indices.size == 0:
         return 0.0
     if x.indices[-1] >= len(w):
@@ -135,8 +80,10 @@ class CSRMatrix:
 
     ``data`` (float64), ``indices`` and ``indptr`` (intp) are the CSR
     arrays, ``row_ids[e]`` is the row of stored entry e, and ``shape`` is
-    (n, d). The caller hands over valid CSR arrays (indices within range
-    and increasing along each row); they are made read-only.
+    (n, d). The arrays are checked and made read-only: ``indptr`` must be
+    n+1 non-decreasing offsets from 0 to nnz, and the indices must lie in
+    [0, d) and strictly increase along each row, or ValueError. ``data``
+    may hold zeros and non-finite values.
 
     ``X @ w``, ``X.T @ u`` and ``gram()`` add each output's terms one at a
     time in storage order (rows in order for ``gram``), starting from 0.0,
@@ -154,13 +101,16 @@ class CSRMatrix:
     ``X.T @ u`` the same over ``data`` seen as n x d. numpy reduces along
     axis 0 of a C-contiguous array one row at a time into the output, so
     each output is the same sequential sum, in storage order, as the
-    scatter-add's. Two cases would break that:
+    scatter-add's. Three cases would break that:
 
     * a reduced array with one column is summed pairwise, not in order,
       so a matrix with one row (for ``X @ w``) or one column (for
       ``X.T @ u``) keeps the scatter-add for both products;
     * the sum must start from +0.0: ``initial=0.0`` pins it, so that a
-      column of -0.0 terms (w = 0 against negative entries) sums to +0.0.
+      column of -0.0 terms (w = 0 against negative entries) sums to +0.0;
+    * where two NaNs of different bits meet, numpy's vector and scalar
+      loops of the reduction may keep different ones, so a product with a
+      NaN output is computed again by the scatter-add.
 
     Every other matrix scatter-adds its products with ``np.bincount``.
     """
@@ -173,7 +123,16 @@ class CSRMatrix:
         self.indptr = np.asarray(indptr, dtype=np.intp)
         n, d = self.shape = (int(shape[0]), int(shape[1]))
         self.nnz = int(self.data.size)
-        self.row_ids = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
+        ptr, idx = self.indptr, self.indices
+        if self.data.ndim != 1 or idx.shape != self.data.shape:
+            raise ValueError("data and indices must be 1-D and the same length")
+        if ptr.shape != (n + 1,) or ptr[0] != 0 or ptr[-1] != self.nnz or (ptr[1:] < ptr[:-1]).any():
+            raise ValueError(f"indptr must be {n + 1} non-decreasing offsets from 0 to nnz={self.nnz}")
+        self.row_ids = np.repeat(np.arange(n, dtype=np.intp), np.diff(ptr))
+        if self.nnz and (idx.min() < 0 or idx.max() >= d):
+            raise ValueError(f"feature index out of range [0, {d})")
+        if ((idx[1:] <= idx[:-1]) & (self.row_ids[1:] == self.row_ids[:-1])).any():
+            raise ValueError("feature indices must strictly increase along a row")
         self.dense = self.nnz == n * d
         self.columns = None
         if self.dense and n > 1 and d > 1:
@@ -183,10 +142,12 @@ class CSRMatrix:
             arr.setflags(write=False)
 
     def __matmul__(self, w) -> np.ndarray:
-        if self.columns is None:
-            return _spread(w, self.indices, self.row_ids, self.data, self.shape[1], self.shape[0])
-        return np.add.reduce(self.columns * _vector(w, self.shape[1])[:, None], axis=0,
-                             initial=0.0)
+        n, d = self.shape
+        if self.columns is not None:
+            out = np.add.reduce(self.columns * _vector(w, d)[:, None], axis=0, initial=0.0)
+            if not np.isnan(out).any():
+                return out
+        return _spread(w, self.indices, self.row_ids, self.data, d, n)
 
     @property
     def T(self) -> "_Transposed":
@@ -233,55 +194,50 @@ class _Transposed:
     def __matmul__(self, u) -> np.ndarray:
         X = self.X
         n, d = X.shape
-        if X.columns is None:
-            return _spread(u, X.row_ids, X.indices, X.data, n, d)
-        return np.add.reduce(X.data.reshape(n, d) * _vector(u, n)[:, None], axis=0, initial=0.0)
+        if X.columns is not None:
+            out = np.add.reduce(X.data.reshape(n, d) * _vector(u, n)[:, None], axis=0, initial=0.0)
+            if not np.isnan(out).any():
+                return out
+        return _spread(u, X.row_ids, X.indices, X.data, n, d)
 
 
 class Dataset:
     """Immutable collection of sparse samples with real labels.
 
-    ``samples`` is a sequence of ``SparseVector`` rows, a ``CSRMatrix``,
-    or a scipy sparse matrix (any object with a ``tocsr`` method; its
-    duplicate entries are summed). Explicit zeros in a matrix are dropped.
-    ``dim`` defaults to max index + 1 for rows and to the column count for
-    a matrix, and may be overridden upward (a dataset may simply not touch
-    its trailing features).
+    ``X`` is a ``CSRMatrix`` (which has checked its arrays) or a dense 2-D
+    array, whose nonzeros become the stored entries. Explicit zeros are
+    dropped, and a non-finite feature value is a ValueError. ``dim``
+    defaults to the column count of ``X`` and may be overridden upward (a
+    dataset may simply not touch its trailing features).
 
-    ``X`` is the n x dim ``CSRMatrix``, and ``rows[i]`` is sample i as a
-    ``Row`` of views into it.
+    ``X`` is then the n x dim ``CSRMatrix``, and ``rows[i]`` is sample i as
+    a ``Row`` of views into it.
     """
 
     __slots__ = ("X", "labels", "dim", "row_sqnorms", "rows")
 
-    def __init__(self, samples: Sequence[SparseVector] | CSRMatrix, labels,
-                 dim: int | None = None):
+    def __init__(self, X: CSRMatrix | np.ndarray, labels, dim: int | None = None):
         labels_arr = np.array(labels, dtype=np.float64)
-        if hasattr(samples, "tocsr"):
-            csr = samples.tocsr().astype(np.float64)  # a copy
-            csr.sum_duplicates()
-            samples = CSRMatrix(csr.data, csr.indices, csr.indptr, csr.shape)
-        if isinstance(samples, CSRMatrix):
-            keep = samples.data != 0.0
-            values, indices = samples.data[keep], samples.indices[keep]
-            indptr = np.concatenate(([0], np.cumsum(keep)))[samples.indptr]
-            if not np.isfinite(values).all():
-                raise ValueError("non-finite feature value")
-            max_dim = samples.shape[1]
+        if isinstance(X, CSRMatrix):
+            keep = X.data != 0.0
+            values, indices = X.data[keep], X.indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[X.indptr]
         else:
-            samples = tuple(samples)
-            indptr = np.zeros(len(samples) + 1, dtype=np.int64)
-            np.cumsum([s.nnz for s in samples], out=indptr[1:])
-            indices = np.concatenate([s.indices for s in samples] or [np.zeros(0, np.int64)])
-            values = np.concatenate([s.values for s in samples] or [np.zeros(0)])
-            max_dim = int(indices.max()) + 1 if indices.size else 0
-        n = indptr.size - 1
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim != 2:
+                raise ValueError(f"a dense feature array must be 2-D, got shape {X.shape}")
+            nonzero = np.nonzero(X)
+            values, indices = X[nonzero], nonzero[1]
+            indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(X, axis=1))))
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite feature value")
+        n, max_dim = X.shape
         if labels_arr.ndim != 1 or n != labels_arr.size:
             raise ValueError("samples and labels must have matching length")
         if dim is None:
             dim = max_dim
         elif dim < max_dim:
-            raise ValueError(f"dim={dim} smaller than max feature index + 1 ({max_dim})")
+            raise ValueError(f"dim={dim} smaller than the {max_dim} columns of the features")
         X = CSRMatrix(values, indices, indptr, (n, int(dim)))
         bounds = X.indptr.tolist()
         rows = tuple(
@@ -402,13 +358,6 @@ def normalize_samples(data: Dataset) -> Dataset:
     return Dataset(CSRMatrix(X.data / nrm[X.row_ids], X.indices, X.indptr, X.shape), data.labels)
 
 
-def _dense_csr(a: np.ndarray) -> CSRMatrix:
-    """The nonzeros of a dense 2-D array, row by row."""
-    rows, cols = np.nonzero(a)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1))))
-    return CSRMatrix(a[rows, cols], cols, indptr, a.shape)
-
-
 def synth_dataset(
     seed: int, n: int, d: int, mode: str, noise: float = 0.0
 ) -> tuple[Dataset, np.ndarray | None]:
@@ -439,7 +388,7 @@ def synth_dataset(
                 m = float(np.dot(x, w_true))
             X[r] = x
             labels.append(1.0 if m > 0 else -1.0)
-        return Dataset(_dense_csr(X), labels), None
+        return Dataset(X, labels), None
     if mode == "underparam":
         if n <= d:
             raise ValueError("underparam mode requires n > d")
@@ -448,7 +397,7 @@ def synth_dataset(
         y = X @ w_true
         if noise != 0.0:
             y = y + noise * rng.standard_normal(n)
-        data = Dataset(_dense_csr(X), y)
+        data = Dataset(X, y)
         if noise == 0.0:
             # planted vector is the exact minimizer iff the residual gradient
             # vanishes (least squares is convex, so zero gradient is global)

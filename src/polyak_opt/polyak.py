@@ -654,13 +654,7 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
     """
     from . import aux  # deferred: aux builds on the state types above
 
-    ev = None
-    if meth in ("sp", "spsmax"):
-        ev = aux.aux_value_sp(w, w, spec, data, fi_stars)
-    elif meth == "taps":
-        ev = aux.aux_value_taps(w, state.alpha, w, spec, data, state.tau)
-    elif meth == "motaps":
-        ev = aux.aux_value_motaps(w, state.alpha, state.tau, w, spec, data, hyper.lam)
+    ev = aux._anchored(meth, spec, data, w, state, hyper, fi_stars)
     if ev is None:
         loss, grad = full_loss(spec, data, w), full_grad(spec, data, w)
     else:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aux
-from .data import Dataset, SparseVector
+from .data import Dataset
 from .losses import LossSpec, loss_grad_i
 from .polyak import (
     HyperParams,
@@ -79,8 +79,7 @@ class _Tally:
 def _dataset(rng: np.random.Generator, n: int, d: int, labels: str) -> Dataset:
     x = rng.standard_normal((n, d))
     y = rng.choice([-1.0, 1.0], size=n) if labels == "signs" else rng.standard_normal(n)
-    idx = np.arange(d, dtype=np.int64)
-    return Dataset([SparseVector(idx, row) for row in x], y)
+    return Dataset(x, y)
 
 
 def _random_specs(rng: np.random.Generator):

@@ -37,7 +37,7 @@ from polyak_opt.aux import (
 )
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
-from polyak_opt.data import Dataset, SparseVector, synth_dataset
+from polyak_opt.data import Dataset, synth_dataset
 from polyak_opt.losses import (
     LossSpec,
     full_grad,
@@ -65,12 +65,6 @@ def report(tag: str, ok: bool, detail: str) -> None:
     print(f"{tag} {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def dense_dataset(rng, n, d, labels):
-    X = rng.standard_normal((n, d))
-    rows = [SparseVector(np.arange(d), X[i]) for i in range(n)]
-    return Dataset(rows, labels, d)
-
-
 def random_problem(rng, n, d, family_idx):
     """One random (spec, data) pair, cycling the loss families."""
     family = ("squared", "logistic", "monomial")[family_idx % 3]
@@ -85,7 +79,7 @@ def random_problem(rng, n, d, family_idx):
         labels = rng.standard_normal(n)
         scales = np.exp(rng.uniform(-1.0, 1.0, n))
         spec = LossSpec("monomial", sigma, power_r=rng.uniform(0.6, 1.4), scales=scales)
-    return spec, dense_dataset(rng, n, d, labels)
+    return spec, Dataset(rng.standard_normal((n, d)), labels)
 
 
 def rel_err(a, b):
@@ -125,7 +119,7 @@ def interpolating_ls():
     rng = np.random.default_rng(2024)
     n = d = 20
     sigma = 0.5
-    data = dense_dataset(rng, n, d, np.zeros(n))
+    data = Dataset(rng.standard_normal((n, d)), np.zeros(n))
     spec = LossSpec("squared", sigma)
     l_i, _ = smoothness_constants(spec, data)
     mu_i = np.full(n, sigma)
@@ -148,8 +142,7 @@ def residual_ls():
     Q, _ = np.linalg.qr(X)
     resid = u - Q @ (Q.T @ u)
     y = resid / np.sqrt(np.mean(resid**2))
-    rows = [SparseVector(np.arange(d), X[i]) for i in range(n)]
-    data = Dataset(rows, y, d)
+    data = Dataset(X, y)
     spec = LossSpec("squared", 0.0)
     cert = optimum_oracle(spec, data)
     return spec, data, cert
@@ -491,7 +484,7 @@ def test_c10_sp_invariances():
     worst_power = 0.0
     for _ in range(30):
         n, d = 6, 4
-        prob = dense_dataset(rng, n, d, np.zeros(n))
+        prob = Dataset(rng.standard_normal((n, d)), np.zeros(n))
         w = rng.standard_normal(d)
         margins = prob.X @ w
         shift = np.where(rng.standard_normal(n) > 0, 1.0, -1.0) * rng.uniform(0.4, 1.5, n)

@@ -25,7 +25,7 @@ from polyak_opt.aux import (
     sgd_view_taps_step,
     star_convexity_probe,
 )
-from polyak_opt.data import Dataset, SparseVector, synth_dataset
+from polyak_opt.data import Dataset, synth_dataset
 from polyak_opt.losses import (
     LossSpec,
     batch_eval,
@@ -42,14 +42,8 @@ from polyak_opt.polyak import (
 )
 
 
-def dense_dataset(rows, labels):
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    samples = [SparseVector(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
-    return Dataset(samples, labels, dim=rows.shape[1])
-
-
 def random_problem(rng, n=6, d=4, sigma=0.15):
-    data = dense_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+    data = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
     return LossSpec(family="logistic", sigma=sigma), data
 
 
@@ -105,7 +99,7 @@ class TestJointProjection:
         assert a2 == fi
 
     def test_quadratic_worked_example(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         spec = LossSpec(family="squared")
         w2, a2 = joint_projection_taps(np.array([2.0]), 0.0, spec, data, 0)
         assert_allclose(w2, [1.2], rtol=1e-15)
@@ -130,7 +124,7 @@ class TestJointProjection:
 
 class TestAuxValueSp:
     def test_quadratic_component(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         spec = LossSpec(family="squared")
         w = np.array([2.0])
         ev = aux_value_sp(w, w, spec, data, [0.0])
@@ -146,9 +140,7 @@ class TestAuxValueSp:
         assert ev.h_value < 1e-25
 
     def test_dead_gradient_component_dropped(self):
-        data = Dataset(
-            [SparseVector([0], [1.0]), SparseVector([], [])], [0.0, 0.0], dim=1
-        )
+        data = Dataset([[1.0], [0.0]], [0.0, 0.0])
         spec = LossSpec(family="squared")
         w = np.array([3.0])
         ev = aux_value_sp(w, w, spec, data, np.zeros(2))
@@ -179,7 +171,7 @@ class TestAuxValueSp:
         # surrogate value unchanged
         rng = np.random.default_rng(19)
         n, d = 5, 3
-        data = dense_dataset(rng.standard_normal((n, d)), np.zeros(n))
+        data = Dataset(rng.standard_normal((n, d)), np.zeros(n))
         scales = rng.uniform(0.5, 2.0, n)
         c = rng.uniform(0.2, 5.0, n)
         base = LossSpec(family="monomial", power_r=1.2, scales=scales)
@@ -201,7 +193,7 @@ class TestAuxValueSp:
 
 class TestAuxValueTaps:
     def test_worked_example(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         spec = LossSpec(family="squared")
         w = np.array([2.0])
         ev = aux_value_taps(w, [0.0], w, spec, data, 0.0)
@@ -269,7 +261,7 @@ class TestAuxValueMotaps:
         for _ in range(1000):
             n = int(rng.integers(1, 8))
             d = int(rng.integers(1, 5))
-            data = dense_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+            data = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
             spec = LossSpec(family="squared", sigma=float(rng.uniform(0.0, 0.5)))
             lam = float(rng.uniform(0.0, lambda_max(n)))
             w = rng.standard_normal(d)
@@ -305,7 +297,7 @@ class TestMeanGradients:
         rng = np.random.default_rng(53)
         for spec_family in ("logistic", "squared"):
             spec = LossSpec(family=spec_family, sigma=0.2)
-            data = dense_dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
+            data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
             w_t = rng.standard_normal(4)
             w = rng.standard_normal(4)
             stars = 0.1 * rng.standard_normal(6)
@@ -318,7 +310,7 @@ class TestMeanGradients:
     def test_taps_matches_finite_differences(self):
         rng = np.random.default_rng(59)
         spec = LossSpec(family="logistic", sigma=0.3)
-        data = dense_dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
         w_t = rng.standard_normal(3)
         w = rng.standard_normal(3)
         alpha = rng.standard_normal(5)
@@ -334,7 +326,7 @@ class TestMeanGradients:
     def test_motaps_matches_finite_differences(self):
         rng = np.random.default_rng(61)
         spec = LossSpec(family="squared", sigma=0.1)
-        data = dense_dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
         w_t = rng.standard_normal(3)
         point = np.concatenate([rng.standard_normal(3), rng.standard_normal(5), [0.6]])
         lam = 0.3
@@ -389,7 +381,7 @@ class TestGrowthCheck:
             growth_check("motaps", st, spec, data)
 
     def test_stationary_state_ratio_is_one(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         spec = LossSpec(family="squared")
         lhs, rhs, ratio = growth_check("sp", np.zeros(1), spec, data)
         assert (lhs, rhs, ratio) == (0.0, 0.0, 1.0)
@@ -427,7 +419,7 @@ class TestStarConvexityProbe:
         rng = np.random.default_rng(89)
         w_star = np.array([0.5, -1.0])
         rows = rng.standard_normal((3, 2))
-        data = dense_dataset(rows, np.zeros(3))
+        data = Dataset(rows, np.zeros(3))
         spec = LossSpec(
             family="monomial", power_r=0.2, offsets=rows @ w_star
         )
@@ -535,7 +527,7 @@ class TestFaultInjection:
     def test_tau_gradient_breaks_under_fault(self):
         rng = np.random.default_rng(109)
         spec = LossSpec(family="squared", sigma=0.1)
-        data = dense_dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
         w_t = rng.standard_normal(3)
         point = np.concatenate([rng.standard_normal(3), rng.standard_normal(5), [0.8]])
         lam = 0.4

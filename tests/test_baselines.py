@@ -17,7 +17,7 @@ from polyak_opt.baselines import (
     sgd_stepsize,
     svrg_step,
 )
-from polyak_opt.data import Dataset, SparseVector, synth_dataset
+from polyak_opt.data import Dataset, synth_dataset
 from polyak_opt.losses import (
     LossSpec,
     full_grad,
@@ -29,14 +29,8 @@ from polyak_opt.losses import (
 from polyak_opt.polyak import NumericError, sample_indices
 
 
-def dense_dataset(rows, labels):
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    samples = [SparseVector(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
-    return Dataset(samples, labels, dim=rows.shape[1])
-
-
 def half_square_1d():
-    return LossSpec(family="squared"), dense_dataset([[1.0]], [0.0])
+    return LossSpec(family="squared"), Dataset([[1.0]], [0.0])
 
 
 class TestSgdStepsize:
@@ -63,7 +57,7 @@ class TestSgdStepsize:
 
     def test_step_on_sparse_row_matches_dense_gradient(self):
         # a sparse row takes the kernel's scaled O(nnz) step
-        data = dense_dataset([[0.0, 2.0, 0.0, -1.0], [1.0, 1.0, 1.0, 1.0]], [1.0, -1.0])
+        data = Dataset([[0.0, 2.0, 0.0, -1.0], [1.0, 1.0, 1.0, 1.0]], [1.0, -1.0])
         spec = LossSpec(family="logistic", sigma=0.3)
         w = np.array([0.5, -0.25, 1.0, 2.0])
         _, g = loss_grad_i(spec, data, w, 0)
@@ -86,7 +80,7 @@ class TestSag:
 
     def test_visit_marks_and_stores(self):
         rng = np.random.default_rng(0)
-        data = dense_dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
+        data = Dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
         spec = LossSpec(family="logistic")
         table = SagTable.zeros(4, 3)
         w = rng.standard_normal(3)
@@ -96,7 +90,7 @@ class TestSag:
 
     def test_full_table_direction_is_full_gradient(self):
         rng = np.random.default_rng(1)
-        data = dense_dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
         spec = LossSpec(family="logistic", sigma=0.3)
         table = SagTable.zeros(6, 4)
         w = rng.standard_normal(4)
@@ -110,7 +104,7 @@ class TestSag:
 
     def test_single_sample_equals_gradient_descent(self):
         rng = np.random.default_rng(2)
-        data = dense_dataset(rng.standard_normal((1, 3)), [1.0])
+        data = Dataset(rng.standard_normal((1, 3)), [1.0])
         spec = LossSpec(family="logistic", sigma=0.1)
         table = SagTable.zeros(1, 3)
         w_sag = np.zeros(3)
@@ -122,7 +116,7 @@ class TestSag:
 
     def test_check_sum_passes_and_detects_corruption(self):
         rng = np.random.default_rng(3)
-        data = dense_dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
         spec = LossSpec(family="squared", sigma=0.2)
         table = SagTable.zeros(5, 3)
         w = np.zeros(3)
@@ -134,7 +128,7 @@ class TestSag:
             table.check_sum(data)
 
     def test_check_sum_raises_on_nan(self):
-        data = dense_dataset(np.eye(3), np.ones(3))
+        data = Dataset(np.eye(3), np.ones(3))
         table = SagTable.zeros(3, 3)
         table.grad_sum[1] = np.nan
         with pytest.raises(ArithmeticError, match="nan"):
@@ -144,7 +138,7 @@ class TestSag:
 class TestSvrg:
     def test_at_reference_point_moves_along_full_gradient(self):
         rng = np.random.default_rng(4)
-        data = dense_dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
         spec = LossSpec(family="logistic", sigma=0.2)
         w = rng.standard_normal(3)
         snap = make_snapshot(spec, data, w)
@@ -154,7 +148,7 @@ class TestSvrg:
 
     def test_direction_matches_naive_formula(self):
         rng = np.random.default_rng(5)
-        data = dense_dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
         spec = LossSpec(family="squared", sigma=0.4)
         w_ref = rng.standard_normal(4)
         snap = make_snapshot(spec, data, w_ref)
@@ -169,7 +163,7 @@ class TestSvrg:
 
     def test_snapshot_refresh_after_inner_budget(self):
         rng = np.random.default_rng(6)
-        data = dense_dataset(rng.standard_normal((4, 2)), rng.standard_normal(4))
+        data = Dataset(rng.standard_normal((4, 2)), rng.standard_normal(4))
         spec = LossSpec(family="logistic")
         w = np.zeros(2)
         snap = make_snapshot(spec, data, w)
@@ -183,7 +177,7 @@ class TestSvrg:
 
     def test_single_sample_equals_gradient_descent(self):
         rng = np.random.default_rng(7)
-        data = dense_dataset(rng.standard_normal((1, 3)), [-1.0])
+        data = Dataset(rng.standard_normal((1, 3)), [-1.0])
         spec = LossSpec(family="logistic", sigma=0.1)
         w_svrg = np.zeros(3)
         w_gd = np.zeros(3)
@@ -310,7 +304,7 @@ class TestRunBaseline:
         # reference, in the last digits only
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((30, 12)) * (rng.random((30, 12)) < 0.25)
-        data = dense_dataset(rows, rng.choice([-1.0, 1.0], size=30))
+        data = Dataset(rows, rng.choice([-1.0, 1.0], size=30))
         spec = LossSpec(family="logistic", sigma=0.05)
         assert data.X.nnz < 30 * 12
         records = run_baseline("sgd", spec, data, epochs=3, seed=2, gamma=0.5,
@@ -327,7 +321,7 @@ class TestRunBaseline:
 
     def test_step_from_zero_l_max_is_flat_data_error(self):
         spec = LossSpec(family="logistic")
-        data = dense_dataset(np.zeros((3, 2)), [1.0, -1.0, 1.0])
+        data = Dataset(np.zeros((3, 2)), [1.0, -1.0, 1.0])
         for method, schedule in (("sag", "inverse"), ("svrg", "inverse"), ("sgd", "inverse"),
                                  ("sgd", "paper_literal"), ("sgd", "constant")):
             with pytest.raises(FlatDataError, match="L_max = 0.0"):
@@ -347,7 +341,7 @@ class TestRunBaseline:
     def test_divergence_attaches_partial_trace(self):
         # f(w) = (w - 1)^2 / 2 on two equal rows: each constant step of 10
         # multiplies w - 1 by -9 until the sampled loss overflows
-        spec, data = LossSpec(family="squared"), dense_dataset([[1.0], [1.0]], [1.0, 1.0])
+        spec, data = LossSpec(family="squared"), Dataset([[1.0], [1.0]], [1.0, 1.0])
         for method in ("sgd", "sag", "svrg", "adam"):
             alpha = 1e300 if method == "adam" else 0.001
             with pytest.raises(NumericError) as exc:

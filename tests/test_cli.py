@@ -2,6 +2,7 @@
 subcommand's output shape, and the documented exit codes."""
 
 import dataclasses
+import gzip
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from polyak_opt import cli
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
 from polyak_opt.config import ExperimentConfig, resolve_dataset
-from polyak_opt.data import load_libsvm, synth_dataset
+from polyak_opt.data import load_libsvm, serialize_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
 from polyak_opt.polyak import NumericError, lambda_max
 from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
@@ -658,6 +659,42 @@ class TestGen:
     def test_requires_synthetic_spec(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--dataset", "real.txt")
         assert code == 2 and "error" in err
+
+
+class TestUnreadableInput:
+    """A file that cannot be read as what its flag asks for exits 2 with one
+    ``error:`` line naming it, and no traceback."""
+
+    @staticmethod
+    def assert_names(err, path):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[: len(b) // 2],  # truncated: EOFError
+        lambda b: b[:10] + b"\xff" * 20,  # invalid deflate block: zlib.error
+        lambda b: b[:-5] + bytes([b[-5] ^ 1]) + b[-4:],  # CRC mismatch: gzip.BadGzipFile
+    ], ids=["truncated", "bad-block", "bad-crc"])
+    def test_corrupt_gzip_dataset(self, tmp_path, capsys, corrupt):
+        data_file = tmp_path / "small.svm.gz"
+        data_file.write_bytes(corrupt(gzip.compress(serialize_libsvm(resolve_dataset(SMALL)).encode())))
+        code, out, err = run_cli(capsys, "run", "--dataset", str(data_file), "--method", "sp")
+        assert code == 2 and out == ""
+        self.assert_names(err, data_file)
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--config", "--out"])
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys, flag):
+        args = {"--dataset": SMALL, "--method": "sp", "--epochs": "1", flag: str(tmp_path)}
+        code, out, err = run_cli(capsys, "run", *(x for kv in args.items() for x in kv))
+        assert code == 2 and out == ""
+        self.assert_names(err, tmp_path)
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("epochs = 2  # \u00e9poques\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--dataset", SMALL)
+        assert code == 2 and out == ""
+        self.assert_names(err, cfg)
 
 
 class TestParser:

@@ -1,4 +1,5 @@
-"""Sparse rows, LIBSVM round-trips, and synthetic problem generators."""
+"""Dataset construction, LIBSVM round-trips, CSR products, and synthetic problem
+generators."""
 
 import gzip
 
@@ -11,10 +12,11 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from polyak_opt.data import (
+    CSRMatrix,
     Dataset,
     DimensionMismatch,
     ParseError,
-    SparseVector,
+    Row,
     dot,
     load_libsvm,
     normalize_samples,
@@ -53,30 +55,74 @@ def draw_sparse_dense(draws) -> np.ndarray:
     return dense
 
 
-class TestSparseVector:
+class TestDataset:
     def test_basic_construction(self):
-        v = SparseVector([0, 2], [0.5, 2.0])
-        assert v.nnz == 2
-        assert v.sqnorm() == 0.25 + 4.0
-        assert_allclose(v.to_dense(3), [0.5, 0.0, 2.0])
+        dense = np.array([[0.5, 0.0, 2.0]])
+        data = Dataset(dense, [1.0])
+        assert data.n == 1 and data.dim == 3 and data.X.nnz == 2
+        assert list(data.rows[0].indices) == [0, 2]
+        assert data.row_sqnorms[0] == 0.25 + 4.0
+        assert_same_bits(data.X.toarray(), dense)
 
     def test_explicit_zeros_dropped(self):
-        v = SparseVector([0, 1, 2], [1.0, 0.0, 3.0])
-        assert v.nnz == 2
-        assert list(v.indices) == [0, 2]
+        # from a CSRMatrix that stores them, and from a dense array
+        stored = CSRMatrix([1.0, 0.0, -0.0, 3.0], [0, 1, 2, 3], [0, 4], (1, 4))
+        for X in (stored, [[1.0, 0.0, -0.0, 3.0]]):
+            data = Dataset(X, [1.0])
+            assert data.X.nnz == 2 and data.dim == 4
+            assert list(data.rows[0].indices) == [0, 3]
+            assert list(data.rows[0].values) == [1.0, 3.0]
 
-    def test_rejects_decreasing_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector([2, 1], [1.0, 2.0])
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector([1, 1], [1.0, 2.0])
+    def test_dense_array_equals_its_csr(self):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((6, 4))
+        dense[rng.random((6, 4)) < 0.5] = 0.0
+        ref = sp.csr_array(dense)
+        labels = rng.standard_normal(6)
+        from_csr = Dataset(CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape), labels)
+        assert Dataset(dense, labels) == from_csr
+        assert Dataset(dense, labels, dim=9) == Dataset(from_csr.X, labels, dim=9)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseVector([0], [np.inf])
+        for bad in (np.inf, -np.inf, np.nan):
+            for X in ([[0.0, bad]], CSRMatrix([bad], [1], [0, 1], (1, 2))):
+                with pytest.raises(ValueError, match="non-finite"):
+                    Dataset(X, [1.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), ()], ids=["1-D", "3-D", "0-D"])
+    def test_rejects_a_dense_array_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(np.ones(shape), [1.0])
+
+    def test_rejects_decreasing_indices(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Dataset(CSRMatrix([1.0, 2.0], [2, 1], [0, 2], (1, 3)), [1.0])
+
+    def test_rejects_duplicate_indices(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Dataset(CSRMatrix([1.0, 2.0], [1, 1], [0, 2], (1, 3)), [1.0])
+
+    def test_indices_may_restart_at_a_row_boundary(self):
+        data = Dataset(CSRMatrix([1.0, 2.0, 3.0], [1, 2, 0], [0, 2, 2, 3], (3, 3)), [1.0, 2.0, 3.0])
+        assert [list(r.indices) for r in data.rows] == [[1, 2], [], [0]]
+
+    @pytest.mark.parametrize("indices", [[0, 3], [-1, 1]], ids=["past-d", "negative"])
+    def test_rejects_indices_out_of_range(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            Dataset(CSRMatrix([1.0, 2.0], indices, [0, 2], (1, 3)), [1.0])
+
+    @pytest.mark.parametrize("n, indptr", [(2, [1, 2, 2]), (2, [0, 1, 1]), (3, [0, 2, 1, 2]), (3, [0, 2])],
+                             ids=["not-from-0", "not-to-nnz", "decreasing", "not-n+1-long"])
+    def test_rejects_bad_indptr(self, n, indptr):
+        with pytest.raises(ValueError, match="indptr"):
+            Dataset(CSRMatrix([1.0, 2.0], [0, 1], indptr, (n, 2)), np.zeros(n))
+
+    def test_rejects_data_and_indices_of_different_lengths(self):
+        with pytest.raises(ValueError, match="same length"):
+            Dataset(CSRMatrix([1.0], [0, 1], [0, 2], (1, 2)), [1.0])
+
+
+class TestDot:
     def test_dense_dot_matches(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -84,15 +130,14 @@ class TestSparseVector:
             dense = rng.standard_normal(d)
             mask = rng.random(d) < 0.6
             dense[mask] = 0.0
-            idx = np.flatnonzero(dense)
-            v = SparseVector(idx, dense[idx])
+            row = Dataset(dense[None, :], [0.0]).rows[0]
             w = rng.standard_normal(d)
-            assert_allclose(dot(v, w), float(dense @ w), rtol=1e-12)
+            assert_allclose(dot(row, w), float(dense @ w), rtol=1e-12)
 
     def test_dot_dimension_guard(self):
-        v = SparseVector([4], [1.0])
+        row = Row(np.array([4]), np.array([1.0]))
         with pytest.raises(DimensionMismatch):
-            dot(v, np.zeros(3))
+            dot(row, np.zeros(3))
 
 
 class TestParseLibsvm:
@@ -143,14 +188,11 @@ class TestParseLibsvm:
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         rng = np.random.default_rng(11)
-        rows = []
-        for _ in range(20):
-            d = 8
-            dense = rng.standard_normal(d)
-            dense[rng.random(d) < 0.5] = 0.0
-            idx = np.flatnonzero(dense)
-            rows.append(SparseVector(idx, dense[idx]))
-        data = Dataset(rows, rng.standard_normal(20), dim=8)
+        dense = np.zeros((20, 8))
+        for row in dense:
+            row[:] = rng.standard_normal(8)
+            row[rng.random(8) < 0.5] = 0.0
+        data = Dataset(dense, rng.standard_normal(20))
         again = parse_libsvm(serialize_libsvm(data), dim=8)
         assert again == data
 
@@ -161,7 +203,7 @@ class TestRoundTrip:
         dense = draw_sparse_dense(draws)
         n, dim = dense.shape
         labels = draws.draw(st.lists(FINITE, min_size=n, max_size=n), label="labels")
-        ds = Dataset(sp.csr_array(dense), labels, dim=dim)
+        ds = Dataset(dense, labels)
         again = parse_libsvm(serialize_libsvm(ds), dim=ds.dim)
         assert again == ds
         assert again.n == n and again.X.nnz == np.count_nonzero(dense)
@@ -200,7 +242,7 @@ class TestCSRMatrix:
         dense = draw_sparse_dense(draws)
         n, d = dense.shape
         ref = sp.csr_array(dense)
-        X = Dataset(ref, np.zeros(n), dim=d).X
+        X = CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
         w = np.array(draws.draw(st.lists(st.floats(), min_size=d, max_size=d), label="w"))
         u = np.array(draws.draw(st.lists(st.floats(), min_size=n, max_size=n), label="u"))
         with np.errstate(all="ignore"):  # huge entries overflow, inf - inf is nan
@@ -219,7 +261,7 @@ class TestCSRMatrix:
         dense = draw_full(draws)
         n, d = dense.shape
         ref = sp.csr_array(dense)
-        X = Dataset(ref, np.zeros(n), dim=d).X
+        X = Dataset(dense, np.zeros(n)).X
         assert X.dense
         w = draws.draw(arrays(np.float64, d, elements=st.floats()), label="w")
         u = draws.draw(arrays(np.float64, n, elements=st.floats()), label="u")
@@ -238,7 +280,7 @@ class TestCSRMatrix:
         # scipy keeps the later NaN of a sum and numpy's sums the earlier,
         # so X.T @ u differs from scipy's here in the NaN's sign bit alone
         ref = sp.csr_array(np.ones((6, 12)))
-        X = Dataset(ref, np.zeros(6), dim=12).X
+        X = Dataset(np.ones((6, 12)), np.zeros(6)).X
         u = np.array([np.nan, -np.nan] * 3)
         w = np.array([np.nan, -np.nan] * 6)
         assert_same_bits_but_nans(X.T @ u, ref.T @ u)
@@ -251,7 +293,7 @@ class TestCSRMatrix:
         row = np.ones((1, 40))
         row[0, 0] = 1e16
         ref = sp.csr_array(row)
-        X = Dataset(ref, np.zeros(1)).X
+        X = Dataset(row, np.zeros(1)).X
         assert X.dense
         assert_same_bits(X @ np.ones(40), ref @ np.ones(40))
         assert_same_bits(X.T @ np.array([0.7]), ref.T @ np.array([0.7]))
@@ -261,7 +303,7 @@ class TestCSRMatrix:
         col = np.ones((40, 1))
         col[0, 0] = 1e16
         ref = sp.csr_array(col)
-        X = Dataset(ref, np.zeros(40)).X
+        X = Dataset(col, np.zeros(40)).X
         assert X.dense
         assert_same_bits(X.T @ np.ones(40), ref.T @ np.ones(40))
         assert_same_bits(X @ np.array([0.7]), ref @ np.array([0.7]))
@@ -270,7 +312,7 @@ class TestCSRMatrix:
         # negative entries times +0.0 are -0.0 terms (times -0.0, +0.0):
         # each sum must still start from +0.0
         dense = -np.arange(1.0, 13.0).reshape(3, 4)
-        X = Dataset(sp.csr_array(dense), np.zeros(3)).X
+        X = Dataset(dense, np.zeros(3)).X
         assert X.columns is not None
         for out in (X @ np.zeros(4), X @ -np.zeros(4)):
             assert_same_bits(out, np.zeros(3))
@@ -280,13 +322,24 @@ class TestCSRMatrix:
     def test_zero_vector_gives_positive_zeros(self):
         # 0 * -3 is -0.0, and every sum starts from +0.0
         dense = np.array([[-3.0, 0.0, -1.0], [0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
-        X = Dataset(sp.csr_array(dense), np.zeros(3)).X
+        X = Dataset(dense, np.zeros(3)).X
         for out in (X @ np.zeros(3), X.T @ np.zeros(3), X @ -np.zeros(3)):
             assert_same_bits(out, np.zeros(3))
 
+    def test_nan_payloads_match_the_scatter_add(self):
+        # two NaNs that differ in payload meet in every sum of X.T @ u;
+        # numpy's vector and scalar loops of the row reduction keep
+        # different ones, so such an output comes from the scatter-add
+        X = Dataset(np.ones((2, 9)), np.zeros(2)).X
+        nans = np.array([0x7FF8000000000001, 0x7FF8000000000000], dtype=np.uint64).view(np.float64)
+        for u in (nans, nans[::-1].copy()):
+            assert_same_bits(X.T @ u, _spread(u, X.row_ids, X.indices, X.data, 2, 9))
+        w = np.repeat(nans, [1, 8])
+        assert_same_bits(X @ w, _spread(w, X.indices, X.row_ids, X.data, 9, 2))
+
     def test_empty_matrices(self):
         for n, d in [(0, 0), (0, 3), (2, 0), (2, 3)]:
-            X = Dataset(sp.csr_array((n, d)), np.zeros(n), dim=d).X
+            X = Dataset(np.zeros((n, d)), np.zeros(n)).X
             assert_same_bits(X @ np.ones(d), np.zeros(n))
             assert_same_bits(X.T @ np.ones(n), np.zeros(d))
             assert_same_bits(X.gram(), np.zeros((d, d)))
@@ -298,14 +351,14 @@ class TestCSRMatrix:
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((600, 40)) * 10.0 ** rng.integers(-8, 8, (600, 40))
         ref = sp.csr_array(dense)
-        X = Dataset(ref, np.zeros(600)).X
+        X = CSRMatrix(ref.data, ref.indices, ref.indptr, ref.shape)
         w, u = rng.standard_normal(40), rng.standard_normal(600)
         assert_same_bits(X @ w, ref @ w)
         assert_same_bits(X.T @ u, ref.T @ u)
         assert_same_bits(X.gram(), (ref.T @ ref).toarray())
 
     def test_dimension_mismatch(self):
-        X = Dataset(sp.csr_array(np.ones((2, 3))), np.zeros(2)).X
+        X = Dataset(np.ones((2, 3)), np.zeros(2)).X
         with pytest.raises(ValueError, match="dimension mismatch"):
             X @ np.ones(2)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -320,7 +373,7 @@ class TestNormalize:
         assert_allclose(normed.labels, data.labels)
 
     def test_zero_row_kept(self):
-        data = Dataset([SparseVector([], [])], [1.0], dim=2)
+        data = Dataset([[0.0, 0.0]], [1.0])
         normed = normalize_samples(data)
         assert normed.rows[0].indices.size == 0
 

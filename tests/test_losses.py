@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from polyak_opt.data import Dataset, SparseVector, synth_dataset
+from polyak_opt.data import CSRMatrix, Dataset, synth_dataset
 from polyak_opt.losses import (
     EmptyDatasetError,
     LossSpec,
@@ -25,12 +25,6 @@ from polyak_opt.losses import (
     optimum_oracle,
     smoothness_constants,
 )
-
-
-def dense_dataset(rows, labels):
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    samples = [SparseVector(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
-    return Dataset(samples, labels, dim=rows.shape[1])
 
 
 def own_logistic_grad(data, w, sigma):
@@ -56,13 +50,13 @@ def fd_grad(spec, data, w, i, h=1e-6):
 
 class TestLossValues:
     def test_logistic_at_origin_is_ln2(self):
-        data = dense_dataset([[1.0, -2.0], [0.5, 0.0]], [1.0, -1.0])
+        data = Dataset([[1.0, -2.0], [0.5, 0.0]], [1.0, -1.0])
         spec = LossSpec(family="logistic")
         for i in range(data.n):
             assert_allclose(loss_i(spec, data, np.zeros(2), i), math.log(2), rtol=1e-15)
 
     def test_logistic_extreme_margins_stable(self):
-        data = dense_dataset([[1.0]], [1.0])
+        data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="logistic")
         with np.errstate(over="raise"):
             lo = loss_i(spec, data, np.array([-800.0]), 0)
@@ -71,13 +65,13 @@ class TestLossValues:
         assert 0.0 <= hi < 1e-300
 
     def test_squared_interpolation_point(self):
-        data = dense_dataset([[1.0]], [3.0])
+        data = Dataset([[1.0]], [3.0])
         spec = LossSpec(family="squared")
         assert loss_i(spec, data, np.array([3.0]), 0) == 0.0
 
     def test_regularizer_additivity_exact(self):
         rng = np.random.default_rng(7)
-        data = dense_dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
+        data = Dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
         w = rng.standard_normal(3)
         sigma = 0.7
         plain = LossSpec(family="squared")
@@ -88,7 +82,7 @@ class TestLossValues:
 
     def test_monomial_interpolation_zero(self):
         w_star = np.array([2.0, -1.0])
-        data = dense_dataset([[1.0, 1.0], [3.0, 0.0]], [0.0, 0.0])
+        data = Dataset([[1.0, 1.0], [3.0, 0.0]], [0.0, 0.0])
         b = data.X @ w_star
         spec = LossSpec(family="monomial", power_r=0.75, offsets=b)
         for i in range(data.n):
@@ -96,7 +90,7 @@ class TestLossValues:
             assert_allclose(grad_i(spec, data, w_star, i), 0.0)
 
     def test_index_out_of_range(self):
-        data = dense_dataset([[1.0]], [1.0])
+        data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="squared")
         with pytest.raises(IndexError):
             loss_i(spec, data, np.zeros(1), 1)
@@ -106,18 +100,18 @@ class TestLossValues:
 
 class TestGradients:
     def test_logistic_at_origin(self):
-        data = dense_dataset([[1.0]], [1.0])
+        data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="logistic")
         assert_allclose(grad_i(spec, data, np.zeros(1), 0), [-0.5], rtol=1e-15)
 
     def test_squared_worked_example(self):
-        data = dense_dataset([[2.0]], [0.0])
+        data = Dataset([[2.0]], [0.0])
         spec = LossSpec(family="squared")
         assert_allclose(grad_i(spec, data, np.array([1.0]), 0), [4.0], rtol=1e-15)
 
     def test_loss_grad_pair_consistent(self):
         rng = np.random.default_rng(19)
-        data = dense_dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
         spec = LossSpec(family="logistic", sigma=0.2)
         w = rng.standard_normal(4)
         for i in range(6):
@@ -140,7 +134,7 @@ class TestGradients:
                     n, d = 5, 3
                     rows = rng.standard_normal((n, d))
                     labels = rng.standard_normal(n)
-                    data = dense_dataset(rows, labels)
+                    data = Dataset(rows, labels)
                     spec = LossSpec(
                         family=family,
                         sigma=sigma,
@@ -162,7 +156,7 @@ class TestGradients:
         assert checks == 100
 
     def test_monomial_kink_derivative_is_zero(self):
-        data = dense_dataset([[1.0]], [2.0])
+        data = Dataset([[1.0]], [2.0])
         spec = LossSpec(family="monomial", power_r=0.6)
         assert_allclose(grad_i(spec, data, np.array([2.0]), 0), [0.0])
 
@@ -176,7 +170,7 @@ class TestBatchEval:
             LossSpec(family="squared", sigma=0.1),
             LossSpec(family="monomial", power_r=1.5),
         ]:
-            data = dense_dataset(rng.standard_normal((8, 5)), rng.standard_normal(8))
+            data = Dataset(rng.standard_normal((8, 5)), rng.standard_normal(8))
             w = rng.standard_normal(5)
             be = batch_eval(spec, data, w)
             for i in range(8):
@@ -187,7 +181,7 @@ class TestBatchEval:
                 )
 
     def test_extreme_margins_finite(self):
-        data = dense_dataset([[1.0], [1.0]], [1.0, -1.0])
+        data = Dataset([[1.0], [1.0]], [1.0, -1.0])
         spec = LossSpec(family="logistic")
         be = batch_eval(spec, data, np.array([800.0]))
         assert np.all(np.isfinite(be.values))
@@ -231,7 +225,7 @@ class TestCellsPhi:
     @example(spec=CELL_SPECS[0], i=1, edges=[-710.0], seed=0, log_scale=0.0)  # at y = -1
     @example(spec=CELL_SPECS[0], i=0, edges=TINY_OR_INF, seed=0, log_scale=0.0)  # no overflow
     def test_matches_scalar_phi(self, spec, i, edges, seed, log_scale):
-        data = dense_dataset([[1.0], [1.0], [1.0]], [1.0, -1.0, 0.3])
+        data = Dataset([[1.0], [1.0], [1.0]], [1.0, -1.0, 0.3])
         if spec.family == "logistic":
             i %= 2  # labels of -1 or +1 only
         rng = np.random.default_rng(seed)
@@ -245,7 +239,7 @@ class TestCellsPhi:
 class TestFullBatch:
     def test_single_sample_equals_scalar(self):
         rng = np.random.default_rng(2)
-        data = dense_dataset(rng.standard_normal((1, 4)), [1.0])
+        data = Dataset(rng.standard_normal((1, 4)), [1.0])
         spec = LossSpec(family="logistic", sigma=0.3)
         w = rng.standard_normal(4)
         assert_allclose(full_loss(spec, data, w), loss_i(spec, data, w, 0), rtol=1e-13)
@@ -254,13 +248,13 @@ class TestFullBatch:
     def test_opposed_gradients_cancel(self):
         # both samples sit at margin 1; the residuals are +1 and -1 so the
         # per-sample gradients are exactly opposite
-        data = dense_dataset([[1.0], [1.0]], [0.0, 2.0])
+        data = Dataset([[1.0], [1.0]], [0.0, 2.0])
         spec = LossSpec(family="squared")
         assert_allclose(full_grad(spec, data, np.array([1.0])), [0.0], atol=1e-16)
 
     def test_mean_of_per_sample(self):
         rng = np.random.default_rng(3)
-        data = dense_dataset(rng.standard_normal((7, 3)), rng.standard_normal(7))
+        data = Dataset(rng.standard_normal((7, 3)), rng.standard_normal(7))
         spec = LossSpec(family="squared", sigma=0.05)
         w = rng.standard_normal(3)
         vals = [loss_i(spec, data, w, i) for i in range(7)]
@@ -269,7 +263,7 @@ class TestFullBatch:
         assert_allclose(full_grad(spec, data, w), np.mean(grads, axis=0), atol=1e-14)
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset([], [], dim=0)
+        empty = Dataset(np.zeros((0, 0)), [])
         spec = LossSpec(family="squared")
         with pytest.raises(EmptyDatasetError):
             full_loss(spec, empty, np.zeros(0))
@@ -281,19 +275,19 @@ class TestFullBatch:
 
 class TestSmoothness:
     def test_logistic_quarter(self):
-        data = dense_dataset([[2.0]], [1.0])
+        data = Dataset([[2.0]], [1.0])
         L, l_max = smoothness_constants(LossSpec(family="logistic"), data)
         assert_allclose(L, [1.0])
         assert l_max == 1.0
 
     def test_squared_with_regularizer(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         L, l_max = smoothness_constants(LossSpec(family="squared", sigma=2.0), data)
         assert_allclose(L, [3.0])
         assert l_max == 3.0
 
     def test_monomial_requires_r_one(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         L, _ = smoothness_constants(
             LossSpec(family="monomial", power_r=1.0, scales=[3.0]), data
         )
@@ -314,7 +308,7 @@ class TestSmoothness:
                 rng.standard_normal(10),
             ),
         ]:
-            data = dense_dataset(rows, labels)
+            data = Dataset(rows, labels)
             L, _ = smoothness_constants(spec, data)
             for _ in range(1000):
                 w = rng.standard_normal(4)
@@ -331,7 +325,7 @@ class TestOptimumOracle:
     def test_square_system_interpolates(self):
         rng = np.random.default_rng(31)
         rows = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        data = dense_dataset(rows, rng.standard_normal(4))
+        data = Dataset(rows, rng.standard_normal(4))
         cert = optimum_oracle(LossSpec(family="squared"), data)
         assert cert.converged
         assert_allclose(cert.f_star, 0.0, atol=1e-18)
@@ -380,7 +374,7 @@ class TestOptimumOracle:
                 optimum_oracle(LossSpec(family=family, sigma=0.01), data, budget=budget)
 
     def test_monomial_unsupported(self):
-        data = dense_dataset([[1.0]], [0.0])
+        data = Dataset([[1.0]], [0.0])
         with pytest.raises(UnsupportedFamilyError):
             optimum_oracle(LossSpec(family="monomial"), data)
 
@@ -395,11 +389,10 @@ class TestOptimumOracle:
     def test_logistic_sparse_wide_forms_no_hessian(self):
         rng = np.random.default_rng(5)
         n, d, k = 200, 5000, 10
-        rows = [
-            SparseVector(np.sort(rng.choice(d, k, replace=False)), rng.standard_normal(k))
-            for _ in range(n)
-        ]
-        data = Dataset(rows, rng.choice([-1.0, 1.0], n), dim=d)
+        rows = [(np.sort(rng.choice(d, k, replace=False)), rng.standard_normal(k)) for _ in range(n)]
+        X = CSRMatrix(np.concatenate([v for _, v in rows]), np.concatenate([j for j, _ in rows]),
+                      np.arange(0, n * k + 1, k), (n, d))
+        data = Dataset(X, rng.choice([-1.0, 1.0], n))
         tracemalloc.start()
         try:
             cert = optimum_oracle(LossSpec(family="logistic", sigma=1e-2), data)
@@ -422,7 +415,7 @@ class TestOptimumOracle:
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n, d)) * 10.0**log_scale
         rows[rng.random((n, d)) < 0.3] = 0.0
-        data = dense_dataset(rows, rng.choice([-1.0, 1.0], n))
+        data = Dataset(rows, rng.choice([-1.0, 1.0], n))
         sigma = 10.0**log_sigma
         cert = optimum_oracle(LossSpec(family="logistic", sigma=sigma), data)
         assert cert.converged
