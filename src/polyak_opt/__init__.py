@@ -18,19 +18,7 @@ from .aux import (
     run_epochs_sgd_view,
     star_convexity_probe,
 )
-from .baselines import (
-    BASELINES,
-    AdamMoments,
-    SagTable,
-    SvrgSnapshot,
-    adam_step,
-    make_snapshot,
-    run_baseline,
-    sag_step,
-    sgd_step,
-    sgd_stepsize,
-    svrg_step,
-)
+from .baselines import BASELINES, run_baseline, sgd_step, sgd_stepsize
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -40,6 +40,7 @@ from .polyak import (
     TrackerState,
     _check_run,
     _epoch_loop,
+    _initial_tau,
     _make_record,
     _stepsizes_at,
     fi_star_array,
@@ -389,7 +390,7 @@ def run_epochs_sgd_view(
     n = data.n
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
-    w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), 0.0 if tau is None else float(tau)
+    w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), _initial_tau(tau)
 
     def step(i, t):
         nonlocal w, alpha, tau_val

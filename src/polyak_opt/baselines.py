@@ -1,23 +1,24 @@
 """Reference optimizers the Polyak-family methods are compared against:
 plain SGD with a step schedule, SAG, SVRG, and Adam.
 
-The GLM structure ∇f_i(w) = φ′_i(x_iᵀw)·x_i + σw is exploited throughout:
-SAG stores one φ′ scalar per sample instead of an n×d gradient table (the
-σw term is regenerated analytically from the current iterate), and SVRG's
-variance-reduced direction collapses to a φ′ difference on x_i plus
-σ(w − w_ref).
-
 SGD is the Polyak kernel's data step with coefficient 1, O(nnz_i) on a
-sparse row. ``run_baseline`` runs every baseline through the Polyak
-drivers' epoch loop and record builder, so traces for one seed are directly
-comparable. SVRG counts every snapshot's full gradient as one extra data
-pass. A step whose sampled loss or φ′ is not finite raises
-``NumericError``, as a Polyak step does.
+sparse row; ``sgd_step`` is one such step. SAG, SVRG and Adam are steps
+of ``run_baseline`` alone, their state local arrays of the run. SAG and
+SVRG use the GLM structure ∇f_i(w) = φ′_i(x_iᵀw)·x_i + σw: SAG stores one
+φ′ scalar per sample instead of an n×d gradient table, with the σw term
+taken from the current iterate, and SVRG's variance-reduced direction
+collapses to a φ′ difference on x_i plus σ(w − w_ref).
+
+``run_baseline`` runs every baseline through the Polyak drivers' epoch
+loop and record builder, so traces for one seed are directly comparable.
+SVRG counts every snapshot's full gradient as one extra data pass. A step
+whose sampled loss or φ′ is not finite raises ``NumericError``, as a
+Polyak step does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -87,131 +88,6 @@ def sgd_step(
     return kernel.fold()
 
 
-@dataclass
-class SagTable:
-    """Stored per-sample gradients in scalar form.
-
-    ``dvals[i]`` is the φ′ value of the last visit to sample i (0.0 before
-    the first visit), so the stored gradient is dvals[i]·x_i; ``grad_sum``
-    maintains Σ_i dvals[i]·x_i incrementally. The σw term is excluded from
-    the table and added from the current iterate at step time.
-    """
-
-    dvals: np.ndarray
-    grad_sum: np.ndarray
-    initialized: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, dim: int) -> "SagTable":
-        return cls(np.zeros(n), np.zeros(dim), np.zeros(n, dtype=bool))
-
-    def check_sum(self, data: Dataset, tol: float = 1e-9) -> float:
-        """Relative drift of grad_sum against a fresh Σ dvals[i]·x_i;
-        raises above ``tol`` or on NaN."""
-        fresh = data.X.T @ self.dvals
-        scale = max(float(np.linalg.norm(fresh)), 1.0)
-        err = float(np.linalg.norm(self.grad_sum - fresh)) / scale
-        if not err <= tol:
-            raise ArithmeticError(f"SAG table drifted: relative error {err:.3e}")
-        return err
-
-
-def sag_step(
-    w: np.ndarray, table: SagTable, spec: LossSpec, data: Dataset, i: int, gamma: float
-) -> np.ndarray:
-    """Refresh sample i's stored gradient, then move along the table mean
-    plus the analytic regularizer: w − γ(grad_sum/n + σw). Mutates the table;
-    a non-finite φ_i or φ′_i raises NumericError first."""
-    idx, x = data.rows[i]
-    phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
-    _check_finite(i, phi, dval)
-    table.grad_sum[idx] += (dval - table.dvals[i]) * x
-    table.dvals[i] = dval
-    table.initialized[i] = True
-    direction = table.grad_sum / data.n
-    if spec.sigma != 0.0:
-        direction = direction + spec.sigma * w
-    return w - gamma * direction
-
-
-@dataclass
-class SvrgSnapshot:
-    """Reference point with its full gradient and the inner-step count."""
-
-    w_ref: np.ndarray
-    mu_ref: np.ndarray
-    inner_count: int = 0
-
-
-def make_snapshot(spec: LossSpec, data: Dataset, w: np.ndarray) -> SvrgSnapshot:
-    return SvrgSnapshot(np.array(w, dtype=np.float64), full_grad(spec, data, w))
-
-
-def svrg_step(
-    w: np.ndarray,
-    snap: SvrgSnapshot,
-    spec: LossSpec,
-    data: Dataset,
-    i: int,
-    gamma: float,
-    inner_len: int,
-):
-    """One variance-reduced step; returns (w', snap') where snap' is a fresh
-    snapshot at w' (one full gradient) once inner_len inner steps are done.
-
-    The direction ∇f_i(w) − ∇f_i(w_ref) + mu_ref reduces to a φ′ difference
-    on x_i plus σ(w − w_ref) under the GLM structure. A non-finite φ_i or
-    φ′_i at w raises NumericError.
-    """
-    if inner_len < 1:
-        raise ValueError("inner_len must be >= 1")
-    idx, x = data.rows[i]
-    phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
-    _check_finite(i, phi, dval)
-    _, dval_ref = _scalar_phi(spec, data, float(x @ snap.w_ref[idx]), i)
-    direction = snap.mu_ref.copy()
-    direction[idx] += (dval - dval_ref) * x
-    if spec.sigma != 0.0:
-        direction = direction + spec.sigma * (w - snap.w_ref)
-    w_new = w - gamma * direction
-    snap.inner_count += 1
-    if snap.inner_count >= inner_len:
-        return w_new, make_snapshot(spec, data, w_new)
-    return w_new, snap
-
-
-@dataclass
-class AdamMoments:
-    """Exponential first/second gradient moments."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AdamMoments":
-        return cls(np.zeros(dim), np.zeros(dim))
-
-
-def adam_step(
-    w: np.ndarray,
-    moments: AdamMoments,
-    grad: np.ndarray,
-    t: int,
-    alpha: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """Bias-corrected Adam update at (1-based) step t; returns (w', moments')."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    m = beta1 * moments.m + (1.0 - beta1) * grad
-    v = beta2 * moments.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return w - alpha * m_hat / (np.sqrt(v_hat) + eps), AdamMoments(m, v)
-
-
 def run_baseline(
     method: str,
     spec: LossSpec,
@@ -228,13 +104,22 @@ def run_baseline(
     """Run a baseline for whole epochs from w⁰ = 0 and return its trace.
 
     γ defaults to 1/(2 L_max) for sag/svrg and is the constant-schedule step
-    for sgd; svrg's inner length defaults to 2n. A step size taken from
-    L_max = 0 is a FlatDataError. ``passes`` counts sampled steps as 1/n
-    each plus one full pass per svrg snapshot (including the initial one).
-    Surrogate-specific trace fields stay empty. A numeric abort raises
-    NumericError with the completed records attached.
+    for sgd; svrg's inner length defaults to 2n. ``gamma`` (where given) and
+    adam's ``alpha`` must be finite and > 0, and ``inner_len`` >= 1. A step
+    size taken from L_max = 0 is a FlatDataError. ``passes`` counts sampled
+    steps as 1/n each plus one full pass per svrg snapshot (including the
+    initial one). Surrogate-specific trace fields stay empty. A numeric
+    abort raises NumericError with the completed records attached.
     """
     meth = _check_run(method, BASELINES, data, epochs)
+    if gamma is not None and not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be finite and > 0")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and > 0")
+    if inner_len is not None and inner_len < 1:
+        raise ValueError("inner_len must be >= 1")
+    if sgd_schedule not in SGD_SCHEDULES:
+        raise ValueError(f"unknown sgd schedule {sgd_schedule!r}")
     n, dim = data.n, data.dim
     _, l_max = smoothness_constants(spec, data)
     if meth == "sgd" and sgd_schedule != "constant":
@@ -245,23 +130,47 @@ def run_baseline(
         inner_len = 2 * n
 
     w = np.zeros(dim)
+    rows, sigma = data.rows, spec.sigma
     kernel = _Kernel(spec, data, w) if meth == "sgd" else None
-    table = SagTable.zeros(n, dim) if meth == "sag" else None
-    snap = make_snapshot(spec, data, w) if meth == "svrg" else None
-    moments = AdamMoments.zeros(dim) if meth == "adam" else None
+    # sag: φ′ at each sample's last visit (0 before it) and Σ_i dvals[i]·x_i
+    dvals, grad_sum = np.zeros(n), np.zeros(dim)
+    # svrg: the snapshot and its full gradient (w is rebound, never written)
+    w_ref, mu_ref = w, full_grad(spec, data, w) if meth == "svrg" else None
+    # adam: the exponential first and second gradient moments
+    m, v = np.zeros(dim), np.zeros(dim)
 
     def step(i, t):
-        nonlocal w, snap, moments
-        if kernel is not None:
+        nonlocal w, w_ref, mu_ref, m, v
+        if meth == "sgd":
             kernel.sgd(i, sgd_stepsize(sgd_schedule, t + 1, l_max, gamma))
-        elif table is not None:
-            w = sag_step(w, table, spec, data, i, gamma)
-        elif snap is not None:
-            w, snap = svrg_step(w, snap, spec, data, i, gamma, inner_len)
-        else:
+            return
+        if meth == "adam":  # bias-corrected, β1 = 0.9, β2 = 0.999, ε = 1e-8
             fi, g = loss_grad_i(spec, data, w, i)
             _check_finite(i, fi)
-            w, moments = adam_step(w, moments, g, t + 1, alpha=alpha)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** (t + 1))
+            v_hat = v / (1.0 - 0.999 ** (t + 1))
+            w = w - alpha * m_hat / (np.sqrt(v_hat) + 1e-8)
+            return
+        idx, x = rows[i]
+        phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
+        _check_finite(i, phi, dval)
+        if meth == "sag":  # refresh sample i's entry, move along the table mean
+            grad_sum[idx] += (dval - dvals[i]) * x
+            dvals[i] = dval
+            direction = grad_sum / n
+            if sigma != 0.0:
+                direction = direction + sigma * w
+        else:  # ∇f_i(w) − ∇f_i(w_ref) + mu_ref
+            _, dval_ref = _scalar_phi(spec, data, float(x @ w_ref[idx]), i)
+            direction = mu_ref.copy()
+            direction[idx] += (dval - dval_ref) * x
+            if sigma != 0.0:
+                direction = direction + sigma * (w - w_ref)
+        w = w - gamma * direction
+        if meth == "svrg" and (t + 1) % inner_len == 0:
+            w_ref, mu_ref = w, full_grad(spec, data, w)
 
     def end_epoch(epoch, t):
         # svrg takes a snapshot at the start and after every inner_len steps

@@ -122,10 +122,14 @@ def _check_seed(seed: int) -> None:
 
 def _load(cfg: ExperimentConfig, methods):
     """The dataset and loss spec for running ``methods``. The seed must be
-    >= 0 and the step settings valid whichever method runs, the dataset must
-    not be empty, motaps needs lambda < lambda_max(n), and a logistic loss
-    labels in {-1, +1}: a 0/1 file would run its 0 rows as constant log 2s."""
+    >= 0, tau and fi_star finite and the step settings valid whichever
+    method runs, the dataset must not be empty, motaps needs
+    lambda < lambda_max(n), and a logistic loss labels in {-1, +1}: a 0/1
+    file would run its 0 rows as constant log 2s."""
     _check_seed(cfg.seed)
+    for key, value in (("tau", cfg.tau), ("fi_star", cfg.fi_star)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     make_hyper(cfg)
     data = resolve_dataset(cfg.dataset)
     if data.n == 0:

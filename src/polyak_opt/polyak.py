@@ -529,13 +529,25 @@ def _step_cap(meth: str, hyper: HyperParams) -> float:
 
 
 def fi_star_array(fi_star, n: int) -> np.ndarray:
-    """The sp targets as a length-n array from a scalar or a per-sample array."""
+    """The sp targets as a length-n array from a scalar or a per-sample
+    array; a non-finite target is a ValueError."""
     if np.isscalar(fi_star):
-        return np.full(n, float(fi_star))
-    arr = np.array(fi_star, dtype=np.float64)
+        arr = np.full(n, float(fi_star))
+    else:
+        arr = np.array(fi_star, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"fi_star must be scalar or length-{n}")
+    if not np.isfinite(arr).all():
+        raise ValueError("fi_star must be finite")
     return arr
+
+
+def _initial_tau(tau: float | None) -> float:
+    """τ⁰: ``tau`` as a float, 0.0 for None; a non-finite τ is a ValueError."""
+    tau = 0.0 if tau is None else float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    return tau
 
 
 def _check_run(method: str, names, data: Dataset, epochs: int, hyper: HyperParams | None = None) -> str:
@@ -596,21 +608,22 @@ def run_epochs(
     if given.
 
     ``fi_star`` (scalar or per-sample array) is the sp target; ``tau`` is
-    the fixed taps target or the initial motaps τ. ``init_state`` is a
-    weight vector for sp/spsmax and a ``TrackerState`` for taps and motaps,
-    whose ``tau`` then replaces ``tau``. A numeric abort raises
-    NumericError with the completed records attached.
+    the fixed taps target or the initial motaps τ; a non-finite value of
+    either is a ValueError. ``init_state`` is a weight vector for sp/spsmax
+    and a ``TrackerState`` for taps and motaps, whose ``tau`` then replaces
+    ``tau``. A numeric abort raises NumericError with the completed records
+    attached.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
     n, dim = data.n, data.dim
-    fi_stars = fi_star_array(fi_star, n)
+    fi_stars, tau = fi_star_array(fi_star, n), _initial_tau(tau)
 
     sp_like = meth in ("sp", "spsmax")
     if sp_like:
         state = None
         w = np.zeros(dim) if init_state is None else np.array(init_state, dtype=np.float64)
     elif init_state is None:
-        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, 0.0 if tau is None else float(tau))
+        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, tau)
     else:
         state = _copy_state(init_state)
     if state is not None:
@@ -857,7 +870,8 @@ def run_grid(
     bit, or None where that run would raise NumericError. Only the last
     epoch is evaluated. The batch holds C×(n+d) floats for C cells (twice
     the d part with β > 0). ``hyper.schedule`` must be constant: any other
-    sets γ and γ_τ itself, so every cell would be the same run.
+    sets γ and γ_τ itself, so every cell would be the same run. A
+    non-finite ``tau`` or ``fi_star`` is a ValueError, as in ``run_epochs``.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
     if hyper.schedule != "constant":
@@ -869,7 +883,7 @@ def run_grid(
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
     batch = _Batch(spec, data, hyper, cells, trackers=not sp_like,
-                   tau=0.0 if tau is None else float(tau),
+                   tau=_initial_tau(tau),
                    fi_stars=fi_stars.tolist(), step_cap=_step_cap(meth, hyper))
     step = getattr(batch, "sp" if sp_like else meth)
     high = n if sp_like else n + 1

@@ -1,22 +1,15 @@
-"""SGD schedules, SAG's scalar gradient table, SVRG snapshot bookkeeping,
-Adam, and the shared epoch driver for all four baselines."""
+"""SGD schedules and steps, and ``run_baseline``: SAG, SVRG and Adam
+checked against textbook dense loops on the same draws, and the shared
+epoch driver for all four baselines."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from polyak_opt.baselines import (
-    AdamMoments,
-    FlatDataError,
-    SagTable,
-    adam_step,
-    make_snapshot,
-    run_baseline,
-    sag_step,
-    sgd_step,
-    sgd_stepsize,
-    svrg_step,
-)
+from polyak_opt import baselines
+from polyak_opt.baselines import BASELINES, FlatDataError, run_baseline, sgd_step, sgd_stepsize
 from polyak_opt.data import Dataset, synth_dataset
 from polyak_opt.losses import (
     LossSpec,
@@ -71,165 +64,220 @@ class TestSgdStepsize:
             sgd_step(spec, data, np.array([2.0]), -1, 1)
 
 
+def draws(seed, n, epochs):
+    """run_baseline's sample indices: one generator, n uniform draws per epoch."""
+    rng = np.random.default_rng(seed)
+    return [sample_indices(rng, n, n).tolist() for _ in range(epochs)]
+
+
+def epoch_iterates(monkeypatch, method, spec, data, epochs, seed, **kwargs):
+    """run_baseline's records, and its iterate at the end of every epoch."""
+    iterates, make_record = [], baselines._make_record
+
+    def keep(meth, spec, data, w, *rest):
+        iterates.append(w.copy())
+        return make_record(meth, spec, data, w, *rest)
+
+    monkeypatch.setattr(baselines, "_make_record", keep)
+    return run_baseline(method, spec, data, epochs, seed, **kwargs), iterates
+
+
+def iterate_after(monkeypatch, method, spec, data, indices, **kwargs):
+    """run_baseline's iterate after stepping through ``indices``, in place of
+    its random draws."""
+    def loop(seed, high, epochs, step, end_epoch):
+        for t, i in enumerate(indices):
+            step(i, t)
+        return [end_epoch(1, len(indices))]
+
+    monkeypatch.setattr(baselines, "_epoch_loop", loop)
+    return epoch_iterates(monkeypatch, method, spec, data, 1, 0, **kwargs)[1][-1]
+
+
+def glm_cases():
+    """(name, spec, data): dense and sparse rows, σ = 0 and σ > 0, on a
+    logistic and a squared loss."""
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((12, 5))
+    sparse = dense * (rng.random((12, 5)) < 0.4)
+    labels = rng.choice([-1.0, 1.0], size=12)
+    for name, rows in (("dense", dense), ("sparse", sparse)):
+        data = Dataset(rows, labels)
+        assert data.X.dense == (name == "dense")
+        for family in ("logistic", "squared"):
+            for sigma in (0.0, 0.2):
+                yield f"{name} {family} sigma={sigma}", LossSpec(family=family, sigma=sigma), data
+
+
+def dense_sag(spec, data, epochs, seed, gamma):
+    """SAG with an n×d table of φ′_i·x_i, stepping along its mean plus σw."""
+    table, w, out = np.zeros((data.n, data.dim)), np.zeros(data.dim), []
+    unregularized = dataclasses.replace(spec, sigma=0.0)
+    for epoch in draws(seed, data.n, epochs):
+        for i in epoch:
+            table[i] = loss_grad_i(unregularized, data, w, i)[1]
+            w = w - gamma * (table.sum(axis=0) / data.n + spec.sigma * w)
+        out.append(w)
+    return out
+
+
+def dense_svrg(spec, data, epochs, seed, gamma, inner_len):
+    """SVRG from a snapshot at w⁰, taken again after every inner_len steps."""
+    w, out, inner = np.zeros(data.dim), [], 0
+    w_ref, mu_ref = w, full_grad(spec, data, w)
+    for epoch in draws(seed, data.n, epochs):
+        for i in epoch:
+            g = loss_grad_i(spec, data, w, i)[1] - loss_grad_i(spec, data, w_ref, i)[1] + mu_ref
+            w = w - gamma * g
+            inner += 1
+            if inner == inner_len:
+                w_ref, mu_ref, inner = w, full_grad(spec, data, w), 0
+        out.append(w)
+    return out
+
+
+def dense_adam(spec, data, epochs, seed, alpha):
+    """Adam with bias correction, β1 = 0.9, β2 = 0.999, ε = 1e-8."""
+    w, m, v, t, out = np.zeros(data.dim), np.zeros(data.dim), np.zeros(data.dim), 0, []
+    for epoch in draws(seed, data.n, epochs):
+        for i in epoch:
+            t += 1
+            g = loss_grad_i(spec, data, w, i)[1]
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g**2
+            w = w - alpha * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        out.append(w)
+    return out
+
+
+def gradient_descent(spec, data, steps, gamma):
+    w, out = np.zeros(data.dim), []
+    for _ in range(steps):
+        w = w - gamma * full_grad(spec, data, w)
+        out.append(w)
+    return out
+
+
 class TestSag:
-    def test_table_starts_uninitialized(self):
-        table = SagTable.zeros(4, 3)
-        assert not table.initialized.any()
-        assert_array_equal(table.dvals, np.zeros(4))
-        assert_array_equal(table.grad_sum, np.zeros(3))
+    def test_matches_dense_table(self, monkeypatch):
+        for name, spec, data in glm_cases():
+            _, ours = epoch_iterates(monkeypatch, "sag", spec, data, 4, 3, gamma=0.1)
+            for a, b in zip(ours, dense_sag(spec, data, 4, 3, 0.1), strict=True):
+                assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
 
-    def test_visit_marks_and_stores(self):
+    def test_incremental_sum_matches_table_sum(self, monkeypatch):
+        # grad_sum is kept by adding each visit's change; over 1200 steps it
+        # must not drift from the table's fresh sum
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.standard_normal((20, 4)), rng.standard_normal(20))
+        spec = LossSpec(family="squared", sigma=0.2)
+        _, ours = epoch_iterates(monkeypatch, "sag", spec, data, 60, 5, gamma=0.05)
+        assert_allclose(ours[-1], dense_sag(spec, data, 60, 5, 0.05)[-1], rtol=1e-11, atol=1e-14)
+
+    def test_table_starts_uninitialized(self, monkeypatch):
+        # every stored gradient is 0 before its first visit, so the first
+        # step moves along the sampled gradient over n alone
         rng = np.random.default_rng(0)
-        data = Dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
-        spec = LossSpec(family="logistic")
-        table = SagTable.zeros(4, 3)
-        w = rng.standard_normal(3)
-        sag_step(w, table, spec, data, 2, gamma=0.1)
-        assert list(table.initialized) == [False, False, True, False]
-        assert table.dvals[2] != 0.0
-
-    def test_full_table_direction_is_full_gradient(self):
-        rng = np.random.default_rng(1)
-        data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
+        data = Dataset(rng.standard_normal((4, 3)), rng.choice([-1.0, 1.0], size=4))
         spec = LossSpec(family="logistic", sigma=0.3)
-        table = SagTable.zeros(6, 4)
-        w = rng.standard_normal(4)
-        # refresh every slot at a frozen iterate, then read the direction off
-        # one more zero-movement step
-        for i in range(6):
-            out = sag_step(w, table, spec, data, i, gamma=0.0)
-            assert_array_equal(out, w)
-        w_next = sag_step(w, table, spec, data, 0, gamma=1.0)
-        assert_allclose(w - w_next, full_grad(spec, data, w), rtol=1e-10, atol=1e-12)
+        _, g = loss_grad_i(spec, data, np.zeros(3), 2)
+        assert_allclose(iterate_after(monkeypatch, "sag", spec, data, [2], gamma=0.5),
+                        -0.5 * g / 4, rtol=1e-15)
 
-    def test_single_sample_equals_gradient_descent(self):
+    def test_revisit_replaces_stored_gradient(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.standard_normal((6, 4)), rng.choice([-1.0, 1.0], size=6))
+        spec = LossSpec(family="logistic", sigma=0.3)
+        unregularized = LossSpec(family="logistic")
+        w1 = iterate_after(monkeypatch, "sag", spec, data, [1], gamma=0.5)
+        _, g1 = loss_grad_i(unregularized, data, w1, 1)
+        assert_allclose(iterate_after(monkeypatch, "sag", spec, data, [1, 1], gamma=0.5),
+                        w1 - 0.5 * (g1 / 6 + 0.3 * w1), rtol=1e-14, atol=1e-16)
+
+    def test_single_sample_equals_gradient_descent(self, monkeypatch):
         rng = np.random.default_rng(2)
         data = Dataset(rng.standard_normal((1, 3)), [1.0])
         spec = LossSpec(family="logistic", sigma=0.1)
-        table = SagTable.zeros(1, 3)
-        w_sag = np.zeros(3)
-        w_gd = np.zeros(3)
-        for _ in range(10):
-            w_sag = sag_step(w_sag, table, spec, data, 0, gamma=0.4)
-            w_gd = w_gd - 0.4 * full_grad(spec, data, w_gd)
-            assert_allclose(w_sag, w_gd, rtol=1e-12, atol=1e-14)
-
-    def test_check_sum_passes_and_detects_corruption(self):
-        rng = np.random.default_rng(3)
-        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
-        spec = LossSpec(family="squared", sigma=0.2)
-        table = SagTable.zeros(5, 3)
-        w = np.zeros(3)
-        for step in range(40):
-            w = sag_step(w, table, spec, data, int(rng.integers(5)), gamma=0.05)
-        assert table.check_sum(data) <= 1e-9
-        table.grad_sum[0] += 1e-3
-        with pytest.raises(ArithmeticError):
-            table.check_sum(data)
-
-    def test_check_sum_raises_on_nan(self):
-        data = Dataset(np.eye(3), np.ones(3))
-        table = SagTable.zeros(3, 3)
-        table.grad_sum[1] = np.nan
-        with pytest.raises(ArithmeticError, match="nan"):
-            table.check_sum(data)
+        _, ours = epoch_iterates(monkeypatch, "sag", spec, data, 10, 0, gamma=0.4)
+        for a, b in zip(ours, gradient_descent(spec, data, 10, 0.4), strict=True):
+            assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 class TestSvrg:
-    def test_at_reference_point_moves_along_full_gradient(self):
+    def test_at_reference_point_moves_along_full_gradient(self, monkeypatch):
+        # a snapshot after every step: each step is taken at the reference
+        # point, where the direction is the full gradient
         rng = np.random.default_rng(4)
-        data = Dataset(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        data = Dataset(rng.standard_normal((5, 3)), rng.choice([-1.0, 1.0], size=5))
         spec = LossSpec(family="logistic", sigma=0.2)
-        w = rng.standard_normal(3)
-        snap = make_snapshot(spec, data, w)
-        for i in range(5):
-            w_new, _ = svrg_step(w, make_snapshot(spec, data, w), spec, data, i, 0.3, 99)
-            assert_allclose(w_new, w - 0.3 * snap.mu_ref, rtol=1e-14, atol=1e-15)
+        _, ours = epoch_iterates(monkeypatch, "svrg", spec, data, 3, 1, gamma=0.3, inner_len=1)
+        assert_allclose(ours, gradient_descent(spec, data, 15, 0.3)[4::5], rtol=1e-12, atol=1e-14)
 
-    def test_direction_matches_naive_formula(self):
-        rng = np.random.default_rng(5)
-        data = Dataset(rng.standard_normal((6, 4)), rng.standard_normal(6))
-        spec = LossSpec(family="squared", sigma=0.4)
-        w_ref = rng.standard_normal(4)
-        snap = make_snapshot(spec, data, w_ref)
-        for _ in range(20):
-            w = rng.standard_normal(4)
-            i = int(rng.integers(6))
-            w_new, _ = svrg_step(w, snap, spec, data, i, 0.7, 999)
-            direction = (w - w_new) / 0.7
-            _, gi = loss_grad_i(spec, data, w, i)
-            _, gi_ref = loss_grad_i(spec, data, w_ref, i)
-            assert_allclose(direction, gi - gi_ref + snap.mu_ref, rtol=1e-12, atol=1e-13)
+    def test_direction_matches_naive_formula(self, monkeypatch):
+        for name, spec, data in glm_cases():
+            _, ours = epoch_iterates(monkeypatch, "svrg", spec, data, 4, 7, gamma=0.1)
+            for a, b in zip(ours, dense_svrg(spec, data, 4, 7, 0.1, 2 * data.n), strict=True):
+                assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
 
-    def test_snapshot_refresh_after_inner_budget(self):
-        rng = np.random.default_rng(6)
-        data = Dataset(rng.standard_normal((4, 2)), rng.standard_normal(4))
-        spec = LossSpec(family="logistic")
-        w = np.zeros(2)
-        snap = make_snapshot(spec, data, w)
-        w, snap1 = svrg_step(w, snap, spec, data, 1, 0.2, inner_len=2)
-        assert snap1 is snap and snap.inner_count == 1
-        w, snap2 = svrg_step(w, snap1, spec, data, 3, 0.2, inner_len=2)
-        assert snap2 is not snap
-        assert snap2.inner_count == 0
-        assert_array_equal(snap2.w_ref, w)
-        assert_allclose(snap2.mu_ref, full_grad(spec, data, w), rtol=1e-14)
+    def test_snapshot_refresh_after_inner_budget(self, monkeypatch):
+        # inner_len = 7 on n = 12 takes snapshots in the middle of epochs
+        for name, spec, data in glm_cases():
+            records, ours = epoch_iterates(monkeypatch, "svrg", spec, data, 4, 2,
+                                           gamma=0.1, inner_len=7)
+            for a, b in zip(ours, dense_svrg(spec, data, 4, 2, 0.1, 7), strict=True):
+                assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
+            # epoch k: k passes of steps, the first snapshot and one per 7 steps
+            assert [r.passes for r in records] == [3.0, 6.0, 9.0, 11.0]
 
-    def test_single_sample_equals_gradient_descent(self):
+    def test_single_sample_equals_gradient_descent(self, monkeypatch):
         rng = np.random.default_rng(7)
         data = Dataset(rng.standard_normal((1, 3)), [-1.0])
         spec = LossSpec(family="logistic", sigma=0.1)
-        w_svrg = np.zeros(3)
-        w_gd = np.zeros(3)
-        snap = make_snapshot(spec, data, w_svrg)
-        for _ in range(8):
-            w_svrg, snap = svrg_step(w_svrg, snap, spec, data, 0, 0.5, inner_len=3)
-            w_gd = w_gd - 0.5 * full_grad(spec, data, w_gd)
-            assert_allclose(w_svrg, w_gd, rtol=1e-12, atol=1e-14)
+        _, ours = epoch_iterates(monkeypatch, "svrg", spec, data, 8, 0, gamma=0.5, inner_len=3)
+        for a, b in zip(ours, gradient_descent(spec, data, 8, 0.5), strict=True):
+            assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
-    def test_inner_len_validated(self):
+    def test_inner_len_validated(self, monkeypatch):
+        # before the snapshot's full gradient, not at the first step
         spec, data = half_square_1d()
-        snap = make_snapshot(spec, data, np.zeros(1))
-        with pytest.raises(ValueError):
-            svrg_step(np.zeros(1), snap, spec, data, 0, 0.1, inner_len=0)
+        monkeypatch.setattr(baselines, "full_grad", None)
+        with pytest.raises(ValueError, match="inner_len must be >= 1"):
+            run_baseline("svrg", spec, data, 1, 0, inner_len=0)
 
 
 class TestAdam:
-    def test_first_step_is_signed_unit_move(self):
-        g = np.array([3.0, -4.0, 0.5])
-        w = np.array([1.0, 1.0, 1.0])
-        w_new, moments = adam_step(w, AdamMoments.zeros(3), g, 1)
-        expected = w - 0.001 * g / (np.abs(g) + 1e-8)
-        assert_allclose(w_new, expected, rtol=1e-12)
-        assert_allclose(moments.m, 0.1 * g, rtol=1e-15)
-        assert_allclose(moments.v, 0.001 * g * g, rtol=1e-15)
+    def test_matches_textbook_loop(self, monkeypatch):
+        for name, spec, data in glm_cases():
+            _, ours = epoch_iterates(monkeypatch, "adam", spec, data, 4, 1, alpha=0.05)
+            for a, b in zip(ours, dense_adam(spec, data, 4, 1, 0.05), strict=True):
+                assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
 
-    def test_zero_gradient_is_fixed_point(self):
-        w = np.array([2.0, -3.0])
-        w_new, moments = adam_step(w, AdamMoments.zeros(2), np.zeros(2), 1)
-        assert_array_equal(w_new, w)
-        assert_array_equal(moments.m, np.zeros(2))
+    def test_first_step_is_signed_unit_move(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.standard_normal((3, 4)), [1.0, -1.0, 1.0])
+        spec = LossSpec(family="logistic", sigma=0.1)
+        _, g = loss_grad_i(spec, data, np.zeros(4), 1)
+        assert_allclose(iterate_after(monkeypatch, "adam", spec, data, [1]),
+                        -0.001 * g / (np.abs(g) + 1e-8), rtol=1e-12)
 
-    def test_two_steps_bias_correction(self):
-        g1, g2 = np.array([1.0]), np.array([-2.0])
-        w, mom = adam_step(np.zeros(1), AdamMoments.zeros(1), g1, 1, alpha=0.1)
-        w, mom = adam_step(w, mom, g2, 2, alpha=0.1)
+    def test_zero_gradient_is_fixed_point(self, monkeypatch):
+        spec = LossSpec(family="squared")
+        data = Dataset(np.zeros((3, 2)), np.zeros(3))
+        _, ours = epoch_iterates(monkeypatch, "adam", spec, data, 2, 0, alpha=0.1)
+        assert_array_equal(ours, np.zeros((2, 2)))
+
+    def test_two_steps_bias_correction(self, monkeypatch):
+        data = Dataset([[1.0], [2.0]], [0.0, 1.0])
+        spec = LossSpec(family="squared")
+        g1 = loss_grad_i(spec, data, np.zeros(1), 0)[1]
+        w1 = -0.1 * g1 / (np.abs(g1) + 1e-8)
+        g2 = loss_grad_i(spec, data, w1, 1)[1]
         m = 0.9 * 0.1 * g1 + 0.1 * g2
         v = 0.999 * 0.001 * g1**2 + 0.001 * g2**2
         m_hat = m / (1.0 - 0.9**2)
         v_hat = v / (1.0 - 0.999**2)
-        w1 = -0.1 * g1 / (np.abs(g1) + 1e-8)
-        assert_allclose(w, w1 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=1e-12)
-
-    def test_input_moments_not_mutated(self):
-        start = AdamMoments.zeros(2)
-        adam_step(np.zeros(2), start, np.array([1.0, 2.0]), 1)
-        assert_array_equal(start.m, np.zeros(2))
-        assert_array_equal(start.v, np.zeros(2))
-
-    def test_t_validated(self):
-        with pytest.raises(ValueError):
-            adam_step(np.zeros(1), AdamMoments.zeros(1), np.zeros(1), 0)
+        assert_allclose(iterate_after(monkeypatch, "adam", spec, data, [0, 1], alpha=0.1),
+                        w1 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=1e-12)
 
 
 class TestRunBaseline:
@@ -336,6 +384,43 @@ class TestRunBaseline:
             run_baseline("newton", self.spec, self.data, 1, 0)
         with pytest.raises(ValueError):
             run_baseline("sgd", self.spec, self.data, 0, 0)
+
+    # each bad step setting is rejected before the first step: on synth
+    # n=10, d=3, logistic sigma=0.1, gamma = 0 would run sag as a silent
+    # no-op, gamma = -0.5 and adam's alpha = -1 would raise the loss from
+    # 1.29 to 4.14, and gamma = nan would end mid-run as a NumericError
+    def measured_case(self):
+        return LossSpec(family="logistic", sigma=0.1), synth_dataset(0, 10, 3, "separable")[0]
+
+    def test_zero_gamma_rejected(self):
+        spec, data = self.measured_case()
+        for method in ("sgd", "sag", "svrg"):
+            with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+                run_baseline(method, spec, data, 2, 0, gamma=0.0, sgd_schedule="constant")
+
+    def test_negative_gamma_rejected(self):
+        spec, data = self.measured_case()
+        for method in ("sgd", "sag", "svrg"):
+            with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+                run_baseline(method, spec, data, 2, 0, gamma=-0.5, sgd_schedule="constant")
+
+    def test_non_finite_gamma_rejected(self):
+        spec, data = self.measured_case()
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+                run_baseline("sag", spec, data, 2, 0, gamma=gamma)
+
+    def test_bad_alpha_rejected(self):
+        spec, data = self.measured_case()
+        for alpha in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                run_baseline("adam", spec, data, 2, 0, alpha=alpha)
+
+    def test_unknown_sgd_schedule_rejected(self):
+        spec, data = self.measured_case()
+        for method in BASELINES:
+            with pytest.raises(ValueError, match="unknown sgd schedule 'polyak'"):
+                run_baseline(method, spec, data, 2, 0, sgd_schedule="polyak")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_attaches_partial_trace(self):

@@ -118,6 +118,21 @@ class TestRun:
         )
         assert code == 2 and "budget must be >= 1, got -3" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--method", "taps", "--tau", "nan"),
+        ("run", "--method", "motaps", "--tau=-inf"),
+        ("run", "--method", "sp", "--fi-star", "inf"),
+        ("compare", "--tau", "nan"),
+        ("grid", "--method", "taps", "--tau", "inf"),
+    ])
+    def test_non_finite_target_is_config_error(self, capsys, argv):
+        # unchecked, run would exit 3 on a numeric abort and compare 0
+        # with nan in the taps and motaps columns
+        code, out, err = run_cli(capsys, *argv, "--dataset", SMALL, "--epochs", "1")
+        name = "fi_star" if "--fi-star" in argv else "tau"
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} must be finite, got ") and err.count("\n") == 1
+
     def test_unknown_method_is_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", SMALL, "--method", "newton"

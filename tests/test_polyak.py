@@ -612,6 +612,18 @@ class TestRunEpochs:
                 fi_star=np.zeros(4),
             )
 
+    def test_non_finite_targets_rejected(self):
+        # unchecked, a nan tau would end as a numeric abort and an inf
+        # fi_star as a non-finite step coefficient, both mid-run
+        spec, data = interpolating_problem(n=6, d=3)
+        for method in ("taps", "motaps"):
+            for tau in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="tau must be finite"):
+                    run_epochs(method, spec, data, HyperParams(), epochs=1, seed=0, tau=tau)
+        for fi_star in (math.inf, -math.inf, np.array([0.0, 0.0, math.nan, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="fi_star must be finite"):
+                run_epochs("sp", spec, data, HyperParams(), epochs=1, seed=0, fi_star=fi_star)
+
     def test_init_state_used_and_not_mutated(self):
         spec, data = interpolating_problem(n=6, d=3)
         st0 = tracker_state(np.full(3, 2.0), np.full(6, 0.5), tau=0.1)
@@ -1206,6 +1218,16 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="lambda"):
             run_grid("motaps", spec, data, HyperParams(lam=0.99), [(0.5, 0.1)], 1, 0)
         assert run_grid("sp", spec, data, HyperParams(), [], 2, 0) == []
+
+    def test_non_finite_targets_rejected(self):
+        spec, data = interpolating_problem(n=4, d=2)
+        for method in ("taps", "motaps"):
+            for tau in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="tau must be finite"):
+                    run_grid(method, spec, data, HyperParams(), [(0.5, 0.1)], 1, 0, tau=tau)
+        for fi_star in (math.inf, [0.0, math.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="fi_star must be finite"):
+                run_grid("sp", spec, data, HyperParams(), [(0.5, 0.1)], 1, 0, fi_star=fi_star)
 
 
 class TestHyperParamsValidation:
