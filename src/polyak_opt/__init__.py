@@ -23,14 +23,12 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     dump_config,
-    load_config,
     parse_config,
     resolve_dataset,
 )
 from .data import (
     CSRMatrix,
     Dataset,
-    DimensionMismatch,
     ParseError,
     load_libsvm,
     normalize_samples,
@@ -46,9 +44,7 @@ from .losses import (
     batch_eval,
     full_grad,
     full_loss,
-    grad_i,
     loss_grad_i,
-    loss_i,
     optimum_oracle,
     smoothness_constants,
 )
@@ -61,7 +57,6 @@ from .polyak import (
     choose_lambda,
     decreasing_schedule,
     lambda_max,
-    momentum_step,
     motaps_step,
     motaps_stepsizes,
     motaps_tau_coeff,
@@ -70,7 +65,7 @@ from .polyak import (
     sp_step,
     taps_step,
 )
-from .traces import CSV_HEADER, TraceRecord, parse_trace_csv, trace_to_csv, trace_to_json, write_trace
+from .traces import CSV_HEADER, TraceRecord, parse_trace_csv, trace_to_csv, trace_to_json
 from .verify import SuiteReport, format_report, run_all
 
 __version__ = "0.1.0"

@@ -405,7 +405,7 @@ def run_epochs_sgd_view(
             )
 
     def end_epoch(epoch, t):
-        state = None if sp_like else TrackerState(w, alpha, float(np.mean(alpha)), tau_val, t)
+        state = None if sp_like else TrackerState(w, alpha, float(np.mean(alpha)), tau_val)
         return _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
 
     return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)

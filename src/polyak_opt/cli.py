@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -42,7 +43,13 @@ from .traces import CSV_HEADER, trace_to_csv, trace_to_json
 from .verify import format_report, run_all
 
 
+# argparse takes a token that starts with '-' for a flag unless this pattern
+# matches it, and its own pattern misses -1e-3, -inf and -nan
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
     p.add_argument("--dataset", metavar="PATH", help="LIBSVM path or synth:<mode>:n=..,d=..")
     p.add_argument(
@@ -162,10 +169,14 @@ def _unsupported_as_config_error(fn, *args, **kwargs):
 
 
 def _certificate(cfg: ExperimentConfig, spec, data):
+    """The optimum certificate ``cfg.oracle`` asks for (None for none), and
+    the sp target of ``cfg.method``: the certificate's per-sample optimal
+    losses for sp and spsmax where there is one, else ``cfg.fi_star``."""
     if cfg.oracle == "none":
-        return None
+        return None, cfg.fi_star
     budget = cfg.budget if cfg.oracle == "iter" else None
-    return _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
+    cert = _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
+    return cert, cert.fi_star if cfg.method in ("sp", "spsmax") else cfg.fi_star
 
 
 def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None):
@@ -205,13 +216,11 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_run(args) -> int:
-    """A certificate supplies the per-sample sp/spsmax targets (over the
-    scalar ``fi_star``). A ``gamma`` that neither the config file nor a flag
-    set is left unset, so sag/svrg fall back to their standard step."""
+    """A ``gamma`` that neither the config file nor a flag set is left
+    unset, so sag/svrg fall back to their standard step."""
     cfg, explicit = _resolve_config(args)
     data, spec = _load(cfg, [cfg.method])
-    cert = _certificate(cfg, spec, data)
-    fi_star = cert.fi_star if cert is not None and cfg.method in ("sp", "spsmax") else cfg.fi_star
+    cert, fi_star = _certificate(cfg, spec, data)
     gamma = cfg.gamma if "gamma" in explicit else None
     records, err = _trace(cfg.method, cfg, spec, data, cert, fi_star=fi_star, gamma=gamma)
     if err is not None:
@@ -236,9 +245,10 @@ def cmd_grid(args) -> int:
     if cfg.method != "motaps":  # only motaps reads gamma_tau: one cell per gamma
         gamma_taus = [cfg.gamma_tau]
     cells = [(g, gt) for g in gammas for gt in gamma_taus]
+    _, fi_star = _certificate(cfg, spec, data)
     with np.errstate(over="ignore", invalid="ignore"):
         finals = run_grid(cfg.method, spec, data, make_hyper(cfg), cells, cfg.epochs, cfg.seed,
-                          fi_star=cfg.fi_star, tau=cfg.tau)
+                          fi_star=fi_star, tau=cfg.tau)
     results = []
     for rec in finals:
         # an abort, a non-finite value or a blown-up loss is divergence
@@ -298,11 +308,13 @@ def _compare_settings(method: str, cfg, spec, data):
 
 def cmd_compare(args) -> int:
     cfg, _ = _resolve_config(args)
+    if cfg.format != "csv":
+        raise ConfigError(f"compare writes csv only, got format = {cfg.format}")
     methods = [m.strip() for m in cfg.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ConfigError("compare needs at least two methods")
     data, spec = _load(cfg, methods)
-    cert = _certificate(cfg, spec, data)
+    cert, _ = _certificate(cfg, spec, data)
     settings = [
         _unsupported_as_config_error(_compare_settings, m, cfg, spec, data) for m in methods
     ]

@@ -154,11 +154,6 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
 def parse_float_list(raw: str) -> list[float]:
     """Comma-separated floats (used for the grid axes)."""
     items = [part.strip() for part in raw.split(",") if part.strip()]

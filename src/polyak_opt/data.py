@@ -32,27 +32,11 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class DimensionMismatch(ValueError):
-    """A sparse index addresses past the end of a dense vector."""
-
-
 class Row(NamedTuple):
     """One sample of a ``Dataset``: read-only views of its CSR slice."""
 
     indices: np.ndarray
     values: np.ndarray
-
-
-def dot(x: Row, w: np.ndarray) -> float:
-    """Inner product of a sparse row (a ``Row``, or anything with sorted
-    ``indices`` and matching ``values``) with a dense vector. Empty row -> 0."""
-    if x.indices.size == 0:
-        return 0.0
-    if x.indices[-1] >= len(w):
-        raise DimensionMismatch(
-            f"index {int(x.indices[-1])} out of range for dense vector of length {len(w)}"
-        )
-    return float(np.dot(x.values, w[x.indices]))
 
 
 def _vector(v, size: int) -> np.ndarray:

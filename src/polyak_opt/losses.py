@@ -11,9 +11,9 @@ Every per-sample loss has the form f_i(w) = phi_i(x_i . w) + (sigma/2)||w||^2:
   integer powers it coincides with (t - b_i)^(2r). The derivative at the
   kink is taken to be 0.
 
-Scalar ``loss_i``/``grad_i`` are the reference surface; ``batch_eval``
-computes the same quantities for all samples at once and the tests pin the
-two against each other.
+``loss_grad_i`` is the per-sample reference: (f_i(w), grad f_i(w)) with a
+dense gradient. ``batch_eval`` computes the same quantities for all samples
+at once, and the tests pin the two against each other.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, dot
+from .data import Dataset, _vector
 
 
 class UnsupportedFamilyError(ValueError):
@@ -130,26 +130,17 @@ def _reg(spec: LossSpec, w: np.ndarray) -> float:
     return 0.5 * spec.sigma * float(np.dot(w, w))
 
 
-def loss_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int) -> float:
-    _check_index(data, i)
-    t = dot(data.rows[i], w)
-    val, _ = _scalar_phi(spec, data, t, i)
-    return val + _reg(spec, w)
-
-
-def grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int) -> np.ndarray:
-    return loss_grad_i(spec, data, w, i)[1]
-
-
 def loss_grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int):
     """(f_i(w), grad f_i(w)) with one margin evaluation and a dense gradient:
-    the reference the O(nnz) step kernel in ``polyak`` is checked against."""
+    the reference the O(nnz) step kernel in ``polyak`` is checked against.
+    A ``w`` whose shape is not (dim,) is a "dimension mismatch" ValueError,
+    as in ``X @ w``."""
     _check_index(data, i)
-    row = data.rows[i]
-    t = dot(row, w)
-    val, dval = _scalar_phi(spec, data, t, i)
+    w = _vector(w, data.dim)
+    idx, x = data.rows[i]
+    val, dval = _scalar_phi(spec, data, float(np.dot(x, w[idx])), i)
     g = np.zeros(len(w))
-    g[row.indices] = dval * row.values
+    g[idx] = dval * x
     if spec.sigma != 0.0:
         g += spec.sigma * w
     return val + _reg(spec, w), g

@@ -80,7 +80,6 @@ class TrackerState:
     alpha: np.ndarray
     alpha_bar: float
     tau: float
-    t: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,11 @@ class StepOutcome:
     """Result of a single step.
 
     ``state_after`` is the updated state object (for sp: the new weight
-    vector). ``sampled_index`` ∈ [0, n] where n encodes the aggregate
-    branch; ``polyak_coeff`` is the applied coefficient, 0.0 on aggregate
+    vector); ``polyak_coeff`` is the applied coefficient, 0.0 on aggregate
     steps which have no per-sample coefficient.
     """
 
     state_after: object
-    sampled_index: int
     polyak_coeff: float
 
 
@@ -249,9 +246,10 @@ class _Kernel:
 
     Data whose rows are all dense takes ``_plain_step``, the dense
     reference's arithmetic (g = φ′x + σw, ‖g‖² summed over g,
-    w ← w − γc·g), and so does β > 0, through the iterate-averaging
-    ``momentum_step``; both cost O(d). On dense rows the lazy scale saves
-    nothing, since a step touches every coordinate anyway, while its
+    w ← w − γc·g), and so does β > 0, whose iterate averaging keeps a
+    second vector z: z ← z − (γc/(1−β))·g, then w ← βw + (1−β)z, with g
+    taken at the averaged w. Both cost O(d). On dense rows the lazy scale
+    saves nothing, since a step touches every coordinate anyway, while its
     rounding differs from the reference's, and along an ill-conditioned sp
     trajectory that difference grows past what ``verify`` tolerates.
 
@@ -332,7 +330,8 @@ class _Kernel:
         gsq = 0.0 if target is None else float(g.dot(g))
         c = self._coefficient(i, fi, dval, gsq, target, shift, cap)
         if self.beta:
-            self.z, self.v = momentum_step(self.z, w, lambda _: g, self.beta, gamma * c)
+            self.z = self.z - gamma * c / (1.0 - self.beta) * g
+            self.v = self.beta * w + (1.0 - self.beta) * self.z
         else:
             w -= np.multiply(gamma * c, g, out=tmp)
         return c
@@ -448,7 +447,7 @@ def sp_step(
     kernel = _Kernel(spec, data, np.array(w, dtype=np.float64),
                      fi_stars={i: float(fi_star)}, step_cap=step_cap)
     c = kernel.sp(i, gamma, 0.0)
-    return StepOutcome(kernel.fold(), i, c)
+    return StepOutcome(kernel.fold(), c)
 
 
 def taps_step(
@@ -461,8 +460,7 @@ def taps_step(
     kernel = _Kernel(spec, data, st.w, state=st)
     c = kernel.taps(sampled, gamma, 0.0)
     st.w = kernel.fold()
-    st.t += 1
-    return StepOutcome(st, sampled, c)
+    return StepOutcome(st, c)
 
 
 def motaps_step(
@@ -482,19 +480,7 @@ def motaps_step(
     kernel = _Kernel(spec, data, st.w, state=st, lam=lam)
     c = kernel.motaps(sampled, gamma, gamma_tau)
     st.w = kernel.fold()
-    st.t += 1
-    return StepOutcome(st, sampled, c)
-
-
-def momentum_step(z, w, direction, beta: float, gamma: float):
-    """Iterate-averaging momentum: z' = z − η·direction(w) with η = γ/(1−β),
-    then w' = βw + (1−β)z'. The direction is evaluated at the averaged
-    iterate w but applied to z; β = 0 reduces to the plain update."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    eta = gamma / (1.0 - beta)
-    z_new = z - eta * np.asarray(direction(w), dtype=np.float64)
-    return z_new, beta * w + (1.0 - beta) * z_new
+    return StepOutcome(st, c)
 
 
 def _copy_state(state):
@@ -639,7 +625,7 @@ def run_epochs(
     def end_epoch(epoch, t):
         w = kernel.fold()
         if state is not None:
-            state.w, state.t, state.alpha_bar = w, t, float(np.mean(state.alpha))
+            state.w, state.alpha_bar = w, float(np.mean(state.alpha))
         record = _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
         if observer is not None:
             observer(epoch, state if state is not None else w)
@@ -781,7 +767,7 @@ class _Batch:
             G += sigma * V
         c, ok = self._coefficient(fi, dval, np.vecdot(G, G), target, shift, cap)
         gc = gamma * c
-        if self.beta:  # momentum_step with direction G and step γc
+        if self.beta:  # _Kernel._plain_step's iterate averaging, per cell
             self.Z = self.Z - (gc / (1.0 - self.beta))[:, None] * G
             self.V = self.beta * V + (1.0 - self.beta) * self.Z
         else:
@@ -897,6 +883,6 @@ def run_grid(
     for r, cell in enumerate(batch.cells.tolist()):
         w, state = batch.V[r].copy(), None
         if not sp_like:
-            state = TrackerState(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]), t)
+            state = TrackerState(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]))
         finals[cell] = _make_record(meth, spec, data, w, None, epochs, t / n, state, hyper, fi_stars)
     return finals

@@ -81,14 +81,3 @@ def parse_trace_csv(text: str) -> list[TraceRecord]:
                 kwargs[name] = float(cell)
         records.append(TraceRecord(**kwargs))
     return records
-
-
-def write_trace(records: list[TraceRecord], path, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        payload = trace_to_csv(records)
-    elif fmt == "json":
-        payload = trace_to_json(records)
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(payload)

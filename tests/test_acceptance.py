@@ -42,8 +42,7 @@ from polyak_opt.losses import (
     LossSpec,
     full_grad,
     full_loss,
-    grad_i,
-    loss_i,
+    loss_grad_i,
     optimum_oracle,
     smoothness_constants,
 )
@@ -228,8 +227,7 @@ def test_c03_projection_equivalences():
         state = TrackerState(w, alpha, float(np.mean(alpha)), 0.0)
         stepped = taps_step(state, spec, data, i, gamma=1.0).state_after
         w_proj, a_proj = joint_projection_taps(w, float(alpha[i]), spec, data, i)
-        fi = loss_i(spec, data, w, i)
-        g = grad_i(spec, data, w, i)
+        fi, g = loss_grad_i(spec, data, w, i)
         stacked = kkt_projection(
             np.append(w, alpha[i]), np.append(g, -1.0), float(g @ w) - fi
         )
@@ -558,7 +556,10 @@ def test_c12_gradient_checks():
         i = int(rng.integers(0, n))
         worst["loss_i"] = fold_max(
             worst["loss_i"],
-            check(grad_i(spec, data, w, i), fd_gradient(lambda v: loss_i(spec, data, v, i), w)),
+            check(
+                loss_grad_i(spec, data, w, i)[1],
+                fd_gradient(lambda v: loss_grad_i(spec, data, v, i)[0], w),
+            ),
         )
         worst["full"] = fold_max(
             worst["full"],

@@ -124,6 +124,8 @@ class TestRun:
         ("run", "--method", "sp", "--fi-star", "inf"),
         ("compare", "--tau", "nan"),
         ("grid", "--method", "taps", "--tau", "inf"),
+        ("run", "--method", "taps", "--tau", "-inf"),
+        ("grid", "--method", "sp", "--fi-star", "-nan"),
     ])
     def test_non_finite_target_is_config_error(self, capsys, argv):
         # unchecked, run would exit 3 on a numeric abort and compare 0
@@ -132,6 +134,14 @@ class TestRun:
         name = "fi_star" if "--fi-star" in argv else "tau"
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name} must be finite, got ") and err.count("\n") == 1
+
+    def test_negative_value_after_its_flag(self, capsys):
+        # argparse's own negative-number test reads -1e-3 as a flag
+        argv = ("run", "--dataset", SMALL, "--method", "taps", "--epochs", "2")
+        joined = run_cli(capsys, *argv, "--tau=-1e-3")
+        assert joined[0] == 0
+        assert run_cli(capsys, *argv, "--tau", "-1e-3") == joined
+        assert run_cli(capsys, *argv, "--tau", "-0.001") == joined
 
     def test_unknown_method_is_config_error(self, capsys):
         code, _, err = run_cli(
@@ -464,6 +474,11 @@ GRID_CASES = {
         "0.5,1.0", "0.1,0.5",
     ),
     "sp-divergent": ("explode", "method = sp\nfamily = squared\n", "0.9,6.0,1.5", "0.1"),
+    # the certificate's per-sample losses are the sp target, as in run
+    "sp-oracle-dense": ("dense", "method = sp\nsigma = 0.1\noracle = closed\n", "0.1,0.5,1.0", "0.1"),
+    "spsmax-oracle-sparse": (
+        "sparse", "method = spsmax\nsigma = 0.05\nstep_cap = 0.3\noracle = closed\n", "0.5,1.0", "0.1",
+    ),
 }
 
 
@@ -536,6 +551,12 @@ class TestCompare:
         body = lines[3:]
         assert len(body) == 4
         assert [row.split(",")[0] for row in body] == ["sp", "sp", "sag", "sag"]
+
+    def test_json_format_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--dataset", SMALL, "--epochs", "1",
+                                 "--format", "json")
+        assert code == 2 and out == ""
+        assert err == "error: compare writes csv only, got format = json\n"
 
     def test_requires_two_methods(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"

@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyak_opt.baselines import SGD_SCHEDULES
+from polyak_opt.cli import _resolve_config, build_parser
 from polyak_opt.config import (
     ConfigError,
     ExperimentConfig,
     dump_config,
-    load_config,
     make_hyper,
     make_loss_spec,
     parse_config,
@@ -112,7 +112,8 @@ class TestParseConfig:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("method = taps\nepochs = 4\n", encoding="utf-8")
-        cfg = load_config(path)
+        # a config file is read by the command line's --config
+        cfg, _ = _resolve_config(build_parser().parse_args(["run", "--config", str(path)]))
         assert cfg.method == "taps" and cfg.epochs == 4
 
 

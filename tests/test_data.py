@@ -14,10 +14,7 @@ from numpy.testing import assert_allclose
 from polyak_opt.data import (
     CSRMatrix,
     Dataset,
-    DimensionMismatch,
     ParseError,
-    Row,
-    dot,
     load_libsvm,
     normalize_samples,
     parse_libsvm,
@@ -25,6 +22,7 @@ from polyak_opt.data import (
     _spread,
     synth_dataset,
 )
+from polyak_opt.losses import LossSpec, loss_grad_i
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -123,21 +121,29 @@ class TestDataset:
 
 
 class TestDot:
+    """The margin x_i·w that ``loss_grad_i`` takes from a row's views."""
+
     def test_dense_dot_matches(self):
         rng = np.random.default_rng(3)
+        spec = LossSpec(family="squared")  # label 0: f = t²/2 and ∇f = t·x at margin t
         for _ in range(25):
             d = int(rng.integers(1, 12))
             dense = rng.standard_normal(d)
             mask = rng.random(d) < 0.6
             dense[mask] = 0.0
-            row = Dataset(dense[None, :], [0.0]).rows[0]
+            data = Dataset(dense[None, :], [0.0])
             w = rng.standard_normal(d)
-            assert_allclose(dot(row, w), float(dense @ w), rtol=1e-12)
+            t = float(dense @ w)
+            val, g = loss_grad_i(spec, data, w, 0)
+            assert_allclose(val, 0.5 * t * t, rtol=1e-12)
+            assert_allclose(g, t * dense, rtol=1e-12)
 
     def test_dot_dimension_guard(self):
-        row = Row(np.array([4]), np.array([1.0]))
-        with pytest.raises(DimensionMismatch):
-            dot(row, np.zeros(3))
+        data = parse_libsvm("1 4:1.0")
+        spec = LossSpec(family="squared")
+        for size in (3, 5):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                loss_grad_i(spec, data, np.zeros(size), 0)
 
 
 class TestParseLibsvm:

@@ -19,9 +19,7 @@ from polyak_opt.losses import (
     batch_eval,
     full_grad,
     full_loss,
-    grad_i,
     loss_grad_i,
-    loss_i,
     optimum_oracle,
     smoothness_constants,
 )
@@ -44,7 +42,7 @@ def fd_grad(spec, data, w, i, h=1e-6):
         wp, wm = w.copy(), w.copy()
         wp[j] += step
         wm[j] -= step
-        g[j] = (loss_i(spec, data, wp, i) - loss_i(spec, data, wm, i)) / (2 * step)
+        g[j] = (loss_grad_i(spec, data, wp, i)[0] - loss_grad_i(spec, data, wm, i)[0]) / (2 * step)
     return g
 
 
@@ -53,21 +51,21 @@ class TestLossValues:
         data = Dataset([[1.0, -2.0], [0.5, 0.0]], [1.0, -1.0])
         spec = LossSpec(family="logistic")
         for i in range(data.n):
-            assert_allclose(loss_i(spec, data, np.zeros(2), i), math.log(2), rtol=1e-15)
+            assert_allclose(loss_grad_i(spec, data, np.zeros(2), i)[0], math.log(2), rtol=1e-15)
 
     def test_logistic_extreme_margins_stable(self):
         data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="logistic")
         with np.errstate(over="raise"):
-            lo = loss_i(spec, data, np.array([-800.0]), 0)
-            hi = loss_i(spec, data, np.array([800.0]), 0)
+            lo = loss_grad_i(spec, data, np.array([-800.0]), 0)[0]
+            hi = loss_grad_i(spec, data, np.array([800.0]), 0)[0]
         assert_allclose(lo, 800.0, rtol=1e-12)
         assert 0.0 <= hi < 1e-300
 
     def test_squared_interpolation_point(self):
         data = Dataset([[1.0]], [3.0])
         spec = LossSpec(family="squared")
-        assert loss_i(spec, data, np.array([3.0]), 0) == 0.0
+        assert loss_grad_i(spec, data, np.array([3.0]), 0)[0] == 0.0
 
     def test_regularizer_additivity_exact(self):
         rng = np.random.default_rng(7)
@@ -77,8 +75,8 @@ class TestLossValues:
         plain = LossSpec(family="squared")
         reg = LossSpec(family="squared", sigma=sigma)
         for i in range(4):
-            expected = loss_i(plain, data, w, i) + 0.5 * sigma * float(np.dot(w, w))
-            assert loss_i(reg, data, w, i) == expected
+            expected = loss_grad_i(plain, data, w, i)[0] + 0.5 * sigma * float(np.dot(w, w))
+            assert loss_grad_i(reg, data, w, i)[0] == expected
 
     def test_monomial_interpolation_zero(self):
         w_star = np.array([2.0, -1.0])
@@ -86,28 +84,28 @@ class TestLossValues:
         b = data.X @ w_star
         spec = LossSpec(family="monomial", power_r=0.75, offsets=b)
         for i in range(data.n):
-            assert loss_i(spec, data, w_star, i) == 0.0
-            assert_allclose(grad_i(spec, data, w_star, i), 0.0)
+            assert loss_grad_i(spec, data, w_star, i)[0] == 0.0
+            assert_allclose(loss_grad_i(spec, data, w_star, i)[1], 0.0)
 
     def test_index_out_of_range(self):
         data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="squared")
         with pytest.raises(IndexError):
-            loss_i(spec, data, np.zeros(1), 1)
+            loss_grad_i(spec, data, np.zeros(1), 1)
         with pytest.raises(IndexError):
-            grad_i(spec, data, np.zeros(1), -1)
+            loss_grad_i(spec, data, np.zeros(1), -1)
 
 
 class TestGradients:
     def test_logistic_at_origin(self):
         data = Dataset([[1.0]], [1.0])
         spec = LossSpec(family="logistic")
-        assert_allclose(grad_i(spec, data, np.zeros(1), 0), [-0.5], rtol=1e-15)
+        assert_allclose(loss_grad_i(spec, data, np.zeros(1), 0)[1], [-0.5], rtol=1e-15)
 
     def test_squared_worked_example(self):
         data = Dataset([[2.0]], [0.0])
         spec = LossSpec(family="squared")
-        assert_allclose(grad_i(spec, data, np.array([1.0]), 0), [4.0], rtol=1e-15)
+        assert_allclose(loss_grad_i(spec, data, np.array([1.0]), 0)[1], [4.0], rtol=1e-15)
 
     def test_loss_grad_pair_consistent(self):
         rng = np.random.default_rng(19)
@@ -115,9 +113,12 @@ class TestGradients:
         spec = LossSpec(family="logistic", sigma=0.2)
         w = rng.standard_normal(4)
         for i in range(6):
+            # the pair written out: log(1 + e^-yt) and -y x / (1 + e^yt), plus σ terms
+            x, y = data.X.toarray()[i], data.labels[i]
+            t = float(x @ w)
             val, g = loss_grad_i(spec, data, w, i)
-            assert val == loss_i(spec, data, w, i)
-            assert_allclose(g, grad_i(spec, data, w, i))
+            assert_allclose(val, math.log1p(math.exp(-y * t)) + 0.1 * float(w @ w), rtol=1e-14)
+            assert_allclose(g, -y * x / (1.0 + math.exp(y * t)) + 0.2 * w, rtol=1e-13, atol=1e-15)
 
     def test_finite_differences_all_families(self):
         rng = np.random.default_rng(101)
@@ -148,7 +149,7 @@ class TestGradients:
                         while np.min(np.abs(data.X @ w - labels)) < 0.2:
                             w = rng.standard_normal(d)
                     i = int(rng.integers(n))
-                    g = grad_i(spec, data, w, i)
+                    g = loss_grad_i(spec, data, w, i)[1]
                     approx = fd_grad(spec, data, w, i)
                     scale = max(1.0, float(np.linalg.norm(g)))
                     assert np.linalg.norm(g - approx) / scale < 1e-5
@@ -158,7 +159,7 @@ class TestGradients:
     def test_monomial_kink_derivative_is_zero(self):
         data = Dataset([[1.0]], [2.0])
         spec = LossSpec(family="monomial", power_r=0.6)
-        assert_allclose(grad_i(spec, data, np.array([2.0]), 0), [0.0])
+        assert_allclose(loss_grad_i(spec, data, np.array([2.0]), 0)[1], [0.0])
 
 
 class TestBatchEval:
@@ -242,8 +243,8 @@ class TestFullBatch:
         data = Dataset(rng.standard_normal((1, 4)), [1.0])
         spec = LossSpec(family="logistic", sigma=0.3)
         w = rng.standard_normal(4)
-        assert_allclose(full_loss(spec, data, w), loss_i(spec, data, w, 0), rtol=1e-13)
-        assert_allclose(full_grad(spec, data, w), grad_i(spec, data, w, 0), rtol=1e-13)
+        assert_allclose(full_loss(spec, data, w), loss_grad_i(spec, data, w, 0)[0], rtol=1e-13)
+        assert_allclose(full_grad(spec, data, w), loss_grad_i(spec, data, w, 0)[1], rtol=1e-13)
 
     def test_opposed_gradients_cancel(self):
         # both samples sit at margin 1; the residuals are +1 and -1 so the
@@ -257,8 +258,8 @@ class TestFullBatch:
         data = Dataset(rng.standard_normal((7, 3)), rng.standard_normal(7))
         spec = LossSpec(family="squared", sigma=0.05)
         w = rng.standard_normal(3)
-        vals = [loss_i(spec, data, w, i) for i in range(7)]
-        grads = [grad_i(spec, data, w, i) for i in range(7)]
+        vals = [loss_grad_i(spec, data, w, i)[0] for i in range(7)]
+        grads = [loss_grad_i(spec, data, w, i)[1] for i in range(7)]
         assert_allclose(full_loss(spec, data, w), np.mean(vals), rtol=1e-12)
         assert_allclose(full_grad(spec, data, w), np.mean(grads, axis=0), atol=1e-14)
 
@@ -318,7 +319,7 @@ class TestSmoothness:
                 bound = fw + float(np.dot(g, z - w)) + 0.5 * L[i] * float(
                     np.dot(z - w, z - w)
                 )
-                assert loss_i(spec, data, z, i) <= bound + 1e-10
+                assert loss_grad_i(spec, data, z, i)[0] <= bound + 1e-10
 
 
 class TestOptimumOracle:

@@ -1,7 +1,9 @@
 """The package's public names, one per line, so that adding or removing an
-export shows as a one-line diff here."""
+export shows as a one-line diff here, and its modules' imports."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import polyak_opt
 
@@ -12,7 +14,6 @@ PUBLIC_NAMES = [
     "CSV_HEADER",
     "ConfigError",
     "Dataset",
-    "DimensionMismatch",
     "EmptyDatasetError",
     "ExperimentConfig",
     "HyperParams",
@@ -36,21 +37,17 @@ PUBLIC_NAMES = [
     "format_report",
     "full_grad",
     "full_loss",
-    "grad_i",
     "growth_check",
     "growth_ratio",
     "inject_tau_gradient_fault",
     "joint_projection_taps",
     "kkt_projection",
     "lambda_max",
-    "load_config",
     "load_libsvm",
     "loss_grad_i",
-    "loss_i",
     "mean_grad_motaps",
     "mean_grad_sp",
     "mean_grad_taps",
-    "momentum_step",
     "motaps_step",
     "motaps_stepsizes",
     "motaps_tau_coeff",
@@ -76,7 +73,6 @@ PUBLIC_NAMES = [
     "taps_step",
     "trace_to_csv",
     "trace_to_json",
-    "write_trace",
 ]
 
 
@@ -87,3 +83,25 @@ def test_public_names_pinned():
     )
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert exported == PUBLIC_NAMES
+
+
+def test_modules_use_every_imported_name():
+    """No module imports a name it never uses. ``__init__`` is exempt, since
+    its imports are the exports, and so is ``polyak``'s ``loss_grad_i``,
+    which perfbench's tracer patches there."""
+    exempt = {("polyak", "loss_grad_i")}
+    unused = []
+    for path in sorted(Path(polyak_opt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)
+                   if (path.stem, name) not in exempt]
+    assert unused == []

@@ -1,6 +1,5 @@
-"""Polyak-family steps, parameter rules, the momentum wrapper, and the
-epoch driver, pinned against hand-evaluated updates and the documented
-invariances."""
+"""Polyak-family steps, parameter rules, momentum, and the epoch driver,
+pinned against hand-evaluated updates and the documented invariances."""
 
 import copy
 import math
@@ -17,7 +16,7 @@ from polyak_opt.aux import joint_projection_taps, run_epochs_sgd_view
 from polyak_opt.baselines import run_baseline, sgd_step
 from polyak_opt.config import resolve_dataset
 from polyak_opt.data import CSRMatrix, Dataset
-from polyak_opt.losses import LossSpec, full_grad, loss_grad_i, loss_i
+from polyak_opt.losses import LossSpec, full_grad, loss_grad_i
 from polyak_opt.polyak import (
     HyperParams,
     NumericError,
@@ -26,7 +25,6 @@ from polyak_opt.polyak import (
     choose_lambda,
     decreasing_schedule,
     lambda_max,
-    momentum_step,
     motaps_step,
     motaps_stepsizes,
     motaps_tau_coeff,
@@ -131,7 +129,6 @@ class TestSpStep:
         out = sp_step(spec, data, np.array([2.0]), 0, gamma=1.0)
         assert_allclose(out.state_after, [1.0], rtol=1e-15)
         assert out.polyak_coeff == 0.5
-        assert out.sampled_index == 0
 
     def test_step_cap(self):
         spec, data = half_square_1d()
@@ -184,7 +181,7 @@ class TestSpStep:
             scaled = LossSpec(family="monomial", power_r=1.3, scales=c * scales)
             w = rng.standard_normal(d)
             i = int(rng.integers(n))
-            star = 0.3 * loss_i(base, data, w, i)
+            star = 0.3 * loss_grad_i(base, data, w, i)[0]
             a = sp_step(base, data, w, i, gamma=0.7, fi_star=star)
             b = sp_step(scaled, data, w, i, gamma=0.7, fi_star=float(c[i]) * star)
             assert_allclose(b.state_after, a.state_after, rtol=1e-12, atol=1e-14)
@@ -236,7 +233,6 @@ class TestTapsStep:
         assert_allclose(st.alpha, [0.4], rtol=1e-15)
         assert_allclose(st.alpha_bar, 0.4, rtol=1e-15)
         assert_allclose(st.w, [1.2], rtol=1e-15)
-        assert st.t == 1
 
     def test_matched_tracker_is_a_fixed_point(self):
         spec, data = half_square_1d()
@@ -263,7 +259,6 @@ class TestTapsStep:
         taps_step(st0, spec, data, 0, gamma=1.0)
         assert_array_equal(st0.w, [2.0])
         assert_array_equal(st0.alpha, [0.0])
-        assert st0.t == 0
 
     def test_sampled_index_range(self):
         spec, data = half_square_1d()
@@ -445,41 +440,66 @@ class TestMotapsStep:
 
 
 class TestMomentumStep:
-    def test_beta_zero_is_plain(self):
-        w = np.array([2.0, -1.0])
-        z = w.copy()
-        d = np.array([1.0, 3.0])
-        z1, w1 = momentum_step(z, w, lambda v: d, beta=0.0, gamma=0.5)
-        assert_allclose(z1, w - 0.5 * d)
-        assert_allclose(w1, z1)
+    """β > 0 is iterate averaging: the gradient taken at the averaged w
+    moves a second iterate z by γc/(1−β)·g, then w ← βw + (1−β)z; an
+    aggregate step moves no sample and only averages."""
 
-    def test_beta_half_doubles_the_inner_step(self):
-        z = np.array([1.0])
-        w = np.array([4.0])
-        d = np.array([2.0])
-        z1, w1 = momentum_step(z, w, lambda v: d, beta=0.5, gamma=0.3)
-        assert_allclose(z1, z - 0.6 * d, rtol=1e-15)
-        assert_allclose(w1, 0.5 * w + 0.5 * z1, rtol=1e-15)
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("method", ["sp", "motaps"])
+    def test_run_matches_textbook_loop(self, method, layout):
+        if layout == "dense":
+            rng = np.random.default_rng(5)
+            data = Dataset(rng.standard_normal((8, 5)), rng.choice([-1.0, 1.0], size=8))
+        else:
+            data = sparse_problem()[2]
+        spec = LossSpec(family="logistic", sigma=0.05)
+        hyper = HyperParams(gamma=0.7, gamma_tau=0.3, lam=0.2, beta=0.6)
+        n, tau, seed, epochs = data.n, 0.1, 4, 3
+        final = {}
+        run_epochs(method, spec, data, hyper, epochs, seed, tau=tau,
+                   observer=lambda epoch, state: final.update(state=copy.deepcopy(state)))
 
-    def test_zero_direction_averages(self):
-        z = np.array([1.0, 0.0])
-        w = np.array([0.0, 1.0])
-        z1, w1 = momentum_step(z, w, lambda v: np.zeros(2), beta=0.25, gamma=1.0)
-        assert_array_equal(z1, z)
-        assert_allclose(w1, 0.25 * w + 0.75 * z)
+        beta, gamma, gamma_tau = hyper.beta, hyper.gamma, hyper.gamma_tau
+        coeff = motaps_tau_coeff(hyper.lam, n)
+        w, z, alpha, alpha_bar = np.zeros(data.dim), np.zeros(data.dim), np.zeros(n), 0.0
+        rng = np.random.default_rng(seed)
+        high = n if method == "sp" else n + 1
+        aggregates = 0
+        for _ in range(epochs):
+            for i in sample_indices(rng, high, high).tolist():
+                if i == n:
+                    delta = gamma * (tau - alpha_bar)
+                    tau = (1.0 - gamma_tau) * tau + gamma_tau * coeff * alpha_bar
+                    alpha = alpha + delta
+                    alpha_bar += delta
+                    aggregates += 1
+                else:
+                    fi, g = loss_grad_i(spec, data, w, i)
+                    gsq = float(g.dot(g))
+                    if method == "sp":
+                        c = 0.0 if gsq <= 1e-30 else fi / gsq
+                    else:
+                        c = (fi - alpha[i]) / (gsq + 1.0)
+                        alpha[i] += gamma * c
+                        alpha_bar += gamma * c / n
+                    z = z - gamma * c / (1.0 - beta) * g
+                w = beta * w + (1.0 - beta) * z
+            alpha_bar = float(np.mean(alpha))
 
-    def test_direction_evaluated_at_w_not_z(self):
-        z = np.array([10.0])
-        w = np.array([3.0])
-        z1, _ = momentum_step(z, w, lambda v: v, beta=0.5, gamma=0.5)
-        assert_allclose(z1, z - 1.0 * w)
+        state = final["state"]
+        if method == "motaps":
+            assert aggregates > 0
+            assert_array_equal(state.alpha, alpha)
+            assert (state.alpha_bar, state.tau) == (alpha_bar, tau)
+            state = state.w
+        assert_array_equal(state, w)
+        assert not np.array_equal(w, z)
 
     def test_beta_bounds(self):
-        z = np.zeros(1)
-        with pytest.raises(ValueError):
-            momentum_step(z, z, lambda v: v, beta=1.0, gamma=0.1)
-        with pytest.raises(ValueError):
-            momentum_step(z, z, lambda v: v, beta=-0.1, gamma=0.1)
+        # checked once, when the step settings are built
+        for beta in (1.0, -0.1):
+            with pytest.raises(ValueError, match="beta"):
+                HyperParams(beta=beta)
 
 
 def interpolating_problem(seed=8, n=30, d=5):
@@ -633,7 +653,6 @@ class TestRunEpochs:
             "taps", spec, data, HyperParams(), epochs=1, seed=3, init_state=st0
         )
         assert_array_equal(st0.w, w_before)
-        assert st0.t == 0
         assert warm != from_zero
 
     def test_observer_called_per_epoch(self):

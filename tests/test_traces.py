@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from polyak_opt.cli import _emit
 from polyak_opt.traces import (
     CSV_HEADER,
     TraceRecord,
     parse_trace_csv,
     trace_to_csv,
     trace_to_json,
-    write_trace,
 )
 
 
@@ -82,16 +82,14 @@ class TestJson:
 
 
 class TestWriteTrace:
+    """A trace file is ``cli._emit`` of the serialized records."""
+
     def test_csv_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace(sample_records(), path)
-        assert parse_trace_csv(path.read_text()) == sample_records()
+        _emit(trace_to_csv(sample_records()), str(path))
+        assert parse_trace_csv(path.read_text(encoding="utf-8")) == sample_records()
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_trace(sample_records(), path, fmt="json")
-        assert json.loads(path.read_text())[0]["epoch"] == 1
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            write_trace(sample_records(), tmp_path / "t.xml", fmt="xml")
+        _emit(trace_to_json(sample_records()), str(path))
+        assert json.loads(path.read_text(encoding="utf-8"))[0]["epoch"] == 1
