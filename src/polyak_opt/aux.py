@@ -392,20 +392,21 @@ def run_epochs_sgd_view(
     sp_like = meth in ("sp", "spsmax")
     w, alpha, tau_val = np.zeros(data.dim), np.zeros(n), _initial_tau(tau)
 
-    def step(i, t):
+    def run(draws, t):
         nonlocal w, alpha, tau_val
-        gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
-        if sp_like:
-            w = sgd_view_sp_step(spec, data, w, i, gamma_t, float(fi_stars[i]))
-        elif meth == "taps":
-            w, alpha = sgd_view_taps_step(w, alpha, spec, data, i, gamma_t, tau_val)
-        else:
-            w, alpha, tau_val = sgd_view_motaps_step(
-                w, alpha, tau_val, spec, data, i, gamma_t, gamma_tau_t, hyper.lam
-            )
+        for t, i in enumerate(draws, t):
+            gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
+            if sp_like:
+                w = sgd_view_sp_step(spec, data, w, i, gamma_t, float(fi_stars[i]))
+            elif meth == "taps":
+                w, alpha = sgd_view_taps_step(w, alpha, spec, data, i, gamma_t, tau_val)
+            else:
+                w, alpha, tau_val = sgd_view_motaps_step(
+                    w, alpha, tau_val, spec, data, i, gamma_t, gamma_tau_t, hyper.lam
+                )
 
     def end_epoch(epoch, t):
         state = None if sp_like else TrackerState(w, alpha, float(np.mean(alpha)), tau_val)
         return _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
 
-    return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)
+    return _epoch_loop(seed, n if sp_like else n + 1, epochs, run, end_epoch)

@@ -26,17 +26,23 @@ from .data import Dataset
 from .losses import (
     LossSpec,
     OptimumCertificate,
-    _scalar_phi,
+    _phi_of,
     full_grad,
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import _check_finite, _check_index, _check_run, _epoch_loop, _Kernel, _make_record
+from .polyak import HyperParams, NumericError, _check_index, _check_run, _epoch_loop, _Kernel, _make_record
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")
 
 SGD_SCHEDULES = ("paper_literal", "inverse", "constant")
+
+
+def _check_finite(i: int, fi: float, dval: float = 0.0) -> None:
+    """NumericError unless the loss and φ′ values sampled at i are finite."""
+    if not (math.isfinite(fi) and math.isfinite(dval)):
+        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
 
 
 class FlatDataError(ValueError):
@@ -79,12 +85,16 @@ def sgd_step(
     l_max: float = 1.0,
     gamma: float = 0.1,
 ) -> np.ndarray:
-    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize, as one call of the
-    Polyak kernel's data step; a non-finite f_i(w) or φ′ raises
-    NumericError."""
+    """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize, as one draw of the
+    Polyak kernel; a non-finite f_i(w) or φ′ raises NumericError. As in
+    ``run_baseline``, a schedule other than "constant" needs L_max > 0, and
+    a γ_t that is not finite and > 0 is a ValueError."""
     _check_index(i, data.n)
-    kernel = _Kernel(spec, data, np.array(w, dtype=np.float64))
-    kernel.sgd(i, sgd_stepsize(schedule, t, l_max, gamma))
+    if schedule != "constant":
+        check_l_max(l_max)
+    hyper = HyperParams(gamma=sgd_stepsize(schedule, t, l_max, gamma))
+    kernel = _Kernel("sgd", spec, data, np.array(w, dtype=np.float64), hyper)
+    kernel.run([i], t)
     return kernel.fold()
 
 
@@ -130,8 +140,10 @@ def run_baseline(
         inner_len = 2 * n
 
     w = np.zeros(dim)
-    rows, sigma = data.rows, spec.sigma
-    kernel = _Kernel(spec, data, w) if meth == "sgd" else None
+    rows, sigma, phi = data.rows, spec.sigma, _phi_of(spec, data)
+    kernel = None if meth != "sgd" else _Kernel(
+        "sgd", spec, data, w, HyperParams(gamma=gamma),
+        stepsizes=lambda t: (sgd_stepsize(sgd_schedule, t + 1, l_max, gamma), 0.0))
     # sag: φ′ at each sample's last visit (0 before it) and Σ_i dvals[i]·x_i
     dvals, grad_sum = np.zeros(n), np.zeros(dim)
     # svrg: the snapshot and its full gradient (w is rebound, never written)
@@ -139,38 +151,43 @@ def run_baseline(
     # adam: the exponential first and second gradient moments
     m, v = np.zeros(dim), np.zeros(dim)
 
-    def step(i, t):
-        nonlocal w, w_ref, mu_ref, m, v
-        if meth == "sgd":
-            kernel.sgd(i, sgd_stepsize(sgd_schedule, t + 1, l_max, gamma))
-            return
-        if meth == "adam":  # bias-corrected, β1 = 0.9, β2 = 0.999, ε = 1e-8
-            fi, g = loss_grad_i(spec, data, w, i)
-            _check_finite(i, fi)
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat = m / (1.0 - 0.9 ** (t + 1))
-            v_hat = v / (1.0 - 0.999 ** (t + 1))
-            w = w - alpha * m_hat / (np.sqrt(v_hat) + 1e-8)
-            return
-        idx, x = rows[i]
-        phi, dval = _scalar_phi(spec, data, float(x @ w[idx]), i)
-        _check_finite(i, phi, dval)
-        if meth == "sag":  # refresh sample i's entry, move along the table mean
-            grad_sum[idx] += (dval - dvals[i]) * x
-            dvals[i] = dval
-            direction = grad_sum / n
-            if sigma != 0.0:
-                direction = direction + sigma * w
-        else:  # ∇f_i(w) − ∇f_i(w_ref) + mu_ref
-            _, dval_ref = _scalar_phi(spec, data, float(x @ w_ref[idx]), i)
-            direction = mu_ref.copy()
-            direction[idx] += (dval - dval_ref) * x
-            if sigma != 0.0:
-                direction = direction + sigma * (w - w_ref)
-        w = w - gamma * direction
-        if meth == "svrg" and (t + 1) % inner_len == 0:
-            w_ref, mu_ref = w, full_grad(spec, data, w)
+    def run(draws, t):
+        nonlocal w, w_ref, mu_ref, m, v, grad_sum
+        for t, i in enumerate(draws, t + 1):  # t: steps taken, this one included
+            if meth == "adam":  # bias-corrected, β1 = 0.9, β2 = 0.999, ε = 1e-8
+                fi, g = loss_grad_i(spec, data, w, i)
+                _check_finite(i, fi)
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                m_hat = m / (1.0 - 0.9**t)
+                v_hat = v / (1.0 - 0.999**t)
+                w = w - alpha * m_hat / (np.sqrt(v_hat) + 1e-8)
+                continue
+            idx, x = rows[i]
+            full = x.size == dim  # a full row's indices are 0 .. d-1: no gather or scatter
+            fi, dval = phi(float(x.dot(w if full else w[idx])), i)
+            _check_finite(i, fi, dval)
+            if meth == "sag":  # refresh sample i's entry, move along the table mean
+                if full:
+                    grad_sum += (dval - dvals[i]) * x
+                else:
+                    grad_sum[idx] += (dval - dvals[i]) * x
+                dvals[i] = dval
+                direction = grad_sum / n
+                if sigma != 0.0:
+                    direction = direction + sigma * w
+            else:  # ∇f_i(w) − ∇f_i(w_ref) + mu_ref
+                _, dval_ref = phi(float(x.dot(w_ref if full else w_ref[idx])), i)
+                direction = mu_ref.copy()
+                if full:
+                    direction += (dval - dval_ref) * x
+                else:
+                    direction[idx] += (dval - dval_ref) * x
+                if sigma != 0.0:
+                    direction = direction + sigma * (w - w_ref)
+            w = w - gamma * direction
+            if meth == "svrg" and t % inner_len == 0:
+                w_ref, mu_ref = w, full_grad(spec, data, w)
 
     def end_epoch(epoch, t):
         # svrg takes a snapshot at the start and after every inner_len steps
@@ -178,4 +195,4 @@ def run_baseline(
         current = w if kernel is None else kernel.fold()
         return _make_record(meth, spec, data, current, certificate, epoch, t / n + full_passes)
 
-    return _epoch_loop(seed, n, epochs, step, end_epoch)
+    return _epoch_loop(seed, n, epochs, run if kernel is None else kernel.run, end_epoch)

@@ -146,37 +146,51 @@ def loss_grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int):
     return val + _reg(spec, w), g
 
 
-def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
-    """phi_i(t), phi_i'(t) for a single sample without materializing arrays.
+def _phi_of(spec: LossSpec, data: Dataset):
+    """``phi(t, i)``: phi_i(t) and phi_i'(t) for a single sample without
+    materializing arrays, bound once to one family and dataset so that a
+    step loop looks nothing up per call.
 
     The logistic branch is ``np.logaddexp(0, -yt)`` (bit for bit) and
     ``-y / (1 + e^yt)``, written with ``math`` to skip the cost of a ufunc
     call on a scalar; the second is 0 where e^yt overflows. The monomial
     branch is inf where a power overflows, as the vectorized one is.
     """
+    labels = data.labels
     if spec.family == "logistic":
-        y = float(data.labels[i])
-        yt = y * t
-        val = math.log1p(math.exp(-yt)) if yt > 0 else -yt + math.log1p(math.exp(yt))
-        try:
-            tail = 1.0 / (1.0 + math.exp(yt))
-        except OverflowError:
-            tail = 0.0
-        return val, -y * tail
-    if spec.family == "squared":
-        r = t - float(data.labels[i])
-        return 0.5 * r * r, r
-    ai = 1.0 if spec.scales is None else float(spec.scales[i])
-    bi = float((data.labels if spec.offsets is None else spec.offsets)[i])
-    p = 2.0 * spec.power_r
-    u = t - bi
-    absu = abs(u)
-    if absu == 0.0:
-        return 0.0, 0.0
-    try:
-        return ai * absu**p, p * ai * absu ** (p - 1.0) * (1.0 if u > 0 else -1.0)
-    except OverflowError:  # a float power raises where numpy's returns inf
-        return math.inf, math.copysign(math.inf, u)
+        def phi(t, i):
+            y = labels.item(i)
+            yt = y * t
+            val = math.log1p(math.exp(-yt)) if yt > 0 else -yt + math.log1p(math.exp(yt))
+            try:
+                tail = 1.0 / (1.0 + math.exp(yt))
+            except OverflowError:
+                tail = 0.0
+            return val, -y * tail
+    elif spec.family == "squared":
+        def phi(t, i):
+            r = t - labels.item(i)
+            return 0.5 * r * r, r
+    else:
+        scales, offsets = spec.scales, labels if spec.offsets is None else spec.offsets
+        p = 2.0 * spec.power_r
+
+        def phi(t, i):
+            ai = 1.0 if scales is None else scales.item(i)
+            u = t - offsets.item(i)
+            absu = abs(u)
+            if absu == 0.0:
+                return 0.0, 0.0
+            try:
+                return ai * absu**p, p * ai * absu ** (p - 1.0) * (1.0 if u > 0 else -1.0)
+            except OverflowError:  # a float power raises where numpy's returns inf
+                return math.inf, math.copysign(math.inf, u)
+    return phi
+
+
+def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
+    """phi_i(t), phi_i'(t) of one sample: ``_phi_of`` for a single call."""
+    return _phi_of(spec, data)(t, i)
 
 
 def _cells_phi(spec: LossSpec, data: Dataset, t: np.ndarray, i: int):

@@ -43,7 +43,7 @@ from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfb
     OptimumCertificate,
     _cells_phi,
     _mean_grad,
-    _scalar_phi,
+    _phi_of,
     full_grad,
     full_loss,
     loss_grad_i,
@@ -229,22 +229,18 @@ def motaps_stepsizes(lam: float, n: int, preset: str = "half") -> tuple[float, f
 # the step kernel
 
 
-def _check_finite(i: int, fi: float, dval: float = 0.0) -> None:
-    """NumericError unless the loss and φ′ values sampled at i are finite."""
-    if not (math.isfinite(fi) and math.isfinite(dval)):
-        raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
-
-
 class _Kernel:
-    """The steps of one run; a data step costs O(nnz_i) on sparse data.
+    """The steps of one run of ``method`` (one of ``METHODS``, or "sgd":
+    the data step with coefficient 1); a data step costs O(nnz_i) on sparse
+    data.
 
     On data with a sparse row the weights are kept as w = s·v with ‖w‖²
     tracked, so the regularizer's share of a step, w ← (1 − γcσ)w, is one
     scalar update (the L2 scaling trick of Bottou's "SGD tricks" and
-    Pegasos): see ``_lazy_step``. ``fold`` writes s into v, which
-    ``run_epochs`` does at every epoch end.
+    Pegasos). ``fold`` writes s into v, which ``run_epochs`` does at every
+    epoch end.
 
-    Data whose rows are all dense takes ``_plain_step``, the dense
+    Data whose rows are all dense takes the plain step, the dense
     reference's arithmetic (g = φ′x + σw, ‖g‖² summed over g,
     w ← w − γc·g), and so does β > 0, whose iterate averaging keeps a
     second vector z: z ← z − (γc/(1−β))·g, then w ← βw + (1−β)z, with g
@@ -253,36 +249,35 @@ class _Kernel:
     rounding differs from the reference's, and along an ill-conditioned sp
     trajectory that difference grows past what ``verify`` tolerates.
 
-    A step's cost is mostly numpy call overhead on short vectors, so a
-    step makes few calls: products are ``ndarray.dot`` (the same ddot as
-    ``@`` at about half the call cost), the plain step writes g, σw and
-    γc·g into two preallocated vectors, and γc, α_i and the motaps shrink
-    factor are computed or read once. On a 2-vCPU KVM guest (median of 50
-    runs of 2000 steps) a lazy step on a 20-nonzero row of d = 10 000
-    costs about 8 µs and a plain step at d = 50 about 12 µs.
+    A step's cost is mostly interpreter and numpy call overhead on short
+    vectors. So ``run`` takes a whole epoch's draws in one loop that keeps
+    the state in locals and calls the loss family's φ bound once per run
+    (``losses._phi_of``), and a step makes few numpy calls: products are
+    ``ndarray.dot`` (the same ddot as ``@`` at about half the call cost),
+    and the plain step writes g, σw and γc·g into two preallocated vectors.
+    On a 2-vCPU KVM guest (median of 50 in-process ``run`` calls of 2000
+    draws) a motaps step on a 20-nonzero row of d = 10 000 costs about
+    3 µs and a plain motaps step at d = 50 about 5 µs; a busy host reads up
+    to twice that.
 
-    ``sp``, ``taps``, ``motaps`` and ``sgd`` are the per-method steps, all
-    with the signature (i, γ, γ_τ) -> applied coefficient; ``fi_stars`` is
-    anything indexable by sample index, and ``state`` is the ``TrackerState``.
-    taps and motaps share ``_tracker_step`` and ``_aggregate`` and differ
-    only in the τ they hand the latter: taps its own, motaps the learned one.
+    ``hyper`` gives β, the spsmax cap, λ and the step sizes, which
+    ``stepsizes(t)`` -> (γ, γ_τ) replaces at step t where given; the
+    decreasing schedule is one such. ``fi_stars`` is anything indexable by
+    sample index, and ``state`` is the ``TrackerState`` of taps and motaps.
     """
 
-    def __init__(self, spec, data, w, *, state=None, fi_stars=None,
-                 step_cap=math.inf, lam=0.0, beta=0.0):
-        self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
-        self.sigma, self.beta = spec.sigma, beta
-        self.state, self.fi_stars, self.step_cap = state, fi_stars, step_cap
-        self.tau_coeff = motaps_tau_coeff(lam, self.n)
+    def __init__(self, method, spec, data, w, hyper, *, state=None, fi_stars=None, stepsizes=None):
+        self.method, self.spec, self.data, self.hyper = method, spec, data, hyper
+        self.state, self.fi_stars, self.stepsizes = state, fi_stars, stepsizes
+        if stepsizes is None and hyper.schedule != "constant":
+            self.stepsizes = lambda t: _stepsizes_at(hyper, t, data.n)
         self.v, self.s = w, 1.0
-        self.z = w.copy() if beta else None
+        self.z = w.copy() if hyper.beta else None
         self.wsq = float(w.dot(w))
-        self.lazy = not (beta or data.X.dense)
-        if self.lazy:
-            self._data_step, self.sqnorms = self._lazy_step, data.row_sqnorms.tolist()
-        else:  # _plain_step's g, and its σw or γc·g
-            self._data_step = self._plain_step
-            self._g, self._tmp = np.empty_like(w), np.empty_like(w)
+        self.lazy = not (hyper.beta or data.X.dense)
+        # the lazy step's ‖x_i‖², or the plain step's g and its σw or γc·g
+        self.sqnorms = data.row_sqnorms.tolist() if self.lazy else None
+        self._g, self._tmp = (None, None) if self.lazy else (np.empty_like(w), np.empty_like(w))
 
     def fold(self) -> np.ndarray:
         """Fold s into v (s = 1), making ‖w‖² exact for the lazy step; returns w."""
@@ -293,132 +288,128 @@ class _Kernel:
             self.wsq = float(self.v.dot(self.v))
         return self.v
 
-    @staticmethod
-    def _coefficient(i, fi, dval, gsq, target, shift, cap):
-        """c = min((f_i(w) − target)/(‖∇f_i(w)‖² + shift), cap), 0 on a zero
-        gradient when shift = 0, and 1 (an SGD step) when target is None."""
-        if not (math.isfinite(fi) and math.isfinite(dval)):  # _check_finite, one frame less
-            raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
-        if target is None:
-            return 1.0
-        if not math.isfinite(gsq):
-            # a finite gradient whose square norm overflows: the coefficient
-            # would silently collapse to 0 and freeze the iterate mid-divergence
-            raise NumericError(f"gradient norm overflow at sample {i}", sample_index=i)
-        if shift == 0.0 and gsq <= ZERO_GRAD_SQNORM:
-            return 0.0
-        c = min((fi - target) / (gsq + shift), cap)
-        if not math.isfinite(c):
-            raise NumericError(f"non-finite step coefficient at sample {i}", sample_index=i)
+    def run(self, draws, t):
+        """Take a step at each sample index of ``draws``, the first being
+        step t of the run; returns the last step's coefficient.
+
+        A data step is w ← w − γc∇f_i(w), with c = 1 for sgd and otherwise
+        c = (f_i(w) − target)/(‖∇f_i(w)‖² + shift): f_i* and shift 0 for
+        sp, 0 on a zero gradient and at most ``step_cap`` for spsmax; α_i
+        and shift 1 for a tracker step, which then moves α_i and ᾱ by γc.
+        The lazy step's margin is m = s·(x·v), and ‖∇f_i(w)‖² is
+        φ′²‖x‖² + 2σφ′m + σ²‖w‖², the expansion ``batch_eval`` uses; a lazy
+        step whose new scale would leave [1e-100, 1e100], which covers
+        1 − γcσ ≤ 0, folds it into v and applies itself densely.
+
+        Index n is the aggregate step: every α_j and ᾱ move by γ(τ − ᾱ), τ
+        stays (taps) or becomes (1 − γ_τ)τ + γ_τ·κ·ᾱ (motaps, κ from
+        ``motaps_tau_coeff``), all from the pre-step state, since the step
+        is one simultaneous SGD step; with β > 0 w then takes the averaging
+        half of momentum. A non-finite value raises NumericError, and the
+        state goes back to ``self`` when the draws are done or before the
+        error leaves.
+        """
+        hyper, st, stepsizes, fi_stars = self.hyper, self.state, self.stepsizes, self.fi_stars
+        n, rows, sigma, beta, lazy = self.data.n, self.data.rows, self.spec.sigma, hyper.beta, self.lazy
+        phi, sqnorms, g, tmp = _phi_of(self.spec, self.data), self.sqnorms, self._g, self._tmp
+        sgd, learn_tau, cap = self.method == "sgd", self.method == "motaps", _step_cap(self.method, hyper)
+        gamma, gamma_tau, tau_coeff = hyper.gamma, hyper.gamma_tau, motaps_tau_coeff(hyper.lam, n)
+        v, s, wsq, z, c, isfinite = self.v, self.s, self.wsq, self.z, 0.0, math.isfinite
+        if st is not None:
+            alpha, abar, tau = st.alpha, st.alpha_bar, st.tau
+        try:
+            for i in draws:
+                if stepsizes is not None:
+                    gamma, gamma_tau = stepsizes(t)
+                    t += 1
+                if i == n:
+                    delta = gamma * (tau - abar)
+                    new_tau = (1.0 - gamma_tau) * tau + gamma_tau * tau_coeff * abar if learn_tau else tau
+                    if not (isfinite(delta) and isfinite(new_tau)):
+                        raise NumericError("non-finite aggregate update", sample_index=n)
+                    alpha += delta
+                    abar += delta
+                    tau, c = new_tau, 0.0
+                    if beta:
+                        v = beta * v + (1.0 - beta) * z
+                    continue
+                idx, x = rows[i]
+                if lazy:
+                    vi = v[idx]
+                    m = s * float(x.dot(vi))
+                    fi, dval = phi(m, i)
+                    xsq = sqnorms[i]
+                    fi += 0.5 * sigma * wsq
+                    gsq = dval * dval * xsq + 2.0 * sigma * dval * m + sigma * sigma * wsq
+                    if gsq < 0.0:
+                        gsq = 0.0
+                else:
+                    full = x.size == v.size  # a full row's indices are 0 .. d-1
+                    fi, dval = phi(float(x.dot(v if full else v[idx])), i)
+                    if full:
+                        np.multiply(dval, x, out=g)
+                    else:
+                        g.fill(0.0)
+                        g[idx] = dval * x
+                    if sigma:
+                        fi += 0.5 * sigma * float(v.dot(v))
+                        g += np.multiply(sigma, v, out=tmp)
+                    gsq = 0.0 if sgd else float(g.dot(g))  # an sgd step needs no ‖g‖²
+                if not (isfinite(fi) and isfinite(dval)):
+                    raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
+                if sgd:
+                    c = 1.0
+                elif not isfinite(gsq):
+                    # a finite gradient whose square norm overflows: the coefficient
+                    # would silently collapse to 0 and freeze the iterate mid-divergence
+                    raise NumericError(f"gradient norm overflow at sample {i}", sample_index=i)
+                elif st is not None:
+                    ai = alpha.item(i)
+                    c = (fi - ai) / (gsq + 1.0)
+                elif gsq <= ZERO_GRAD_SQNORM:
+                    c = 0.0
+                else:
+                    c = (fi - fi_stars[i]) / gsq
+                    if cap < c:
+                        c = cap
+                if not isfinite(c):
+                    raise NumericError(f"non-finite step coefficient at sample {i}", sample_index=i)
+                gc = gamma * c
+                if lazy:  # w ← a·w − b·x with a = 1 − γcσ and b = γcφ′
+                    a = 1.0 - gc * sigma
+                    b = gc * dval
+                    s_new = s * a
+                    if 1e-100 <= s_new <= 1e100:
+                        vi -= (b / s_new) * x
+                        v[idx] = vi
+                        s = s_new
+                        wsq = a * a * wsq - 2.0 * a * b * m + b * b * xsq
+                        if wsq < 0.0:
+                            wsq = 0.0
+                    else:
+                        v *= s
+                        v *= a
+                        v[idx] -= b * x
+                        s = 1.0
+                        wsq = float(v.dot(v))
+                elif beta:
+                    z = z - gc / (1.0 - beta) * g
+                    v = beta * v + (1.0 - beta) * z
+                else:
+                    v -= np.multiply(gc, g, out=tmp)
+                if st is not None:
+                    alpha[i] = ai + gc
+                    abar += gc / n
+        finally:
+            self.v, self.s, self.wsq, self.z = v, s, wsq, z
+            if st is not None:
+                st.alpha_bar, st.tau = abar, tau
         return c
-
-    def _plain_step(self, i, gamma, target, shift, cap):
-        """w ← w − γc∇f_i(w) with c from ``_coefficient``; returns c."""
-        idx, x = self.rows[i]
-        w, g, tmp, sigma = self.v, self._g, self._tmp, self.sigma
-        full = x.size == w.size  # a full row's indices are 0 .. d-1
-        fi, dval = _scalar_phi(self.spec, self.data, float(x.dot(w if full else w[idx])), i)
-        if full:
-            np.multiply(dval, x, out=g)
-        else:
-            g.fill(0.0)
-            g[idx] = dval * x
-        if sigma:
-            fi += 0.5 * sigma * float(w.dot(w))
-            g += np.multiply(sigma, w, out=tmp)
-        # an sgd step's coefficient needs no ‖g‖²
-        gsq = 0.0 if target is None else float(g.dot(g))
-        c = self._coefficient(i, fi, dval, gsq, target, shift, cap)
-        if self.beta:
-            self.z = self.z - gamma * c / (1.0 - self.beta) * g
-            self.v = self.beta * w + (1.0 - self.beta) * self.z
-        else:
-            w -= np.multiply(gamma * c, g, out=tmp)
-        return c
-
-    def _lazy_step(self, i, gamma, target, shift, cap):
-        """``_plain_step``'s update on w = s·v (β = 0). The margin is
-        t = s·(x·v) and ‖∇f_i(w)‖² = φ′²‖x‖² + 2σφ′t + σ²‖w‖², the expansion
-        ``batch_eval`` uses. A step whose new scale would leave
-        [1e-100, 1e100], which covers 1 − γcσ ≤ 0, folds it into v and
-        applies itself densely."""
-        idx, x = self.rows[i]
-        v, s, sigma, wsq = self.v, self.s, self.sigma, self.wsq
-        vi = v[idx]
-        t = s * float(x.dot(vi))
-        fi, dval = _scalar_phi(self.spec, self.data, t, i)
-        xsq = self.sqnorms[i]
-        fi += 0.5 * sigma * wsq
-        gsq = max(dval * dval * xsq + 2.0 * sigma * dval * t + sigma * sigma * wsq, 0.0)
-        c = self._coefficient(i, fi, dval, gsq, target, shift, cap)
-        # w ← a·w − b·x with a = 1 − γcσ and b = γcφ′
-        gc = gamma * c
-        a = 1.0 - gc * sigma
-        b = gc * dval
-        s_new = s * a
-        if 1e-100 <= s_new <= 1e100:
-            vi -= (b / s_new) * x
-            v[idx] = vi
-            self.s = s_new
-            self.wsq = max(a * a * wsq - 2.0 * a * b * t + b * b * xsq, 0.0)
-        else:
-            v *= s
-            v *= a
-            v[idx] -= b * x
-            self.s = 1.0
-            self.wsq = float(v.dot(v))
-        return c
-
-    def _idle(self):
-        """A step that moves no sample: only the averaging half of momentum."""
-        if self.beta:
-            self.v = self.beta * self.v + (1.0 - self.beta) * self.z
-
-    def sp(self, i, gamma, gamma_tau):
-        return self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)
-
-    def sgd(self, i, gamma, gamma_tau=0.0):
-        return self._data_step(i, gamma, None, 0.0, math.inf)
-
-    def _tracker_step(self, i, gamma):
-        st = self.state
-        ai = float(st.alpha[i])
-        c = self._data_step(i, gamma, ai, 1.0, math.inf)
-        gc = gamma * c
-        st.alpha[i] = ai + gc
-        st.alpha_bar += gc / self.n
-        return c
-
-    def _aggregate(self, delta, new_tau):
-        """Move every α_j and ᾱ by ``delta`` and set τ to ``new_tau``, both
-        computed by the caller from the pre-step state: the aggregate branch
-        is one simultaneous SGD step, and sequencing the τ assignment between
-        the α and ᾱ updates would detach alpha_bar from mean(alpha)."""
-        if not (math.isfinite(delta) and math.isfinite(new_tau)):
-            raise NumericError("non-finite aggregate update", sample_index=self.n)
-        st = self.state
-        st.alpha += delta
-        st.alpha_bar += delta
-        st.tau = new_tau
-        self._idle()
-        return 0.0
-
-    def taps(self, i, gamma, gamma_tau):
-        if i < self.n:
-            return self._tracker_step(i, gamma)
-        st = self.state
-        return self._aggregate(gamma * (st.tau - st.alpha_bar), st.tau)
-
-    def motaps(self, i, gamma, gamma_tau):
-        if i < self.n:
-            return self._tracker_step(i, gamma)
-        st = self.state
-        return self._aggregate(gamma * (st.tau - st.alpha_bar),
-                               (1.0 - gamma_tau) * st.tau + gamma_tau * self.tau_coeff * st.alpha_bar)
 
 
 # ---------------------------------------------------------------------------
-# single steps: one call of the kernel on a copy of the input
+# single steps: one draw of the kernel on a copy of the input, its settings
+# checked as the drivers check them
 
 
 def _check_index(i: int, high: int) -> None:
@@ -444,9 +435,10 @@ def sp_step(
 ) -> StepOutcome:
     """One Polyak step on sample i; returns the new weight vector."""
     _check_index(i, data.n)
-    kernel = _Kernel(spec, data, np.array(w, dtype=np.float64),
-                     fi_stars={i: float(fi_star)}, step_cap=step_cap)
-    c = kernel.sp(i, gamma, 0.0)
+    hyper = HyperParams(gamma=gamma, step_cap=step_cap)
+    kernel = _Kernel("spsmax", spec, data, np.array(w, dtype=np.float64), hyper,
+                     fi_stars={i: fi_star_array(fi_star, 1).item()})
+    c = kernel.run([i], 0)
     return StepOutcome(kernel.fold(), c)
 
 
@@ -457,8 +449,8 @@ def taps_step(
     ``state.tau`` is the fixed target, carried over unchanged."""
     _check_index(sampled, data.n + 1)
     st = _copy_state(state)
-    kernel = _Kernel(spec, data, st.w, state=st)
-    c = kernel.taps(sampled, gamma, 0.0)
+    kernel = _Kernel("taps", spec, data, st.w, HyperParams(gamma=gamma), state=st)
+    c = kernel.run([sampled], 0)
     st.w = kernel.fold()
     return StepOutcome(st, c)
 
@@ -475,16 +467,19 @@ def motaps_step(
     """One moving-target step; ``sampled == n`` updates the trackers and
     ``state.tau``, the learned target."""
     check_lambda(lam, data.n)
+    hyper = HyperParams(gamma=gamma, gamma_tau=gamma_tau, lam=lam)
     _check_index(sampled, data.n + 1)
     st = _copy_state(state)
-    kernel = _Kernel(spec, data, st.w, state=st, lam=lam)
-    c = kernel.motaps(sampled, gamma, gamma_tau)
+    kernel = _Kernel("motaps", spec, data, st.w, hyper, state=st)
+    c = kernel.run([sampled], 0)
     st.w = kernel.fold()
     return StepOutcome(st, c)
 
 
 def _copy_state(state):
-    """A TrackerState with its own float64 copies of w and α."""
+    """A TrackerState with its own float64 copies of w and α; a non-finite
+    τ is a ValueError."""
+    _initial_tau(state.tau)
     return dataclasses.replace(
         state,
         w=np.array(state.w, dtype=np.float64),
@@ -551,17 +546,17 @@ def _check_run(method: str, names, data: Dataset, epochs: int, hyper: HyperParam
     return meth
 
 
-def _epoch_loop(seed: int, high: int, epochs: int, step, end_epoch) -> list:
-    """Every driver's loop: per epoch, ``high`` uniform draws i from one
-    generator seeded with ``seed``, each run as ``step(i, t)`` with t the
-    steps before it, then ``end_epoch(epoch, t)``, whose results it returns
-    (a NumericError leaves with them attached as ``records``)."""
+def _epoch_loop(seed: int, high: int, epochs: int, run, end_epoch) -> list:
+    """Every driver's loop: per epoch, a list of ``high`` uniform draws
+    from one generator seeded with ``seed``, taken as ``run(draws, t)``
+    with t the steps before them, then ``end_epoch(epoch, t)``, whose
+    results it returns (a NumericError leaves with them attached as
+    ``records``)."""
     rng, records, t = np.random.default_rng(seed), [], 0
     try:
         for epoch in range(1, epochs + 1):
-            for i in sample_indices(rng, high, high).tolist():
-                step(i, t)
-                t += 1
+            run(sample_indices(rng, high, high).tolist(), t)
+            t += high
             records.append(end_epoch(epoch, t))
     except NumericError as err:
         err.records = records
@@ -619,8 +614,7 @@ def run_epochs(
     if w.shape != (dim,):
         raise ValueError("state dimension does not match the dataset")
 
-    kernel = _Kernel(spec, data, w, state=state, fi_stars=fi_stars.tolist(),
-                     step_cap=_step_cap(meth, hyper), lam=hyper.lam, beta=hyper.beta)
+    kernel = _Kernel(meth, spec, data, w, hyper, state=state, fi_stars=fi_stars.tolist())
 
     def end_epoch(epoch, t):
         w = kernel.fold()
@@ -631,13 +625,7 @@ def run_epochs(
             observer(epoch, state if state is not None else w)
         return record
 
-    kstep = getattr(kernel, "sp" if sp_like else meth)
-    if hyper.schedule == "constant":
-        gamma, gamma_tau = hyper.gamma, hyper.gamma_tau
-        step = lambda i, t: kstep(i, gamma, gamma_tau)
-    else:
-        step = lambda i, t: kstep(i, *_stepsizes_at(hyper, t, n))
-    return _epoch_loop(seed, n if sp_like else n + 1, epochs, step, end_epoch)
+    return _epoch_loop(seed, n if sp_like else n + 1, epochs, kernel.run, end_epoch)
 
 
 def _make_record(meth, spec, data, w, certificate, epoch, passes,
@@ -702,15 +690,16 @@ class _Batch:
     no cap, and tests for a cell to drop with ``np.count_nonzero`` (a
     reduction such as ``any`` costs four times as much). On a 2-vCPU KVM
     guest (median of 50 runs of 1000 steps) a motaps step at C = 49,
-    d = 20 costs about 57 µs, about 21 µs of it in ``_cells_phi``.
+    d = 20 costs about 35 µs, about 15 µs of it in ``_cells_phi``.
     """
 
     _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
 
-    def __init__(self, spec, data, hyper, cells, *, trackers, tau, fi_stars, step_cap):
+    def __init__(self, method, spec, data, hyper, cells, *, tau, fi_stars):
         self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
         self.sigma, self.beta, self.fi_stars = spec.sigma, hyper.beta, fi_stars
-        self.step_cap, self.tau_coeff = step_cap, motaps_tau_coeff(hyper.lam, self.n)
+        self.step_cap, self.tau_coeff = _step_cap(method, hyper), motaps_tau_coeff(hyper.lam, self.n)
+        trackers, self.learn_tau = method in ("taps", "motaps"), method == "motaps"
         size = len(cells)
         self.cells = np.arange(size)
         self.gamma = np.array([g for g, _ in cells], dtype=np.float64)
@@ -721,10 +710,8 @@ class _Batch:
         self.A = np.zeros((size, self.n)) if trackers else None
         self.abar = np.zeros(size) if trackers else None
         self.tau = np.full(size, tau) if trackers else None
-        if self.beta or data.X.dense:
-            self._data_step = self._plain_step
-        else:
-            self._data_step, self.sqnorms = self._lazy_step, data.row_sqnorms.tolist()
+        self.lazy = not (self.beta or data.X.dense)
+        self.sqnorms = data.row_sqnorms.tolist() if self.lazy else None
 
     def _keep(self, ok):
         if np.count_nonzero(ok) < ok.size:
@@ -767,7 +754,7 @@ class _Batch:
             G += sigma * V
         c, ok = self._coefficient(fi, dval, np.vecdot(G, G), target, shift, cap)
         gc = gamma * c
-        if self.beta:  # _Kernel._plain_step's iterate averaging, per cell
+        if self.beta:  # the kernel's plain-step iterate averaging, per cell
             self.Z = self.Z - (gc / (1.0 - self.beta))[:, None] * G
             self.V = self.beta * V + (1.0 - self.beta) * self.Z
         else:
@@ -802,39 +789,30 @@ class _Batch:
             self.wsq[r] = float(v @ v)
         return gc, ok
 
-    def _idle(self):
-        if self.beta:
-            self.V = self.beta * self.V + (1.0 - self.beta) * self.Z
-
-    def sp(self, i, gamma, gamma_tau):
-        self._keep(self._data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1])
-
-    def _tracker_step(self, i, gamma):
-        alpha = self.A[:, i]  # a view: the target, then updated in place
-        gc, ok = self._data_step(i, gamma, alpha, 1.0, math.inf)
-        alpha += gc
-        self.abar += gc / self.n
-        self._keep(ok)
-
-    def _aggregate(self, delta, new_tau):
-        """``_Kernel._aggregate`` for every cell, dropping the cells where it
-        would raise."""
-        self.A += delta[:, None]
-        self.abar += delta
-        self.tau = new_tau
-        self._idle()
-        self._keep(np.isfinite(delta) & np.isfinite(new_tau))
-
-    def taps(self, i, gamma, gamma_tau):
-        if i < self.n:
-            return self._tracker_step(i, gamma)
-        self._aggregate(gamma * (self.tau - self.abar), self.tau)
-
-    def motaps(self, i, gamma, gamma_tau):
-        if i < self.n:
-            return self._tracker_step(i, gamma)
-        self._aggregate(gamma * (self.tau - self.abar),
-                        (1.0 - gamma_tau) * self.tau + gamma_tau * self.tau_coeff * self.abar)
+    def run(self, draws, t):
+        """``_Kernel.run`` for every cell, at the step sizes of the cells
+        still in the batch; each step drops the cells where the kernel would
+        have raised NumericError."""
+        n, data_step = self.n, self._lazy_step if self.lazy else self._plain_step
+        for i in draws:
+            gamma, gamma_tau = self.gamma, self.gamma_tau
+            if self.A is None:
+                self._keep(data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1])
+            elif i < n:
+                alpha = self.A[:, i]  # a view: the target, then updated in place
+                gc, ok = data_step(i, gamma, alpha, 1.0, math.inf)
+                alpha += gc
+                self.abar += gc / n
+                self._keep(ok)
+            else:  # the aggregate step, from the pre-step τ and ᾱ
+                delta = gamma * (self.tau - self.abar)
+                if self.learn_tau:
+                    self.tau = (1.0 - gamma_tau) * self.tau + gamma_tau * self.tau_coeff * self.abar
+                self.A += delta[:, None]
+                self.abar += delta
+                if self.beta:
+                    self.V = self.beta * self.V + (1.0 - self.beta) * self.Z
+                self._keep(np.isfinite(delta) & np.isfinite(self.tau))
 
 
 def run_grid(
@@ -868,15 +846,10 @@ def run_grid(
     n = data.n
     fi_stars = fi_star_array(fi_star, n)
     sp_like = meth in ("sp", "spsmax")
-    batch = _Batch(spec, data, hyper, cells, trackers=not sp_like,
-                   tau=_initial_tau(tau),
-                   fi_stars=fi_stars.tolist(), step_cap=_step_cap(meth, hyper))
-    step = getattr(batch, "sp" if sp_like else meth)
+    batch = _Batch(meth, spec, data, hyper, cells, tau=_initial_tau(tau), fi_stars=fi_stars.tolist())
     high = n if sp_like else n + 1
     with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
-        # the step sizes are the rows of the cells still in the batch
-        _epoch_loop(seed, high, epochs, lambda i, t: step(i, batch.gamma, batch.gamma_tau),
-                    lambda epoch, t: batch.end_epoch())
+        _epoch_loop(seed, high, epochs, batch.run, lambda epoch, t: batch.end_epoch())
 
     t = epochs * high
     finals: list[TraceRecord | None] = [None] * len(cells)

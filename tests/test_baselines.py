@@ -3,6 +3,7 @@ checked against textbook dense loops on the same draws, and the shared
 epoch driver for all four baselines."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestSgdStepsize:
                         rtol=1e-14, atol=1e-15)
         assert_array_equal(w, [0.5, -0.25, 1.0, 2.0])
 
+    def test_step_rejects_a_non_finite_step_size(self):
+        # run_baseline refuses gamma = nan; the single step did not, and
+        # returned nan weights
+        spec, data = LossSpec(family="squared"), Dataset([[1.0, 2.0]], [0.0])
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            sgd_step(spec, data, np.array([1.0, 1.0]), 0, 1, schedule="constant", gamma=math.nan)
+
     def test_step_index_checked(self):
         spec, data = half_square_1d()
         with pytest.raises(IndexError):
@@ -85,9 +93,8 @@ def epoch_iterates(monkeypatch, method, spec, data, epochs, seed, **kwargs):
 def iterate_after(monkeypatch, method, spec, data, indices, **kwargs):
     """run_baseline's iterate after stepping through ``indices``, in place of
     its random draws."""
-    def loop(seed, high, epochs, step, end_epoch):
-        for t, i in enumerate(indices):
-            step(i, t)
+    def loop(seed, high, epochs, run, end_epoch):
+        run(list(indices), 0)
         return [end_epoch(1, len(indices))]
 
     monkeypatch.setattr(baselines, "_epoch_loop", loop)

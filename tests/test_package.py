@@ -105,3 +105,36 @@ def test_modules_use_every_imported_name():
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)
                    if (path.stem, name) not in exempt]
     assert unused == []
+
+
+def test_only_the_epoch_loop_draws_sample_indices():
+    """Every driver takes its draws from ``polyak._epoch_loop``: no other
+    function in ``src/`` names ``sample_indices``, so no second draw loop
+    can grow beside it."""
+
+    class Refs(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == "sample_indices":
+                self.found.append(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "sample_indices":
+                self.found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    found = []
+    for path in sorted(Path(polyak_opt.__file__).parent.glob("*.py")):
+        refs = Refs(path.stem)
+        refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += refs.found
+    assert found == ["polyak._epoch_loop"]

@@ -2,6 +2,7 @@
 pinned against hand-evaluated updates and the documented invariances."""
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from polyak_opt import losses
+from polyak_opt import baselines, losses
 from polyak_opt.aux import joint_projection_taps, run_epochs_sgd_view
 from polyak_opt.baselines import run_baseline, sgd_step
 from polyak_opt.config import resolve_dataset
 from polyak_opt.data import CSRMatrix, Dataset
-from polyak_opt.losses import LossSpec, full_grad, loss_grad_i
+from polyak_opt.losses import LossSpec, full_grad, loss_grad_i, smoothness_constants
 from polyak_opt.polyak import (
     HyperParams,
     NumericError,
@@ -439,6 +440,30 @@ class TestMotapsStep:
             assert drift <= 1e-9 * (1.0 + abs(st.alpha_bar))
 
 
+class TestSingleStepSettings:
+    """A single step refuses the settings that ``run_epochs`` refuses, with
+    its message, instead of running with them or aborting mid-step."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec, data, st: sp_step(spec, data, st.w, 0, gamma=math.nan),
+         "gamma must be finite and > 0"),
+        (lambda spec, data, st: sp_step(spec, data, st.w, 0, fi_star=math.inf),
+         "fi_star must be finite"),
+        (lambda spec, data, st: motaps_step(st, spec, data, 0, gamma=-1.0),
+         "gamma must be finite and > 0"),
+        (lambda spec, data, st: motaps_step(st, spec, data, 0, gamma_tau=5.0),
+         r"gamma_tau must lie in \[0, 1\]"),
+        (lambda spec, data, st: taps_step(dataclasses.replace(st, tau=math.inf), spec, data, 0),
+         "tau must be finite"),
+    ], ids=["sp-gamma-nan", "sp-fi-star-inf", "motaps-negative-gamma", "motaps-gamma-tau-5",
+            "taps-tau-inf"])
+    def test_rejected_as_run_epochs_rejects_it(self, call, message):
+        spec, data = interpolating_problem(n=6, d=2)
+        st = tracker_state(np.ones(2), np.zeros(6), tau=0.1)
+        with pytest.raises(ValueError, match=message):
+            call(spec, data, st)
+
+
 class TestMomentumStep:
     """β > 0 is iterate averaging: the gradient taken at the averaged w
     moves a second iterate z by γc/(1−β)·g, then w ← βw + (1−β)z; an
@@ -510,6 +535,56 @@ def interpolating_problem(seed=8, n=30, d=5):
     return LossSpec(family="squared"), data
 
 
+def chained_single_steps(method, spec, data, hyper, epochs, seed, tau=0.0, sgd_schedule="constant",
+                         l_max=1.0):
+    """``method``'s run (or ``run_baseline``'s, for "sgd") as one public
+    single step per draw from the drivers' generator. The step sizes follow
+    ``hyper.schedule`` (``sgd_schedule`` and ``l_max`` for sgd), β > 0 is iterate
+    averaging around the single step's coefficient, and the tracker mean
+    is recomputed at every epoch end. Returns the iterate (w, or a
+    ``TrackerState``) after each epoch, and counts of aggregate steps,
+    steps that moved w, capped coefficients and steps with 1 − γcσ <= 0."""
+    n, beta, lam = data.n, hyper.beta, hyper.lam
+    high = n + 1 if method in ("taps", "motaps") else n
+    w, z, st = np.zeros(data.dim), np.zeros(data.dim), tracker_state(np.zeros(data.dim), np.zeros(n), tau)
+    counts = dict(aggregate=0, moves=0, capped=0, folds=0)
+    rng, t, iterates = np.random.default_rng(seed), 0, []
+    for _ in range(epochs):
+        for i in sample_indices(rng, high, high).tolist():
+            gamma, gamma_tau = hyper.gamma, hyper.gamma_tau
+            if hyper.schedule != "constant":
+                gamma = gamma_tau = decreasing_schedule(t, lam, hyper.mu, n)
+            t += 1
+            if method == "sgd":
+                w = sgd_step(spec, data, w, i, t, sgd_schedule, l_max, gamma)
+                continue
+            if method in ("sp", "spsmax"):
+                cap = hyper.step_cap if method == "spsmax" else math.inf
+                out = sp_step(spec, data, w, i, gamma=gamma, step_cap=cap)
+                moved, c = out.state_after, out.polyak_coeff
+                counts["capped"] += c == cap
+            else:
+                st.w = w
+                out = (taps_step(st, spec, data, i, gamma=gamma) if method == "taps" else
+                       motaps_step(st, spec, data, i, gamma=gamma, gamma_tau=gamma_tau, lam=lam))
+                st, moved, c = out.state_after, out.state_after.w, out.polyak_coeff
+            counts["aggregate"] += i == n
+            counts["moves"] += i < n and c != 0.0
+            counts["folds"] += i < n and 1.0 - gamma * c * spec.sigma <= 0.0
+            if beta:
+                if i < n:
+                    z = z - gamma * c / (1.0 - beta) * loss_grad_i(spec, data, w, i)[1]
+                w = beta * w + (1.0 - beta) * z
+            else:
+                w = moved
+        if method in ("taps", "motaps"):
+            st.w, st.alpha_bar = w, float(np.mean(st.alpha))
+            iterates.append(copy.deepcopy(st))
+        else:
+            iterates.append(w.copy())
+    return iterates, counts
+
+
 class TestRunEpochs:
     def test_epoch_counting(self):
         spec, data = interpolating_problem(n=3, d=2)
@@ -542,40 +617,103 @@ class TestRunEpochs:
             assert a != c
 
     def test_driver_matches_public_single_steps(self):
-        spec, data = interpolating_problem(n=8, d=3)
-        n = data.n
-        hyper = HyperParams(gamma=0.7)
-        seen = []
-        run_epochs(
-            "taps", spec, data, hyper, epochs=3, seed=5, tau=0.2,
-            observer=lambda epoch, st: seen.append(st.w.copy()),
-        )
-        rng = np.random.default_rng(5)
-        st = tracker_state(np.zeros(3), np.zeros(n), tau=0.2)
-        manual = []
-        for _ in range(3):
-            for i in rng.integers(0, n + 1, size=n + 1):
-                st = taps_step(st, spec, data, int(i), gamma=0.7).state_after
-            manual.append(st.w.copy())
-        for ours, ref in zip(seen, manual):
-            assert_array_equal(ours, ref)
+        # taps and motaps on sparse rows at σ = 0, where the lazy scale
+        # stays 1 and the chained single steps round as the run does, on
+        # dense rows at σ > 0, with β > 0, and under both schedules
+        sparse, dense = sparse_problem()[2], dense_problem()
+        for method in ("taps", "motaps"):
+            for data, sigma, variant in (
+                (sparse, 0.0, {}),
+                (sparse, 0.0, dict(schedule="motaps_decreasing", mu=5.0)),
+                (dense, 0.3, {}),
+                (dense, 0.3, dict(beta=0.5)),
+                (dense, 0.3, dict(schedule="motaps_decreasing", mu=5.0)),
+            ):
+                spec = LossSpec(family="logistic", sigma=sigma)
+                hyper = HyperParams(gamma=0.7, gamma_tau=0.3, lam=0.2, **variant)
+                seen = []
+                run_epochs(method, spec, data, hyper, epochs=5, seed=5, tau=0.2,
+                           observer=lambda epoch, st: seen.append(copy.deepcopy(st)))
+                manual, counts = chained_single_steps(method, spec, data, hyper, 5, 5, tau=0.2)
+                assert counts["aggregate"] > 0
+                assert len(seen) == len(manual) == 5
+                for ours, ref in zip(seen, manual):
+                    assert_array_equal(ours.w, ref.w)
+                    assert_array_equal(ours.alpha, ref.alpha)
+                    assert (ours.alpha_bar, ours.tau) == (ref.alpha_bar, ref.tau)
 
-    def test_sp_driver_matches_sp_step(self):
-        spec, data = interpolating_problem(n=6, d=3)
-        seen = []
-        run_epochs(
-            "sp", spec, data, HyperParams(gamma=0.8), epochs=2, seed=9,
-            observer=lambda epoch, w: seen.append(w.copy()),
-        )
-        rng = np.random.default_rng(9)
-        w = np.zeros(3)
-        manual = []
-        for _ in range(2):
-            for i in rng.integers(0, data.n, size=data.n):
-                w = sp_step(spec, data, w, int(i), gamma=0.8).state_after
-            manual.append(w.copy())
-        for ours, ref in zip(seen, manual):
-            assert_array_equal(ours, ref)
+    def test_sp_driver_matches_sp_step(self, monkeypatch):
+        # sp, spsmax with a binding cap, and sgd through run_baseline, on
+        # sparse rows at σ = 0, on dense rows at σ > 0, with β > 0 and under
+        # both schedules, plus an sp run on sparse rows whose every data step
+        # takes the lazy step's fold branch (1 − γcσ <= 0), which resets the
+        # scale as a single step does
+        sparse, dense = sparse_problem()[2], dense_problem()
+        decreasing = dict(schedule="motaps_decreasing", mu=5.0)
+        cases = [(method, data, sigma, variant)
+                 for method in ("sp", "spsmax")
+                 for data, sigma, variant in ((sparse, 0.0, {}), (sparse, 0.0, decreasing),
+                                              (dense, 0.3, {}), (dense, 0.3, dict(beta=0.5)),
+                                              (dense, 0.3, decreasing))]
+        cases.append(("sp", sparse, 1.0, dict(gamma=3.0)))
+        for method, data, sigma, variant in cases:
+            spec = LossSpec(family="logistic", sigma=sigma)
+            hyper = HyperParams(**{"gamma": 0.8, "step_cap": 0.5 if method == "spsmax" else math.inf,
+                                   **variant})
+            seen = []
+            run_epochs(method, spec, data, hyper, epochs=3, seed=9,
+                       observer=lambda epoch, w: seen.append(w.copy()))
+            manual, counts = chained_single_steps(method, spec, data, hyper, 3, 9)
+            assert len(seen) == len(manual) == 3
+            for ours, ref in zip(seen, manual):
+                assert_array_equal(ours, ref)
+            assert (counts["capped"] > 0) == (method == "spsmax")
+            if sigma == 1.0:
+                assert counts["folds"] == counts["moves"] > 0
+
+        iterates, make_record = [], baselines._make_record
+        monkeypatch.setattr(baselines, "_make_record",
+                            lambda meth, spec, data, w, *rest: iterates.append(w.copy())
+                            or make_record(meth, spec, data, w, *rest))
+        for data, sigma in ((sparse, 0.0), (dense, 0.3)):
+            spec = LossSpec(family="logistic", sigma=sigma)
+            for schedule in ("constant", "inverse"):
+                iterates.clear()
+                run_baseline("sgd", spec, data, 3, 9, gamma=0.8, sgd_schedule=schedule)
+                manual, _ = chained_single_steps("sgd", spec, data, HyperParams(gamma=0.8), 3, 9,
+                                                 sgd_schedule=schedule,
+                                                 l_max=smoothness_constants(spec, data)[1])
+                assert len(iterates) == len(manual) == 3
+                for ours, ref in zip(iterates, manual):
+                    assert_array_equal(ours, ref)
+
+    def test_mid_epoch_numeric_error(self):
+        # γ = 10 on (w - 1)^2/2 and (w + 1)^2/2 makes the residuals grow
+        # until a loss overflows, in the middle of an epoch
+        spec, data = LossSpec(family="squared"), Dataset([[1.0], [1.0], [1.0]], [1.0, -1.0, 1.0])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as exc:
+                run_epochs("taps", spec, data, HyperParams(gamma=10.0), epochs=2000, seed=0)
+            err = exc.value
+            done = len(err.records)
+            assert 0 < done < 2000
+            assert err.records == run_epochs("taps", spec, data, HyperParams(gamma=10.0), done, 0)
+            # the same draws as chained single steps, ᾱ recomputed at each epoch end
+            rng, st, raised_at = np.random.default_rng(0), tracker_state(np.zeros(1), np.zeros(3)), None
+            for epoch in range(done + 1):
+                for k, i in enumerate(sample_indices(rng, 4, 4).tolist()):
+                    try:
+                        st = taps_step(st, spec, data, i, gamma=10.0).state_after
+                    except NumericError as raised:
+                        single, raised_at = raised, (epoch, k)
+                        break
+                if raised_at is not None:
+                    break
+                st.alpha_bar = float(np.mean(st.alpha))
+        assert raised_at is not None and raised_at[0] == done  # in the epoch the run aborted
+        assert 0 < raised_at[1] < 3  # neither the first nor the last step of its epoch
+        assert err.sample_index == single.sample_index == i
+        assert str(err) == str(single) == f"non-finite loss/gradient at sample {i}"
 
     def test_spsmax_cap_binds(self):
         spec, data = interpolating_problem()
@@ -840,6 +978,14 @@ def sparse_problem(seed=3, n=12, d=40, k=4):
     return rows, labels, Dataset(rows, labels)
 
 
+def dense_problem(seed=4, n=10, d=4):
+    """Logistic rows with every entry nonzero: the plain data step."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], size=n))
+    assert data.X.dense
+    return data
+
+
 class TestStepKernel:
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.5])
     @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps"])
@@ -1037,8 +1183,13 @@ class TestEpochLoop:
     def test_steps_draws_and_epoch_ends(self):
         seed, high, epochs = 7, 5, 3
         calls = []
-        records = _epoch_loop(seed, high, epochs, lambda i, t: calls.append((i, t)),
-                              lambda epoch, t: ("end", epoch, t))
+
+        def run(draws, t):
+            for i in draws:
+                calls.append((i, t))
+                t += 1
+
+        records = _epoch_loop(seed, high, epochs, run, lambda epoch, t: ("end", epoch, t))
         assert [t for _, t in calls] == list(range(epochs * high))
         rng = np.random.default_rng(seed)
         draws = [sample_indices(rng, high, high).tolist() for _ in range(epochs)]
@@ -1046,12 +1197,14 @@ class TestEpochLoop:
         assert records == [("end", epoch, epoch * high) for epoch in range(1, epochs + 1)]
 
     def test_numeric_error_carries_completed_epochs(self):
-        def step(i, t):
-            if t == 9:  # the second step of epoch 3
-                raise NumericError("boom", sample_index=i)
+        def run(draws, t):
+            for i in draws:
+                if t == 9:  # the second step of epoch 3
+                    raise NumericError("boom", sample_index=i)
+                t += 1
 
         with pytest.raises(NumericError, match="boom") as info:
-            _epoch_loop(0, 4, 5, step, lambda epoch, t: (epoch, t))
+            _epoch_loop(0, 4, 5, run, lambda epoch, t: (epoch, t))
         assert info.value.records == [(1, 4), (2, 8)]
 
 
