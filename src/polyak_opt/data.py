@@ -349,8 +349,9 @@ def synth_dataset(
 
     ``separable``: standard-normal features with labels sign(x·w_true) and
     margin |x·w_true| >= 0.1 enforced by per-row resampling (w_true is drawn
-    unit-norm), so a perfect classifier exists. ``underparam``: n > d
-    least-squares data y = x·w_true + noise·xi with standard-normal x and xi.
+    unit-norm), so a perfect classifier exists; a nonzero ``noise`` is a
+    ValueError there. ``underparam``: n > d least-squares data
+    y = x·w_true + noise·xi with standard-normal x and xi.
 
     Returns the planted vector only when it is verifiably the exact
     minimizer of the corresponding unregularized loss (noise-free
@@ -360,6 +361,8 @@ def synth_dataset(
         raise ValueError("n and d must be positive")
     rng = np.random.default_rng(seed)
     if mode == "separable":
+        if noise != 0.0:
+            raise ValueError(f"noise={noise} applies to underparam mode only")
         w_true = rng.standard_normal(d)
         w_true /= np.linalg.norm(w_true)
         X = np.empty((n, d))

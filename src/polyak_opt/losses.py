@@ -224,10 +224,10 @@ def _cells_phi(spec: LossSpec, data: Dataset, t: np.ndarray, i: int):
 
 @dataclass(frozen=True)
 class BatchEval:
-    """All-samples evaluation at one w: margins t_i, values f_i(w),
-    derivatives phi_i'(t_i), and ||grad f_i(w)||^2 (regularizer included)."""
+    """All-samples evaluation at one w: values f_i(w), derivatives
+    phi_i'(t_i) at the margins t_i, and ||grad f_i(w)||^2 (regularizer
+    included)."""
 
-    margins: np.ndarray
     values: np.ndarray
     dvals: np.ndarray
     grad_sqnorms: np.ndarray
@@ -243,7 +243,7 @@ def batch_eval(spec: LossSpec, data: Dataset, w: np.ndarray) -> BatchEval:
         gsq = dvals * dvals * data.row_sqnorms + 2.0 * spec.sigma * dvals * t + spec.sigma**2 * w_sq
     else:
         gsq = dvals * dvals * data.row_sqnorms
-    return BatchEval(margins=t, values=vals, dvals=dvals, grad_sqnorms=gsq)
+    return BatchEval(values=vals, dvals=dvals, grad_sqnorms=gsq)
 
 
 def full_loss(spec: LossSpec, data: Dataset, w: np.ndarray) -> float:

@@ -666,13 +666,14 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
 
 
 class _Batch:
-    """``_Kernel``'s steps for C runs that differ only in (γ, γ_τ).
+    """``_Kernel.run`` for C runs that differ only in (γ, γ_τ).
 
     Every cell draws the same sampled indices, so one index is one
     vectorised update of all cells. Row r of ``V`` (C×d; ``Z`` too for
     β > 0) and of ``A`` (C×n), and entry r of ``abar``, ``tau``, the lazy
     scale ``s``, ``wsq`` and the step sizes, are the state of cell
-    ``cells[r]``. Each cell's arithmetic is the kernel's bit for bit:
+    ``cells[r]``. ``run`` reads line for line like the kernel's loop, and
+    each cell's arithmetic is the kernel's bit for bit:
 
     * margins and square norms are one ddot per row (``np.vecdot``), on a
       C-contiguous gather for a sparse row, since a strided ddot rounds
@@ -681,37 +682,36 @@ class _Batch:
       over the cells' margins, since numpy's vectorised exp rounds
       differently, and ``_scalar_phi`` per cell at a step where some e^yt
       overflows (and for the monomial family);
-    * everything else is elementwise, in the kernel's order of operations.
+    * everything else is elementwise, in the kernel's order of operations:
+      the sp coefficient (f_i − f_i*)/‖g‖² is capped and then set to 0 on a
+      zero gradient, and a lazy cell whose scale leaves [1e-100, 1e100]
+      takes the kernel's dense fold.
 
-    A step ends by keeping only the cells where the kernel would not have
-    raised NumericError. Its cost is numpy call overhead on length-C
-    vectors and C×d arrays, so a data step computes γc once for the
-    iterate and the tracker, skips the cap's ``np.minimum`` when there is
-    no cap, and tests for a cell to drop with ``np.count_nonzero`` (a
-    reduction such as ``any`` costs four times as much). On a 2-vCPU KVM
-    guest (median of 50 runs of 1000 steps) a motaps step at C = 49,
-    d = 20 costs about 35 µs, about 15 µs of it in ``_cells_phi``.
+    Where the kernel raises NumericError, the batch builds a finiteness
+    mask instead, and a step ends with ``_keep`` dropping the cells that
+    fail it. A step's cost is numpy call overhead on length-C vectors and
+    C×d arrays, so it computes γc once for the iterate and the tracker,
+    skips the cap's ``np.minimum`` when there is no cap, and tests for a
+    cell to drop with ``np.count_nonzero`` (a reduction such as ``any``
+    costs four times as much). On a 2-vCPU KVM guest (median of 50 runs of
+    1000 steps) a motaps step at C = 49, d = 20 costs about 35 µs, about
+    15 µs of it in ``_cells_phi``.
     """
 
     _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
 
     def __init__(self, method, spec, data, hyper, cells, *, tau, fi_stars):
-        self.spec, self.data, self.n, self.rows = spec, data, data.n, data.rows
-        self.sigma, self.beta, self.fi_stars = spec.sigma, hyper.beta, fi_stars
-        self.step_cap, self.tau_coeff = _step_cap(method, hyper), motaps_tau_coeff(hyper.lam, self.n)
-        trackers, self.learn_tau = method in ("taps", "motaps"), method == "motaps"
-        size = len(cells)
+        self.method, self.spec, self.data, self.hyper, self.fi_stars = method, spec, data, hyper, fi_stars
+        size, trackers = len(cells), method in ("taps", "motaps")
         self.cells = np.arange(size)
         self.gamma = np.array([g for g, _ in cells], dtype=np.float64)
         self.gamma_tau = np.array([gt for _, gt in cells], dtype=np.float64)
         self.V = np.zeros((size, data.dim))
-        self.Z = self.V.copy() if self.beta else None
+        self.Z = self.V.copy() if hyper.beta else None
         self.s, self.wsq = np.ones(size), np.zeros(size)
-        self.A = np.zeros((size, self.n)) if trackers else None
+        self.A = np.zeros((size, data.n)) if trackers else None
         self.abar = np.zeros(size) if trackers else None
         self.tau = np.full(size, tau) if trackers else None
-        self.lazy = not (self.beta or data.X.dense)
-        self.sqnorms = data.row_sqnorms.tolist() if self.lazy else None
 
     def _keep(self, ok):
         if np.count_nonzero(ok) < ok.size:
@@ -728,91 +728,86 @@ class _Batch:
         if self.A is not None:
             self.abar = np.mean(self.A, axis=1)
 
-    @staticmethod
-    def _coefficient(fi, dval, gsq, target, shift, cap):
-        c = (fi - target) / (gsq + shift)
-        if cap < math.inf:
-            np.minimum(c, cap, out=c)
-        if shift == 0.0:
-            c[gsq <= ZERO_GRAD_SQNORM] = 0.0
-        ok = np.isfinite(fi) & np.isfinite(dval) & np.isfinite(gsq) & np.isfinite(c)
-        return c, ok
-
-    def _plain_step(self, i, gamma, target, shift, cap):
-        idx, x = self.rows[i]
-        V, sigma = self.V, self.sigma
-        full = x.size == V.shape[1]
-        t = np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x)
-        fi, dval = _cells_phi(self.spec, self.data, t, i)
-        if full:
-            G = dval[:, None] * x
-        else:
-            G = np.zeros_like(V)
-            G[:, idx] = dval[:, None] * x
-        if sigma:
-            fi += 0.5 * sigma * np.vecdot(V, V)
-            G += sigma * V
-        c, ok = self._coefficient(fi, dval, np.vecdot(G, G), target, shift, cap)
-        gc = gamma * c
-        if self.beta:  # the kernel's plain-step iterate averaging, per cell
-            self.Z = self.Z - (gc / (1.0 - self.beta))[:, None] * G
-            self.V = self.beta * V + (1.0 - self.beta) * self.Z
-        else:
-            G *= gc[:, None]
-            V -= G
-        return gc, ok
-
-    def _lazy_step(self, i, gamma, target, shift, cap):
-        idx, x = self.rows[i]
-        V, s, sigma, wsq = self.V, self.s, self.sigma, self.wsq
-        Vi = np.ascontiguousarray(V[:, idx])
-        t = s * np.vecdot(Vi, x)
-        fi, dval = _cells_phi(self.spec, self.data, t, i)
-        xsq = self.sqnorms[i]
-        fi += 0.5 * sigma * wsq
-        gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * t + sigma * sigma * wsq, 0.0)
-        c, ok = self._coefficient(fi, dval, gsq, target, shift, cap)
-        gc = gamma * c
-        a = 1.0 - gc * sigma
-        b = gc * dval
-        s_new = s * a
-        V[:, idx] = Vi - (b / s_new)[:, None] * x
-        self.s = s_new
-        self.wsq = np.maximum(a * a * wsq - 2.0 * a * b * t + b * b * xsq, 0.0)
-        for r in np.flatnonzero(~((1e-100 <= s_new) & (s_new <= 1e100))).tolist():
-            v = V[r]
-            v[idx] = Vi[r]
-            v *= s[r]
-            v *= a[r]
-            v[idx] -= b[r] * x
-            self.s[r] = 1.0
-            self.wsq[r] = float(v @ v)
-        return gc, ok
-
     def run(self, draws, t):
         """``_Kernel.run`` for every cell, at the step sizes of the cells
         still in the batch; each step drops the cells where the kernel would
-        have raised NumericError."""
-        n, data_step = self.n, self._lazy_step if self.lazy else self._plain_step
+        have raised NumericError. The state stays on ``self``, since a
+        dropped cell rebinds every row array."""
+        spec, data, fi_stars = self.spec, self.data, self.fi_stars
+        n, rows, sigma, beta = data.n, data.rows, spec.sigma, self.hyper.beta
+        lazy, sqnorms = not (beta or data.X.dense), data.row_sqnorms
+        trackers, learn_tau = self.A is not None, self.method == "motaps"
+        cap, tau_coeff = _step_cap(self.method, self.hyper), motaps_tau_coeff(self.hyper.lam, n)
         for i in draws:
-            gamma, gamma_tau = self.gamma, self.gamma_tau
-            if self.A is None:
-                self._keep(data_step(i, gamma, self.fi_stars[i], 0.0, self.step_cap)[1])
-            elif i < n:
-                alpha = self.A[:, i]  # a view: the target, then updated in place
-                gc, ok = data_step(i, gamma, alpha, 1.0, math.inf)
-                alpha += gc
-                self.abar += gc / n
-                self._keep(ok)
-            else:  # the aggregate step, from the pre-step τ and ᾱ
+            gamma = self.gamma
+            if i == n:  # the aggregate step, from the pre-step τ and ᾱ
                 delta = gamma * (self.tau - self.abar)
-                if self.learn_tau:
-                    self.tau = (1.0 - gamma_tau) * self.tau + gamma_tau * self.tau_coeff * self.abar
+                if learn_tau:
+                    self.tau = (1.0 - self.gamma_tau) * self.tau + self.gamma_tau * tau_coeff * self.abar
                 self.A += delta[:, None]
                 self.abar += delta
-                if self.beta:
-                    self.V = self.beta * self.V + (1.0 - self.beta) * self.Z
+                if beta:
+                    self.V = beta * self.V + (1.0 - beta) * self.Z
                 self._keep(np.isfinite(delta) & np.isfinite(self.tau))
+                continue
+            idx, x = rows[i]
+            V = self.V
+            if lazy:
+                s, wsq = self.s, self.wsq
+                Vi = np.ascontiguousarray(V[:, idx])
+                m = s * np.vecdot(Vi, x)
+                fi, dval = _cells_phi(spec, data, m, i)
+                xsq = sqnorms.item(i)
+                fi += 0.5 * sigma * wsq
+                gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * m + sigma * sigma * wsq, 0.0)
+            else:
+                full = x.size == V.shape[1]  # a full row's indices are 0 .. d-1
+                m = np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x)
+                fi, dval = _cells_phi(spec, data, m, i)
+                if full:
+                    G = dval[:, None] * x
+                else:
+                    G = np.zeros_like(V)
+                    G[:, idx] = dval[:, None] * x
+                if sigma:
+                    fi += 0.5 * sigma * np.vecdot(V, V)
+                    G += sigma * V
+                gsq = np.vecdot(G, G)
+            if trackers:
+                alpha = self.A[:, i]  # a view: the target, then moved in place
+                c = (fi - alpha) / (gsq + 1.0)
+            else:
+                c = (fi - fi_stars[i]) / gsq
+                if cap < math.inf:
+                    np.minimum(c, cap, out=c)
+                c[gsq <= ZERO_GRAD_SQNORM] = 0.0
+            ok = np.isfinite(fi) & np.isfinite(dval) & np.isfinite(gsq) & np.isfinite(c)
+            gc = gamma * c
+            if lazy:  # w ← a·w − b·x with a = 1 − γcσ and b = γcφ′, per cell
+                a = 1.0 - gc * sigma
+                b = gc * dval
+                s_new = s * a
+                V[:, idx] = Vi - (b / s_new)[:, None] * x
+                self.s = s_new
+                self.wsq = np.maximum(a * a * wsq - 2.0 * a * b * m + b * b * xsq, 0.0)
+                for r in np.flatnonzero(~((1e-100 <= s_new) & (s_new <= 1e100))).tolist():
+                    v = V[r]
+                    v[idx] = Vi[r]
+                    v *= s[r]
+                    v *= a[r]
+                    v[idx] -= b[r] * x
+                    s_new[r] = 1.0
+                    self.wsq[r] = float(v @ v)
+            elif beta:
+                self.Z = self.Z - (gc / (1.0 - beta))[:, None] * G
+                self.V = beta * V + (1.0 - beta) * self.Z
+            else:
+                G *= gc[:, None]
+                V -= G
+            if trackers:
+                alpha += gc
+                self.abar += gc / n
+            self._keep(ok)
 
 
 def run_grid(

@@ -342,6 +342,12 @@ class TestMeanGradients:
         approx = fd_gradient(h_of, point)
         assert np.linalg.norm(grad - approx) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
+    def test_motaps_rejects_lambda_outside_unit_interval(self):
+        spec, data = LossSpec(family="squared"), Dataset([[1.0], [2.0]], [0.0, 1.0])
+        for lam in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
+                mean_grad_motaps(np.zeros(1), np.zeros(2), 0.0, np.zeros(1), spec, data, lam)
+
 
 class TestGrowthCheck:
     def test_sp_accepts_bare_weights(self):

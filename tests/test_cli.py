@@ -17,7 +17,7 @@ from polyak_opt import cli
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
 from polyak_opt.config import ExperimentConfig, resolve_dataset
-from polyak_opt.data import load_libsvm, serialize_libsvm, synth_dataset
+from polyak_opt.data import load_libsvm, normalize_samples, serialize_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
 from polyak_opt.polyak import NumericError, lambda_max
 from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
@@ -288,6 +288,19 @@ class TestRun:
             assert code == 3 and "numeric abort" in err
             lines = out.splitlines()
             assert lines[0] == CSV_HEADER and len(lines) < 4
+
+    def test_normalize_runs_on_the_normalized_samples(self, tmp_path, capsys):
+        raw, normalized = tmp_path / "raw.svm", tmp_path / "normalized.svm"
+        raw.write_text("+1 1:3.0 2:4.0\n-1 2:0.5 3:-2.0\n+1 1:-1.5 3:0.25\n-1\n", encoding="utf-8")
+        normalized.write_text(serialize_libsvm(normalize_samples(load_libsvm(raw))), encoding="utf-8")
+        args = ("run", "--method", "motaps", "--epochs", "4", "--seed", "2", "--sigma", "0.01")
+        outputs = []
+        for extra in (("--dataset", str(raw), "--normalize"), ("--dataset", str(normalized)),
+                      ("--dataset", str(raw))):
+            code, out, _ = run_cli(capsys, *args, *extra)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_empty_dataset_is_config_error(self, tmp_path, capsys):
         data_file = tmp_path / "empty.txt"
@@ -587,6 +600,18 @@ class TestCompare:
         assert code == 0
         assert len(sp_rows) == 3 and sp_rows == out.splitlines()[1:]
 
+    def test_adam_rows_match_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"dataset = {SMALL}\nepochs = 3\nmethods = sp,adam\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["# sp gamma=1.0", "# adam alpha=0.001"]
+        adam_rows = [line[len("adam,"):] for line in lines if line.startswith("adam,")]
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--method", "adam")
+        assert code == 0
+        assert len(adam_rows) == 3 and adam_rows == out.splitlines()[1:]
+
     def test_numeric_abort_keeps_other_methods(self, tmp_path, capsys, monkeypatch):
         real = cli.run_baseline
 
@@ -692,6 +717,14 @@ class TestGen:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_separable_noise_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--dataset", "synth:separable:n=5,d=3,noise=0.7")
+        assert code == 2 and out == ""
+        assert err == "error: synth:separable:n=5,d=3,noise=0.7: noise=0.7 applies to underparam mode only\n"
+        code, out, _ = run_cli(capsys, "gen", "--dataset", "synth:separable:n=5,d=3,noise=0")
+        assert code == 0
+        assert out == serialize_libsvm(synth_dataset(0, 5, 3, "separable")[0])
+
     def test_requires_synthetic_spec(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--dataset", "real.txt")
         assert code == 2 and "error" in err
@@ -724,6 +757,14 @@ class TestUnreadableInput:
         code, out, err = run_cli(capsys, "run", *(x for kv in args.items() for x in kv))
         assert code == 2 and out == ""
         self.assert_names(err, tmp_path)
+
+    def test_dataset_that_is_not_utf8(self, tmp_path, capsys):
+        data_file = tmp_path / "latin1.svm"
+        data_file.write_bytes("+1 1:0.5  # \u00e9chantillon\n-1 2:1.0\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "run", "--dataset", str(data_file), "--method", "sp")
+        assert code == 2 and out == ""
+        self.assert_names(err, data_file)
+        assert "is not UTF-8 text" in err
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

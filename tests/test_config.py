@@ -77,6 +77,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="oracle"):
             parse_config("oracle = magic\n")
 
+    def test_unknown_sgd_schedule_rejected(self):
+        message = f"sgd_schedule must be one of {SGD_SCHEDULES}, got 'cosine'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(sgd_schedule="cosine")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config("sgd_schedule = cosine\n")
+
     def test_layering_on_base(self):
         base = parse_config("gamma = 0.5\nseed = 7\n")
         top = parse_config("seed = 9\n", base=base)

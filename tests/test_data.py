@@ -115,6 +115,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="indptr"):
             Dataset(CSRMatrix([1.0, 2.0], [0, 1], indptr, (n, 2)), np.zeros(n))
 
+    @pytest.mark.parametrize("labels", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]], ids=["short", "long", "2-D"])
+    def test_rejects_labels_of_another_length(self, labels):
+        for X in ([[1.0, 0.0], [0.0, 2.0]], CSRMatrix([1.0, 2.0], [0, 1], [0, 1, 2], (2, 2))):
+            with pytest.raises(ValueError, match="^samples and labels must have matching length$"):
+                Dataset(X, labels)
+
     def test_rejects_data_and_indices_of_different_lengths(self):
         with pytest.raises(ValueError, match="same length"):
             Dataset(CSRMatrix([1.0], [0, 1], [0, 2], (1, 2)), [1.0])
@@ -171,6 +177,20 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as exc:
             parse_libsvm(f"+1 1:0.5\n{label} 1:1.0\n")
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("one 1:0.5", "bad label 'one'"),
+        ("+1 x:0.5", "bad feature index 'x'"),
+        ("+1 1.5:0.5", "bad feature index '1.5'"),
+        ("+1 1:abc", "bad feature value 'abc'"),
+        ("+1 1:inf", "non-finite feature value"),
+        ("+1 2:0.5 3:nan", "non-finite feature value"),
+    ])
+    def test_bad_token_reports_line_and_message(self, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(f"+1 1:0.5\n\n{line}\n-1 2:1.0\n")
+        assert exc.value.line_no == 3
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_zero_index_rejected(self):
         with pytest.raises(ParseError):
@@ -416,3 +436,15 @@ class TestSynthDataset:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             synth_dataset(0, 5, 2, "bogus")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_underparam_needs_more_samples_than_features(self, n):
+        with pytest.raises(ValueError, match="^underparam mode requires n > d$"):
+            synth_dataset(0, n, 4, "underparam")
+
+    def test_separable_rejects_noise(self):
+        # separable labels are sign(x . w_true): a noise setting would be dropped
+        for noise in (0.7, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=f"^noise={noise} applies to underparam mode only$"):
+                synth_dataset(0, 5, 3, "separable", noise=noise)
+        assert synth_dataset(0, 5, 3, "separable", noise=0.0)[0] == synth_dataset(0, 5, 3, "separable")[0]

@@ -138,3 +138,14 @@ def test_only_the_epoch_loop_draws_sample_indices():
         refs.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += refs.found
     assert found == ["polyak._epoch_loop"]
+
+
+def test_each_engine_steps_in_one_loop():
+    """``_Kernel`` and ``_Batch`` each take an epoch's draws in one ``run``
+    loop, with no per-step helper methods beside it, so the two engines'
+    arithmetic can be read side by side."""
+    tree = ast.parse(Path(polyak_opt.__file__).with_name("polyak.py").read_text(encoding="utf-8"))
+    methods = {node.name: [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert methods["_Kernel"] == ["__init__", "fold", "run"]
+    assert methods["_Batch"] == ["__init__", "_keep", "end_epoch", "run"]

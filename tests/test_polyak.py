@@ -70,6 +70,8 @@ class TestParameterRules:
             motaps_tau_coeff(1.0, 4)
         with pytest.raises(ValueError):
             motaps_tau_coeff(-0.1, 4)
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            motaps_tau_coeff(0.1, 0)
 
     def test_choose_lambda(self):
         assert_allclose(choose_lambda(2.0, 1.0, 1, 1.0), 0.594, rtol=1e-15)
@@ -82,6 +84,10 @@ class TestParameterRules:
             choose_lambda(0.0, 1.0, 1, 1.0)
         with pytest.raises(ValueError):
             choose_lambda(1.0, 0.0, 1, 1.0)
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            choose_lambda(1.0, 1.0, 0, 1.0)
+        with pytest.raises(ValueError, match=r"^f_star must be >= 0$"):
+            choose_lambda(1.0, 1.0, 1, -1e-3)
 
     def test_decreasing_schedule(self):
         for lam, n in [(0.0, 1), (0.3, 5)]:
@@ -93,6 +99,9 @@ class TestParameterRules:
         assert_allclose(decreasing_schedule(t, 0.0, 1.0, 1), 2 / t, rtol=1e-5)
         with pytest.raises(ValueError):
             decreasing_schedule(3, 0.0, 0.0, 1)
+        for lam in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
+                decreasing_schedule(3, lam, 1.0, 1)
 
     def test_rule_of_thumb(self):
         assert rule_of_thumb(0.0) == (1.0, 0.0)
@@ -122,6 +131,11 @@ class TestParameterRules:
         assert gt_full == g_full
         with pytest.raises(ValueError):
             motaps_stepsizes(lam, n, "third")
+        for lam in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
+                motaps_stepsizes(lam, n)
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            motaps_stepsizes(0.2, 0)
 
 
 class TestSpStep:
@@ -782,6 +796,22 @@ class TestRunEpochs:
             with pytest.raises(ValueError, match="fi_star must be finite"):
                 run_epochs("sp", spec, data, HyperParams(), epochs=1, seed=0, fi_star=fi_star)
 
+    def test_empty_dataset_rejected(self):
+        spec, data = LossSpec(family="squared"), Dataset(np.zeros((0, 3)), [])
+        for method in ("sp", "motaps"):
+            with pytest.raises(ValueError, match="^cannot run on an empty dataset$"):
+                run_epochs(method, spec, data, HyperParams(), epochs=1, seed=0)
+
+    def test_init_state_shape_checked(self):
+        spec, data = interpolating_problem(n=6, d=3)
+        with pytest.raises(ValueError, match="^tracker count does not match the dataset$"):
+            run_epochs("taps", spec, data, HyperParams(), epochs=1, seed=0,
+                       init_state=tracker_state(np.zeros(3), np.zeros(5)))
+        for method, init in (("sp", np.zeros(4)), ("spsmax", np.zeros((3, 1))),
+                             ("motaps", tracker_state(np.zeros(2), np.zeros(6)))):
+            with pytest.raises(ValueError, match="^state dimension does not match the dataset$"):
+                run_epochs(method, spec, data, HyperParams(), epochs=1, seed=0, init_state=init)
+
     def test_init_state_used_and_not_mutated(self):
         spec, data = interpolating_problem(n=6, d=3)
         st0 = tracker_state(np.full(3, 2.0), np.full(6, 0.5), tau=0.1)
@@ -1323,11 +1353,12 @@ class TestRunGrid:
 
     @staticmethod
     def raise_sites():
-        """One grid per NumericError raise site of ``_Kernel._coefficient``:
-        (method, spec, data, hyper, cells, epochs, keyword arguments, the
-        cells whose run aborts, and the message they abort with). The
-        comment names the finiteness checks of ``_Batch._coefficient`` that
-        catch the aborting cells; all but the first are caught by one alone."""
+        """One grid per NumericError raise site of the data step in
+        ``_Kernel.run``: (method, spec, data, hyper, cells, epochs, keyword
+        arguments, the cells whose run aborts, and the message they abort
+        with). The comment names the terms of ``_Batch.run``'s finiteness
+        mask that catch the aborting cells; all but the first are caught by
+        one alone."""
         squared = LossSpec(family="squared")
         # a monomial loss a(t - b)^2, inf with φ′ = 2e250 at t = 0 on sample 0
         huge = LossSpec(family="monomial", power_r=1.0, offsets=np.array([-1e100, 0.0]),
