@@ -13,13 +13,18 @@ Every per-sample loss has the form f_i(w) = phi_i(x_i . w) + (sigma/2)||w||^2:
 
 ``loss_grad_i`` is the per-sample reference: (f_i(w), grad f_i(w)) with a
 dense gradient. ``batch_eval`` computes the same quantities for all samples
-at once, and the tests pin the two against each other.
+at once, and the tests pin the two against each other. phi is written once,
+in ``_phi_of``; ``_phi_array`` is it over an array of margins, bit for bit,
+so every phi and phi' value goes through libm. numpy's vectorized exp,
+which rounds differently, appears only in ``_expit``, the sigmoid of the
+Newton oracle's Hessian weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -98,27 +103,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _phi_dphi(spec: LossSpec, data: Dataset, t: np.ndarray):
-    """Vectorized phi_i(t_i) and phi_i'(t_i) over an array of margins."""
-    if spec.family == "logistic":
-        y = data.labels
-        yt = y * t
-        vals = np.logaddexp(0.0, -yt)
-        dvals = -y * _expit(-yt)
-        return vals, dvals
-    if spec.family == "squared":
-        r = t - data.labels
-        return 0.5 * r * r, r
-    a, b = _monomial_params(spec, data)
-    p = 2.0 * spec.power_r
-    u = t - b
-    absu = np.abs(u)
-    vals = a * absu**p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dvals = np.where(absu == 0.0, 0.0, p * a * absu ** (p - 1.0) * np.sign(u))
-    return vals, dvals
-
-
 def _check_index(data: Dataset, i: int):
     if not 0 <= i < data.n:
         raise IndexError(f"sample index {i} out of range for n={data.n}")
@@ -151,10 +135,10 @@ def _phi_of(spec: LossSpec, data: Dataset):
     materializing arrays, bound once to one family and dataset so that a
     step loop looks nothing up per call.
 
-    The logistic branch is ``np.logaddexp(0, -yt)`` (bit for bit) and
+    The logistic branch is log(1 + e^-yt) in its stable form and
     ``-y / (1 + e^yt)``, written with ``math`` to skip the cost of a ufunc
     call on a scalar; the second is 0 where e^yt overflows. The monomial
-    branch is inf where a power overflows, as the vectorized one is.
+    branch is inf where a power overflows, as numpy's power is.
     """
     labels = data.labels
     if spec.family == "logistic":
@@ -193,22 +177,23 @@ def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
     return _phi_of(spec, data)(t, i)
 
 
-def _cells_phi(spec: LossSpec, data: Dataset, t: np.ndarray, i: int):
-    """``_scalar_phi`` of sample i at every margin in t, bit for bit, as two
-    arrays (values, derivatives).
+def _phi_array(spec: LossSpec, data: Dataset, t: np.ndarray, i):
+    """``_scalar_phi`` at every margin in t, bit for bit, as two arrays
+    (values, derivatives): of sample i, or of sample i[k] at t[k] where i
+    is an index array aligned with t.
 
     The logistic branch maps ``math.exp`` and ``math.log1p`` over the
-    margins, since numpy's exp rounds differently: log1p(e^-|yt|) +
-    max(-yt, 0) is either branch of the scalar form with its terms swapped,
-    and the derivative is ``-y * (1 / (1 + e^yt))`` in the scalar order.
-    Where some e^yt overflows, and for the monomial family, it is
-    ``_scalar_phi`` per margin.
+    margins, so every phi goes through libm: log1p(e^-|yt|) + max(-yt, 0)
+    is either branch of the scalar form with its terms swapped, and the
+    derivative is ``-y * (1 / (1 + e^yt))`` in the scalar order. Where some
+    e^yt overflows, and for the monomial family, it is ``_scalar_phi`` per
+    margin.
     """
     if spec.family == "squared":
-        r = t - float(data.labels[i])
+        r = t - data.labels[i]
         return 0.5 * r * r, r
     if spec.family == "logistic":
-        y = float(data.labels[i])
+        y = data.labels[i]
         yt = y * t
         try:
             tail = 1.0 / (1.0 + np.fromiter(map(math.exp, yt.tolist()), np.float64, len(yt)))
@@ -218,8 +203,9 @@ def _cells_phi(spec: LossSpec, data: Dataset, t: np.ndarray, i: int):
             head = np.fromiter(map(math.log1p, map(math.exp, (-np.abs(yt)).tolist())),
                                np.float64, len(yt))
             return head + np.maximum(-yt, 0.0), -y * tail
-    vals = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
-    return np.array(vals, dtype=np.float64).reshape(-1, 2).T
+    pairs = map(_scalar_phi, repeat(spec), repeat(data), t.tolist(),
+                np.broadcast_to(i, t.shape).tolist())
+    return np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(t)).reshape(-1, 2).T
 
 
 @dataclass(frozen=True)
@@ -235,7 +221,7 @@ class BatchEval:
 
 def batch_eval(spec: LossSpec, data: Dataset, w: np.ndarray) -> BatchEval:
     t = data.X @ w
-    vals, dvals = _phi_dphi(spec, data, t)
+    vals, dvals = _phi_array(spec, data, t, np.arange(data.n))
     if spec.sigma != 0.0:
         vals = vals + _reg(spec, w)
         # ||phi' x + sigma w||^2 expanded; uses the cached row square-norms
@@ -285,14 +271,6 @@ def smoothness_constants(spec: LossSpec, data: Dataset):
         a, _ = _monomial_params(spec, data)
         L = 2.0 * a * data.row_sqnorms + spec.sigma
     return L, float(np.max(L)) if data.n else 0.0
-
-
-def _mu_floor(spec: LossSpec, data: Dataset) -> float:
-    """Strong-convexity floor of the mean loss (see OptimumCertificate)."""
-    if spec.family == "squared":
-        h = data.X.gram() / data.n
-        return float(np.linalg.eigvalsh(h)[0]) + spec.sigma
-    return spec.sigma
 
 
 def _cg(hess_vec, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -388,20 +366,21 @@ def optimum_oracle(
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if spec.family == "squared":
-        A = data.X.gram() + data.n * spec.sigma * np.eye(data.dim)
+        gram = data.X.gram()
+        A = gram + data.n * spec.sigma * np.eye(data.dim)
         rhs = data.X.T @ data.labels
         try:
             w = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             w = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        tol = 1e-10
+        tol, mu = 1e-10, float(np.linalg.eigvalsh(gram / data.n)[0]) + spec.sigma
     elif spec.family == "logistic":
         if spec.sigma <= 0.0 and budget is None:
             raise UnsupportedFamilyError(
                 "logistic oracle needs sigma > 0 or an explicit iteration budget"
             )
         w = _logistic_newton(spec, data, 500_000 if budget is None else budget)
-        tol = 1e-8
+        tol, mu = 1e-8, spec.sigma
     else:
         raise UnsupportedFamilyError("no optimum oracle for the monomial family")
     fi_star = batch_eval(spec, data, w).values.copy()
@@ -414,5 +393,5 @@ def optimum_oracle(
         fi_star=fi_star,
         grad_norm_at_opt=grad_norm,
         converged=grad_norm <= tol,
-        mu=_mu_floor(spec, data),
+        mu=mu,
     )

@@ -41,8 +41,8 @@ from .data import Dataset
 from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfbench wraps it here
     LossSpec,
     OptimumCertificate,
-    _cells_phi,
     _mean_grad,
+    _phi_array,
     _phi_of,
     full_grad,
     full_loss,
@@ -678,10 +678,10 @@ class _Batch:
     * margins and square norms are one ddot per row (``np.vecdot``), on a
       C-contiguous gather for a sparse row, since a strided ddot rounds
       differently;
-    * φ is ``losses._cells_phi``: ``math.exp`` and ``math.log1p`` mapped
-      over the cells' margins, since numpy's vectorised exp rounds
-      differently, and ``_scalar_phi`` per cell at a step where some e^yt
-      overflows (and for the monomial family);
+    * φ is ``losses._phi_array`` of sample i, as in ``batch_eval``:
+      ``math.exp`` and ``math.log1p`` mapped over the cells' margins, since
+      numpy's vectorised exp rounds differently, and ``_scalar_phi`` per
+      cell at a step where some e^yt overflows (and for the monomial family);
     * everything else is elementwise, in the kernel's order of operations:
       the sp coefficient (f_i − f_i*)/‖g‖² is capped and then set to 0 on a
       zero gradient, and a lazy cell whose scale leaves [1e-100, 1e100]
@@ -695,7 +695,7 @@ class _Batch:
     cell to drop with ``np.count_nonzero`` (a reduction such as ``any``
     costs four times as much). On a 2-vCPU KVM guest (median of 50 runs of
     1000 steps) a motaps step at C = 49, d = 20 costs about 35 µs, about
-    15 µs of it in ``_cells_phi``.
+    15 µs of it in ``_phi_array``.
     """
 
     _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
@@ -756,14 +756,14 @@ class _Batch:
                 s, wsq = self.s, self.wsq
                 Vi = np.ascontiguousarray(V[:, idx])
                 m = s * np.vecdot(Vi, x)
-                fi, dval = _cells_phi(spec, data, m, i)
+                fi, dval = _phi_array(spec, data, m, i)
                 xsq = sqnorms.item(i)
                 fi += 0.5 * sigma * wsq
                 gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * m + sigma * sigma * wsq, 0.0)
             else:
                 full = x.size == V.shape[1]  # a full row's indices are 0 .. d-1
                 m = np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x)
-                fi, dval = _cells_phi(spec, data, m, i)
+                fi, dval = _phi_array(spec, data, m, i)
                 if full:
                     G = dval[:, None] * x
                 else:

@@ -577,6 +577,13 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--config", str(cfg))
         assert code == 2 and "error" in err
 
+    def test_unknown_method_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"dataset = {SMALL}\nepochs = 1\nmethods = sp,nosuch\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: unknown method 'nosuch'\n"
+
     def test_default_method_list_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"
         cfg.write_text(
@@ -702,6 +709,11 @@ class TestVerify:
     def test_bad_sizes_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--sizes", "4x3")
         assert code == 2 and "error" in err
+
+    def test_sizes_below_one_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--sizes", "0:3")
+        assert code == 2 and out == ""
+        assert err == "error: bad --sizes '0:3'; expected n:d pairs like 5:3,20:8\n"
 
 
 class TestGen:

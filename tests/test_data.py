@@ -125,6 +125,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="same length"):
             Dataset(CSRMatrix([1.0], [0, 1], [0, 2], (1, 2)), [1.0])
 
+    def test_immutable_with_short_repr(self):
+        data = Dataset([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]], [1.0, -1.0])
+        for name in ("labels", "dim", "extra"):
+            with pytest.raises(AttributeError, match="^Dataset is immutable$"):
+                setattr(data, name, None)
+        assert data.dim == 3 and not hasattr(data, "extra")
+        assert repr(data) == "Dataset(n=2, dim=3)"
+
 
 class TestDot:
     """The margin x_i·w that ``loss_grad_i`` takes from a row's views."""

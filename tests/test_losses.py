@@ -14,7 +14,8 @@ from polyak_opt.losses import (
     EmptyDatasetError,
     LossSpec,
     UnsupportedFamilyError,
-    _cells_phi,
+    _phi_array,
+    _phi_of,
     _scalar_phi,
     batch_eval,
     full_grad,
@@ -188,6 +189,26 @@ class TestBatchEval:
         assert np.all(np.isfinite(be.values))
         assert np.all(np.isfinite(be.dvals))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
+    @pytest.mark.parametrize("spec", [
+        LossSpec(family="logistic"),
+        LossSpec(family="squared"),
+        LossSpec(family="monomial", power_r=0.75),
+    ], ids=["logistic", "squared", "monomial"])
+    def test_equals_phi_of_bit_for_bit(self, spec):
+        # X = I, so the margins are w: the edge margins (past 709.78 too) and
+        # normal draws at four scales
+        rng = np.random.default_rng(41)
+        w = np.concatenate([EDGE_MARGINS] + [rng.standard_normal(250) * 10.0**k for k in range(-1, 3)])
+        n = w.size
+        labels = rng.choice([-1.0, 1.0], n) if spec.family == "logistic" else rng.standard_normal(n)
+        data = Dataset(CSRMatrix(np.ones(n), np.arange(n), np.arange(n + 1), (n, n)), labels)
+        be = batch_eval(spec, data, w)
+        phi = _phi_of(spec, data)
+        want = [phi(t, i) for i, t in enumerate((data.X @ w).tolist())]
+        assert same_bits(be.values, [v for v, _ in want])
+        assert same_bits(be.dvals, [dv for _, dv in want])
+
 
 # math.exp overflows above log(max float) = 709.782712893384: margins on both
 # sides of it, and zeros, subnormals and infinities of either sign, and NaN
@@ -211,8 +232,9 @@ def same_bits(got, want):
             and got[~nan].tobytes() == want[~nan].tobytes())
 
 
-class TestCellsPhi:
-    """``_cells_phi`` is ``_scalar_phi`` per margin, bit for bit."""
+class TestPhiArray:
+    """``_phi_array`` is ``_scalar_phi`` per margin, bit for bit, of one
+    sample or of an index array aligned with the margins."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
     @given(
@@ -232,7 +254,13 @@ class TestCellsPhi:
         rng = np.random.default_rng(seed)
         t = rng.permutation(np.concatenate([edges, rng.standard_normal(24) * 10.0**log_scale]))
         scalar = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
-        vals, dvals = _cells_phi(spec, data, t, i)
+        vals, dvals = _phi_array(spec, data, t, i)
+        assert same_bits(vals, [v for v, _ in scalar])
+        assert same_bits(dvals, [dv for _, dv in scalar])
+        # the same margins, each of its own sample
+        idx = rng.integers(0, 2 if spec.family == "logistic" else 3, t.size)
+        scalar = [_scalar_phi(spec, data, ti, k) for ti, k in zip(t.tolist(), idx.tolist())]
+        vals, dvals = _phi_array(spec, data, t, idx)
         assert same_bits(vals, [v for v, _ in scalar])
         assert same_bits(dvals, [dv for _, dv in scalar])
 

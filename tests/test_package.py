@@ -107,14 +107,18 @@ def test_modules_use_every_imported_name():
     assert unused == []
 
 
-def test_only_the_epoch_loop_draws_sample_indices():
-    """Every driver takes its draws from ``polyak._epoch_loop``: no other
-    function in ``src/`` names ``sample_indices``, so no second draw loop
-    can grow beside it."""
+def scopes_referring(match):
+    """The dotted scope (module, then class and function names) of every
+    ``ast`` node in ``src/`` that ``match`` accepts, in file order."""
 
     class Refs(ast.NodeVisitor):
         def __init__(self, module):
             self.scope, self.found = [module], []
+
+        def generic_visit(self, node):
+            if match(node):
+                self.found.append(".".join(self.scope))
+            super().generic_visit(node)
 
         def visit_FunctionDef(self, node):
             self.scope.append(node.name)
@@ -123,21 +127,35 @@ def test_only_the_epoch_loop_draws_sample_indices():
 
         visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-        def visit_Name(self, node):
-            if node.id == "sample_indices":
-                self.found.append(".".join(self.scope))
-
-        def visit_Attribute(self, node):
-            if node.attr == "sample_indices":
-                self.found.append(".".join(self.scope))
-            self.generic_visit(node)
-
     found = []
     for path in sorted(Path(polyak_opt.__file__).parent.glob("*.py")):
         refs = Refs(path.stem)
         refs.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += refs.found
-    assert found == ["polyak._epoch_loop"]
+    return found
+
+
+def test_only_the_epoch_loop_draws_sample_indices():
+    """Every driver takes its draws from ``polyak._epoch_loop``: no other
+    function in ``src/`` names ``sample_indices``, so no second draw loop
+    can grow beside it."""
+    assert scopes_referring(
+        lambda node: "sample_indices" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ) == ["polyak._epoch_loop"]
+
+
+def test_phi_has_one_array_form():
+    """phi and phi' of an array of margins go through libm in
+    ``losses._phi_array``: no code in ``src/`` names ``np.logaddexp``, and
+    only ``losses._expit`` (the Newton oracle's Hessian weights) names
+    ``np.exp``, so no second vectorised phi can grow beside it."""
+
+    def numpy_attr(name):
+        return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
+                             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+    assert scopes_referring(numpy_attr("logaddexp")) == []
+    assert scopes_referring(numpy_attr("exp")) == ["losses._expit"]
 
 
 def test_each_engine_steps_in_one_loop():
