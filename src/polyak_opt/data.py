@@ -69,13 +69,13 @@ class CSRMatrix:
     [0, d) and strictly increase along each row, or ValueError. ``data``
     may hold zeros and non-finite values.
 
-    ``X @ w``, ``X.T @ u`` and ``gram()`` add each output's terms one at a
-    time in storage order (rows in order for ``gram``), starting from 0.0,
-    the order of a plain loop over the entries and of scipy.sparse, so the
-    products are scipy's bit for bit. The one exception is a sum where NaNs
-    of both signs meet: IEEE 754 leaves open which NaN it keeps, and scipy
-    keeps the later one where ``np.bincount`` and numpy's add keep the
-    earlier, so such an output is NaN in both but its sign may differ.
+    ``X @ w`` and ``X.T @ u`` add each output's terms one at a time in
+    storage order, starting from 0.0, the order of a plain loop over the
+    entries and of scipy.sparse, so the products are scipy's bit for bit.
+    The one exception is a sum where NaNs of both signs meet: IEEE 754
+    leaves open which NaN it keeps, and scipy keeps the later one where
+    ``np.bincount`` and numpy's add keep the earlier, so such an output is
+    NaN in both but its sign may differ.
 
     ``dense`` is True when every row is full (nnz = n·d). Such a matrix,
     unless it has a single row or column, also keeps ``columns``, a
@@ -141,30 +141,6 @@ class CSRMatrix:
         out = np.zeros(self.shape)
         out[self.row_ids, self.indices] = self.data
         return out
-
-    def gram(self) -> np.ndarray:
-        """Dense d x d X^T X: entry (j, k) sums X[r, j] * X[r, k] over the
-        rows r in order. Rows go in chunks of about max(d^2, 2^18) products,
-        each added onto the sums so far, so the temporaries stay bounded."""
-        n, d = self.shape
-        lens = np.diff(self.indptr)
-        ends = np.cumsum(lens * lens)  # products up to the end of each row
-        bound = max(d * d, 1 << 18)
-        sums = np.zeros(d * d)
-        r0 = 0
-        while r0 < n:
-            done = int(ends[r0 - 1]) if r0 else 0
-            r1 = max(int(np.searchsorted(ends, done + bound, side="right")), r0 + 1)
-            a, b = self.indptr[r0], self.indptr[r1]
-            rows = self.row_ids[a:b]
-            # stored entry (r, j) pairs with every entry (r, k) of its row
-            counts = lens[rows]
-            firsts = self.indptr[rows] - (np.cumsum(counts) - counts)
-            partners = np.repeat(firsts, counts) + np.arange(int(counts.sum()))
-            keys = np.repeat(self.indices[a:b] * d, counts) + self.indices[partners]
-            np.add.at(sums, keys, np.repeat(self.data[a:b], counts) * self.data[partners])
-            r0 = r1
-        return sums.reshape(d, d)
 
 
 class _Transposed:

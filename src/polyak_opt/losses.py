@@ -77,9 +77,11 @@ class LossSpec:
 class OptimumCertificate:
     """Solution data from the optimum oracle.
 
-    ``mu`` is a strong-convexity floor for the mean loss at the solution
-    (smallest eigenvalue of the mean data Hessian plus sigma for squared;
-    sigma for logistic), used by the decreasing step-size schedule.
+    ``mu`` is a strong-convexity floor for the mean loss at the solution,
+    used by the decreasing step-size schedule: for squared, s_min^2/n +
+    sigma with s_min the smallest singular value of X when X has rank d,
+    and exactly sigma otherwise (so 0 at sigma = 0 records that the
+    minimizer is not unique); sigma for logistic. It is never negative.
     """
 
     w_star: np.ndarray
@@ -137,8 +139,9 @@ def _phi_of(spec: LossSpec, data: Dataset):
 
     The logistic branch is log(1 + e^-yt) in its stable form and
     ``-y / (1 + e^yt)``, written with ``math`` to skip the cost of a ufunc
-    call on a scalar; the second is 0 where e^yt overflows. The monomial
-    branch is inf where a power overflows, as numpy's power is.
+    call on a scalar; the second is 0 where e^yt overflows. In the monomial
+    branch phi and phi' are each inf where their own power overflows, as
+    numpy's power is.
     """
     labels = data.labels
     if spec.family == "logistic":
@@ -165,10 +168,17 @@ def _phi_of(spec: LossSpec, data: Dataset):
             absu = abs(u)
             if absu == 0.0:
                 return 0.0, 0.0
+            # a float power raises where numpy's returns inf, so each power
+            # overflows on its own: phi' stays finite where only phi is inf
             try:
-                return ai * absu**p, p * ai * absu ** (p - 1.0) * (1.0 if u > 0 else -1.0)
-            except OverflowError:  # a float power raises where numpy's returns inf
-                return math.inf, math.copysign(math.inf, u)
+                val = ai * absu**p
+            except OverflowError:
+                val = math.inf
+            try:
+                dval = p * ai * absu ** (p - 1.0)
+            except OverflowError:
+                dval = math.inf
+            return val, dval * (1.0 if u > 0 else -1.0)
     return phi
 
 
@@ -351,8 +361,12 @@ def optimum_oracle(
 ) -> OptimumCertificate:
     """Solve for w_star independently of the stochastic methods.
 
-    squared: normal equations (X^T X + n sigma I) w = X^T y, falling back to
-    a least-squares solve when the system is singular. logistic: truncated
+    squared: one thin SVD X = U S V^T, w = V (S U^T y / (S^2 + n sigma)),
+    with singular values at or below numpy lstsq's default cutoff
+    (s_max * max(n, d) * eps) counted as 0. That is the ridge solution for
+    sigma > 0 and, at sigma = 0, the minimum-norm least-squares solution,
+    the point that methods started at w = 0 in the row space of X reach
+    when the minimizer is not unique. logistic: truncated
     Newton with conjugate-gradient inner solves on Hessian-vector products
     (the d x d Hessian is never formed) and an Armijo line search, run to
     ||grad f|| <= 1e-11 or until ``budget`` Newton iterations are spent
@@ -366,14 +380,12 @@ def optimum_oracle(
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if spec.family == "squared":
-        gram = data.X.gram()
-        A = gram + data.n * spec.sigma * np.eye(data.dim)
-        rhs = data.X.T @ data.labels
-        try:
-            w = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            w = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        tol, mu = 1e-10, float(np.linalg.eigvalsh(gram / data.n)[0]) + spec.sigma
+        n, d, sigma = data.n, data.dim, spec.sigma
+        u, s, vt = np.linalg.svd(data.X.toarray(), full_matrices=False)
+        r = np.count_nonzero(s > s.max(initial=0.0) * max(n, d) * np.finfo(np.float64).eps)
+        s = s[:r]
+        w = vt[:r].T @ (s * (u[:, :r].T @ data.labels) / (s * s + n * sigma))
+        tol, mu = 1e-10, float(s[-1] ** 2 / n + sigma) if 0 < r == d else sigma
     elif spec.family == "logistic":
         if spec.sigma <= 0.0 and budget is None:
             raise UnsupportedFamilyError(

@@ -285,7 +285,6 @@ class TestCSRMatrix:
             # as NaNs, every other output bit for bit
             assert_same_bits_but_nans(X @ w, ref @ w)
             assert_same_bits_but_nans(X.T @ u, ref.T @ u)
-            assert_same_bits(X.gram(), (ref.T @ ref).toarray())
         assert_same_bits(X.toarray(), dense)
 
     @given(st.data())
@@ -376,12 +375,10 @@ class TestCSRMatrix:
             X = Dataset(np.zeros((n, d)), np.zeros(n)).X
             assert_same_bits(X @ np.ones(d), np.zeros(n))
             assert_same_bits(X.T @ np.ones(n), np.zeros(d))
-            assert_same_bits(X.gram(), np.zeros((d, d)))
 
     def test_long_rows_match_scipy(self):
         # 600 full rows of 40: sums longer than a pairwise summation's
-        # blocks, and 960 000 Gram products, several chunks' worth; each
-        # output must still be one running sum in storage order
+        # blocks; each output must still be one running sum in storage order
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((600, 40)) * 10.0 ** rng.integers(-8, 8, (600, 40))
         ref = sp.csr_array(dense)
@@ -389,7 +386,6 @@ class TestCSRMatrix:
         w, u = rng.standard_normal(40), rng.standard_normal(600)
         assert_same_bits(X @ w, ref @ w)
         assert_same_bits(X.T @ u, ref.T @ u)
-        assert_same_bits(X.gram(), (ref.T @ ref).toarray())
 
     def test_dimension_mismatch(self):
         X = Dataset(np.ones((2, 3)), np.zeros(2)).X

@@ -24,6 +24,7 @@ from polyak_opt.losses import (
     optimum_oracle,
     smoothness_constants,
 )
+from polyak_opt.polyak import HyperParams, NumericError, run_epochs, sp_step
 
 
 def own_logistic_grad(data, w, sigma):
@@ -264,6 +265,18 @@ class TestPhiArray:
         assert same_bits(vals, [v for v, _ in scalar])
         assert same_bits(dvals, [dv for _, dv in scalar])
 
+    def test_monomial_slope_finite_where_value_overflows(self):
+        # at t - b = +-1e300 and r = 0.75, |u|^1.5 overflows but 1.5 |u|^0.5
+        # is 1.5e150; a step there still aborts on the infinite value
+        data = Dataset([[1.0]], [0.0])
+        spec = LossSpec(family="monomial", power_r=0.75)
+        vals, dvals = _phi_array(spec, data, np.array([1e300, -1e300]), 0)
+        assert vals.tolist() == [math.inf, math.inf]
+        assert_allclose(dvals, [1.5e150, -1.5e150], rtol=1e-15)
+        assert_allclose(batch_eval(spec, data, np.array([1e300])).dvals, [1.5e150], rtol=1e-15)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite loss/gradient"):
+            sp_step(spec, data, np.array([1e300]), 0)  # ||w||^2 overflows as well
+
 
 class TestFullBatch:
     def test_single_sample_equals_scalar(self):
@@ -321,6 +334,10 @@ class TestSmoothness:
             LossSpec(family="monomial", power_r=1.0, scales=[3.0]), data
         )
         assert_allclose(L, [6.0])
+        L, _ = smoothness_constants(
+            LossSpec(family="monomial", sigma=0.5, power_r=1.0, scales=[3.0]), data
+        )
+        assert_allclose(L, [6.5])  # 2 a ||x||^2 + sigma
         with pytest.raises(UnsupportedFamilyError):
             smoothness_constants(LossSpec(family="monomial", power_r=1.5), data)
 
@@ -384,6 +401,40 @@ class TestOptimumOracle:
         h = data.X.toarray().T @ data.X.toarray() / data.n
         assert_allclose(cert.mu, np.linalg.eigvalsh(h)[0] + 0.3, rtol=1e-10)
 
+    def test_wide_interpolation_certifies_the_minimum_norm_point(self):
+        # n < d, sigma = 0: the interpolants form an affine set, and sp from
+        # w = 0 stays in the row space of X, so it converges to the
+        # minimum-norm one; the certificate names that point and mu = 0
+        data, _ = synth_dataset(0, 20, 40, "separable")
+        spec = LossSpec(family="squared")
+        cert = optimum_oracle(spec, data)
+        assert cert.converged
+        assert cert.mu == 0.0
+        records = run_epochs("sp", spec, data, HyperParams(), 500, 0, cert, fi_star=cert.fi_star)
+        assert records[-1].dist_to_opt < 1e-6
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_tall_rank_deficient(self, sigma):
+        # the last column copies the first, so rank(X) = 4 < d = 5
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 5))
+        X[:, 4] = X[:, 0]
+        data = Dataset(X, rng.standard_normal(30))
+        cert = optimum_oracle(LossSpec(family="squared", sigma=sigma), data)
+        assert cert.converged
+        assert cert.mu == sigma
+        if sigma == 0.0:
+            assert_allclose(cert.w_star, np.linalg.lstsq(X, data.labels, rcond=None)[0],
+                            rtol=0, atol=1e-12)
+
+    def test_no_features(self):
+        # d = 0: w* is empty and every f_i is the constant y_i^2 / 2
+        data = Dataset(np.zeros((3, 0)), [1.0, -1.0, 2.0])
+        cert = optimum_oracle(LossSpec(family="squared", sigma=0.1), data)
+        assert cert.w_star.shape == (0,)
+        assert cert.fi_star.tolist() == [0.5, 0.5, 2.0]
+        assert cert.converged and cert.mu == 0.1
+
     def test_logistic_unregularized_needs_budget(self):
         data, _ = synth_dataset(3, 10, 3, "separable")
         with pytest.raises(ValueError):
@@ -401,6 +452,8 @@ class TestOptimumOracle:
         for family, budget in (("logistic", 0), ("logistic", -3), ("squared", 0)):
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 optimum_oracle(LossSpec(family=family, sigma=0.01), data, budget=budget)
+        for family in ("logistic", "squared"):  # the least budget is accepted
+            optimum_oracle(LossSpec(family=family, sigma=0.01), data, budget=1)
 
     def test_monomial_unsupported(self):
         data = Dataset([[1.0]], [0.0])

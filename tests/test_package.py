@@ -158,6 +158,19 @@ def test_phi_has_one_array_form():
     assert scopes_referring(numpy_attr("exp")) == ["losses._expit"]
 
 
+def test_squared_optimum_is_one_svd():
+    """The squared certificate is one SVD of X: only
+    ``losses.optimum_oracle`` names ``svd``, and no code in ``src/`` names
+    ``lstsq``, ``eigvalsh`` or ``gram``, so no normal-equation solve or
+    second eigen-solve can grow beside it."""
+
+    def named(*names):
+        return lambda node: any(getattr(node, key, None) in names for key in ("id", "attr", "name"))
+
+    assert scopes_referring(named("svd")) == ["losses.optimum_oracle"]
+    assert scopes_referring(named("lstsq", "eigvalsh", "gram")) == []
+
+
 def test_each_engine_steps_in_one_loop():
     """``_Kernel`` and ``_Batch`` each take an epoch's draws in one ``run``
     loop, with no per-step helper methods beside it, so the two engines'
