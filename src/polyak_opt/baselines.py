@@ -26,12 +26,13 @@ from .data import Dataset
 from .losses import (
     LossSpec,
     OptimumCertificate,
+    _check_index,
     _phi_of,
     full_grad,
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import HyperParams, NumericError, _check_index, _check_run, _epoch_loop, _Kernel, _make_record
+from .polyak import HyperParams, NumericError, _check_run, _epoch_loop, _Kernel, _make_record
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")

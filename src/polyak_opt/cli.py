@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (one method, one trace file), ``grid`` (a γ × γ_τ
 sweep for motaps and a γ sweep for the methods that do not read γ_τ, run
-as one batch, with a best-cell summary), ``compare`` (several methods
+as one batch on data whose rows are all full and as one run per cell
+otherwise, with a best-cell summary), ``compare`` (several methods
 on one dataset in a long-format trace), ``verify`` (the randomized property
 suites), and ``gen`` (write a synthetic dataset as a LIBSVM file).
 

@@ -105,9 +105,9 @@ def _expit(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _check_index(data: Dataset, i: int):
-    if not 0 <= i < data.n:
-        raise IndexError(f"sample index {i} out of range for n={data.n}")
+def _check_index(i: int, high: int) -> None:
+    if not 0 <= i < high:
+        raise IndexError(f"sample index {i} out of range [0, {high})")
 
 
 def _reg(spec: LossSpec, w: np.ndarray) -> float:
@@ -121,7 +121,7 @@ def loss_grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int):
     the reference the O(nnz) step kernel in ``polyak`` is checked against.
     A ``w`` whose shape is not (dim,) is a "dimension mismatch" ValueError,
     as in ``X @ w``."""
-    _check_index(data, i)
+    _check_index(i, data.n)
     w = _vector(w, data.dim)
     idx, x = data.rows[i]
     val, dval = _scalar_phi(spec, data, float(np.dot(x, w[idx])), i)

@@ -23,10 +23,11 @@ pre-step state.
 
 All three, and SGD as the data step with coefficient 1, are steps of one
 kernel whose data steps cost O(nnz_i) on sparse data (see ``_Kernel``);
-``run_grid`` runs one method at many (γ, γ_τ) pairs as a batch whose cells
-are the kernel's arithmetic bit for bit (see ``_Batch``). It, ``run_epochs``
-and ``baselines.run_baseline`` are setup around one epoch loop and one
-record builder (``_epoch_loop``, ``_make_record``).
+``run_grid`` runs one method at many (γ, γ_τ) pairs: on data whose rows are
+all full, as a batch whose cells are the kernel's arithmetic bit for bit
+(see ``_Batch``), and otherwise as one ``run_epochs`` per cell. It,
+``run_epochs`` and ``baselines.run_baseline`` are setup around one epoch
+loop and one record builder (``_epoch_loop``, ``_make_record``).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .data import Dataset
 from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfbench wraps it here
     LossSpec,
     OptimumCertificate,
+    _check_index,
     _mean_grad,
     _phi_array,
     _phi_of,
@@ -412,11 +414,6 @@ class _Kernel:
 # checked as the drivers check them
 
 
-def _check_index(i: int, high: int) -> None:
-    if not 0 <= i < high:
-        raise IndexError(f"sampled index {i} out of range [0, {high})")
-
-
 def check_lambda(lam: float, n: int) -> None:
     """The motaps dampening must lie in [0, lambda_max(n))."""
     cap = lambda_max(n)
@@ -666,26 +663,27 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
 
 
 class _Batch:
-    """``_Kernel.run`` for C runs that differ only in (γ, γ_τ).
+    """``_Kernel.run``'s plain step for C runs that differ only in (γ, γ_τ),
+    on data whose rows are all full.
 
     Every cell draws the same sampled indices, so one index is one
     vectorised update of all cells. Row r of ``V`` (C×d; ``Z`` too for
-    β > 0) and of ``A`` (C×n), and entry r of ``abar``, ``tau``, the lazy
-    scale ``s``, ``wsq`` and the step sizes, are the state of cell
-    ``cells[r]``. ``run`` reads line for line like the kernel's loop, and
-    each cell's arithmetic is the kernel's bit for bit:
+    β > 0) and of ``A`` (C×n), and entry r of ``abar``, ``tau`` and the
+    step sizes, are the state of cell ``cells[r]``. ``run`` reads line for
+    line like the kernel's loop, and each cell's arithmetic is the
+    kernel's bit for bit:
 
-    * margins and square norms are one ddot per row (``np.vecdot``), on a
-      C-contiguous gather for a sparse row, since a strided ddot rounds
-      differently;
+    * margins and square norms are one ddot per row (``np.vecdot``);
     * φ is ``losses._phi_array`` of sample i, as in ``batch_eval``:
       ``math.exp`` and ``math.log1p`` mapped over the cells' margins, since
       numpy's vectorised exp rounds differently, and ``_scalar_phi`` per
       cell at a step where some e^yt overflows (and for the monomial family);
     * everything else is elementwise, in the kernel's order of operations:
       the sp coefficient (f_i − f_i*)/‖g‖² is capped and then set to 0 on a
-      zero gradient, and a lazy cell whose scale leaves [1e-100, 1e100]
-      takes the kernel's dense fold.
+      zero gradient.
+
+    Data with a sparse row takes the kernel's lazy scale step, which
+    ``run_grid`` runs once per cell instead (see there).
 
     Where the kernel raises NumericError, the batch builds a finiteness
     mask instead, and a step ends with ``_keep`` dropping the cells that
@@ -698,7 +696,7 @@ class _Batch:
     15 µs of it in ``_phi_array``.
     """
 
-    _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "s", "wsq", "gamma", "gamma_tau")
+    _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "gamma", "gamma_tau")
 
     def __init__(self, method, spec, data, hyper, cells, *, tau, fi_stars):
         self.method, self.spec, self.data, self.hyper, self.fi_stars = method, spec, data, hyper, fi_stars
@@ -708,7 +706,6 @@ class _Batch:
         self.gamma_tau = np.array([gt for _, gt in cells], dtype=np.float64)
         self.V = np.zeros((size, data.dim))
         self.Z = self.V.copy() if hyper.beta else None
-        self.s, self.wsq = np.ones(size), np.zeros(size)
         self.A = np.zeros((size, data.n)) if trackers else None
         self.abar = np.zeros(size) if trackers else None
         self.tau = np.full(size, tau) if trackers else None
@@ -721,10 +718,7 @@ class _Batch:
                     setattr(self, name, rows[ok])
 
     def end_epoch(self):
-        """The kernel's fold and the exact tracker mean, for every cell."""
-        self.V *= self.s[:, None]
-        self.s = np.ones_like(self.s)
-        self.wsq = np.vecdot(self.V, self.V)
+        """The exact tracker mean, for every cell."""
         if self.A is not None:
             self.abar = np.mean(self.A, axis=1)
 
@@ -735,7 +729,6 @@ class _Batch:
         dropped cell rebinds every row array."""
         spec, data, fi_stars = self.spec, self.data, self.fi_stars
         n, rows, sigma, beta = data.n, data.rows, spec.sigma, self.hyper.beta
-        lazy, sqnorms = not (beta or data.X.dense), data.row_sqnorms
         trackers, learn_tau = self.A is not None, self.method == "motaps"
         cap, tau_coeff = _step_cap(self.method, self.hyper), motaps_tau_coeff(self.hyper.lam, n)
         for i in draws:
@@ -750,29 +743,13 @@ class _Batch:
                     self.V = beta * self.V + (1.0 - beta) * self.Z
                 self._keep(np.isfinite(delta) & np.isfinite(self.tau))
                 continue
-            idx, x = rows[i]
-            V = self.V
-            if lazy:
-                s, wsq = self.s, self.wsq
-                Vi = np.ascontiguousarray(V[:, idx])
-                m = s * np.vecdot(Vi, x)
-                fi, dval = _phi_array(spec, data, m, i)
-                xsq = sqnorms.item(i)
-                fi += 0.5 * sigma * wsq
-                gsq = np.maximum(dval * dval * xsq + 2.0 * sigma * dval * m + sigma * sigma * wsq, 0.0)
-            else:
-                full = x.size == V.shape[1]  # a full row's indices are 0 .. d-1
-                m = np.vecdot(V if full else np.ascontiguousarray(V[:, idx]), x)
-                fi, dval = _phi_array(spec, data, m, i)
-                if full:
-                    G = dval[:, None] * x
-                else:
-                    G = np.zeros_like(V)
-                    G[:, idx] = dval[:, None] * x
-                if sigma:
-                    fi += 0.5 * sigma * np.vecdot(V, V)
-                    G += sigma * V
-                gsq = np.vecdot(G, G)
+            x, V = rows[i].values, self.V
+            fi, dval = _phi_array(spec, data, np.vecdot(V, x), i)
+            G = dval[:, None] * x
+            if sigma:
+                fi += 0.5 * sigma * np.vecdot(V, V)
+                G += sigma * V
+            gsq = np.vecdot(G, G)
             if trackers:
                 alpha = self.A[:, i]  # a view: the target, then moved in place
                 c = (fi - alpha) / (gsq + 1.0)
@@ -781,24 +758,10 @@ class _Batch:
                 if cap < math.inf:
                     np.minimum(c, cap, out=c)
                 c[gsq <= ZERO_GRAD_SQNORM] = 0.0
-            ok = np.isfinite(fi) & np.isfinite(dval) & np.isfinite(gsq) & np.isfinite(c)
+            # a full row has no zero entry, so a non-finite φ′ makes ‖g‖² non-finite
+            ok = np.isfinite(fi) & np.isfinite(gsq) & np.isfinite(c)
             gc = gamma * c
-            if lazy:  # w ← a·w − b·x with a = 1 − γcσ and b = γcφ′, per cell
-                a = 1.0 - gc * sigma
-                b = gc * dval
-                s_new = s * a
-                V[:, idx] = Vi - (b / s_new)[:, None] * x
-                self.s = s_new
-                self.wsq = np.maximum(a * a * wsq - 2.0 * a * b * m + b * b * xsq, 0.0)
-                for r in np.flatnonzero(~((1e-100 <= s_new) & (s_new <= 1e100))).tolist():
-                    v = V[r]
-                    v[idx] = Vi[r]
-                    v *= s[r]
-                    v *= a[r]
-                    v[idx] -= b[r] * x
-                    s_new[r] = 1.0
-                    self.wsq[r] = float(v @ v)
-            elif beta:
+            if beta:
                 self.Z = self.Z - (gc / (1.0 - beta))[:, None] * G
                 self.V = beta * V + (1.0 - beta) * self.Z
             else:
@@ -822,32 +785,40 @@ def run_grid(
     fi_star=0.0,
     tau: float | None = None,
 ) -> list[TraceRecord | None]:
-    """Run ``method`` at every (γ, γ_τ) pair of ``cells`` as one batch.
+    """Run ``method`` at every (γ, γ_τ) pair of ``cells``.
 
     Returns, per cell, the last record that ``run_epochs`` with ``hyper``
     at that γ and γ_τ (from w⁰ = 0, no certificate) would return, bit for
-    bit, or None where that run would raise NumericError. Only the last
-    epoch is evaluated. The batch holds C×(n+d) floats for C cells (twice
-    the d part with β > 0). ``hyper.schedule`` must be constant: any other
-    sets γ and γ_τ itself, so every cell would be the same run. A
-    non-finite ``tau`` or ``fi_star`` is a ValueError, as in ``run_epochs``.
+    bit, or None where that run would raise NumericError. On data whose
+    rows are all full the cells run as one ``_Batch``, which evaluates
+    only the last epoch and holds C×(n+d) floats for C cells (twice the d
+    part with β > 0). Data with a sparse row takes the kernel's lazy scale
+    step, so there each cell is one ``run_epochs``. ``hyper.schedule`` must
+    be constant: any other sets γ and γ_τ itself, so every cell would be
+    the same run. A non-finite ``tau`` or ``fi_star`` is a ValueError, as
+    in ``run_epochs``.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
     if hyper.schedule != "constant":
         raise ValueError(f"the {hyper.schedule} schedule sets gamma and gamma_tau itself, "
                          "so every grid cell would be the same run")
-    for g, gt in cells:
-        dataclasses.replace(hyper, gamma=g, gamma_tau=gt)  # validates the cell
-    n = data.n
-    fi_stars = fi_star_array(fi_star, n)
-    sp_like = meth in ("sp", "spsmax")
-    batch = _Batch(meth, spec, data, hyper, cells, tau=_initial_tau(tau), fi_stars=fi_stars.tolist())
-    high = n if sp_like else n + 1
+    cell_hypers = [dataclasses.replace(hyper, gamma=g, gamma_tau=gt) for g, gt in cells]  # validates each cell
+    n, fi_stars, tau = data.n, fi_star_array(fi_star, data.n), _initial_tau(tau)
+    finals: list[TraceRecord | None] = [None] * len(cells)
     with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
+        if not data.X.dense:
+            for r, cell in enumerate(cell_hypers):
+                try:
+                    finals[r] = run_epochs(meth, spec, data, cell, epochs, seed, fi_star=fi_stars, tau=tau)[-1]
+                except NumericError:
+                    pass
+            return finals
+        batch = _Batch(meth, spec, data, hyper, cells, tau=tau, fi_stars=fi_stars.tolist())
+        sp_like = meth in ("sp", "spsmax")
+        high = n if sp_like else n + 1
         _epoch_loop(seed, high, epochs, batch.run, lambda epoch, t: batch.end_epoch())
 
     t = epochs * high
-    finals: list[TraceRecord | None] = [None] * len(cells)
     for r, cell in enumerate(batch.cells.tolist()):
         w, state = batch.V[r].copy(), None
         if not sp_like:

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from polyak_opt import losses
 from polyak_opt.data import CSRMatrix, Dataset, synth_dataset
 from polyak_opt.losses import (
     EmptyDatasetError,
@@ -485,6 +486,47 @@ class TestOptimumOracle:
         assert np.linalg.norm(own_logistic_grad(data, cert.w_star, 1e-2)) <= 1e-8
         # a d x d Hessian would be 8 d^2 = 200 MB; an n x d copy 8 MB
         assert peak < 8 * d * d / 50
+
+    def test_cg_stops_at_no_positive_curvature(self):
+        b = np.array([1.0, 1.0])
+        # no curvature at the first direction: b itself
+        assert losses._cg(lambda v: 0 * v, b, tol=1e-12, max_iter=10).tolist() == [1.0, 1.0]
+        # H = diag(1, 0): the first step lands on x = (2, 2), whose next
+        # direction (0, 2) has no curvature, so the iterate so far
+        x = losses._cg(lambda v: np.array([v[0], 0.0]), b, tol=1e-12, max_iter=10)
+        assert x.tolist() == [2.0, 2.0]
+
+    @staticmethod
+    def newton_with_scaled_directions(scale):
+        """The logistic certificate on 50 separable rows (d = 5, sigma =
+        1e-2) with every Newton direction multiplied by ``scale`` (None:
+        unscaled), and the number of ``full_loss`` calls it made."""
+        data, _ = synth_dataset(1, 50, 5, "separable")
+        calls, full_loss_, cg = [], losses.full_loss, losses._cg
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(losses, "full_loss", lambda *args: calls.append(1) or full_loss_(*args))
+            if scale is not None:
+                patch.setattr(losses, "_cg", lambda *args, **kwargs: scale * cg(*args, **kwargs))
+            return optimum_oracle(LossSpec(family="logistic", sigma=1e-2), data), len(calls)
+
+    def test_newton_backtracks_a_too_long_direction(self):
+        newton, newton_calls = self.newton_with_scaled_directions(None)
+        assert newton.converged and newton_calls == 7
+        # 50x each Newton step overshoots, and the Armijo search halves it
+        # back, close to the unscaled answer
+        cert, calls = self.newton_with_scaled_directions(50.0)
+        assert calls == 162
+        assert_allclose(cert.w_star, newton.w_star, rtol=0, atol=1e-6)
+        # 2x lands near the mirror point of the quadratic model, where the
+        # loss is about what it was: only the sufficient decrease rejects it
+        cert, calls = self.newton_with_scaled_directions(2.0)
+        assert cert.converged and calls == 12
+
+    def test_newton_stops_where_no_step_lowers_the_loss(self):
+        # at 1e15x even the shortest step tried (1e-10 of it) raises the loss
+        cert, _ = self.newton_with_scaled_directions(1e15)
+        assert not cert.converged
+        assert not cert.w_star.any()
 
     @given(
         n=st.integers(1, 40),

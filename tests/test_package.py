@@ -180,3 +180,15 @@ def test_each_engine_steps_in_one_loop():
                for node in tree.body if isinstance(node, ast.ClassDef)}
     assert methods["_Kernel"] == ["__init__", "fold", "run"]
     assert methods["_Batch"] == ["__init__", "_keep", "end_epoch", "run"]
+
+
+def test_lazy_scale_lives_in_the_kernel():
+    """The lazy scale step w = s·v, whose scale folds once it leaves
+    [1e-100, 1e100], is taken only in ``polyak._Kernel.run``: no other code
+    in ``src/`` names either bound, so no second copy of the step can grow
+    beside it (``run_grid`` runs data with a sparse row once per cell)."""
+
+    def bound(node):
+        return isinstance(node, ast.Constant) and node.value in (1e-100, 1e100)
+
+    assert scopes_referring(bound) == ["polyak._Kernel.run"] * 2

@@ -23,6 +23,7 @@ from polyak_opt.polyak import (
     NumericError,
     TrackerState,
     _epoch_loop,
+    _Kernel,
     choose_lambda,
     decreasing_schedule,
     lambda_max,
@@ -1064,6 +1065,31 @@ class TestStepKernel:
         assert_allclose(out.state_after, dense, rtol=1e-15, atol=1e-15)
         assert_allclose(out.state_after, expected, rtol=1e-15, atol=1e-15)
 
+    def test_lazy_gradient_sqnorm_rounding_clamp(self):
+        # one sparse row x = (x1, 0), squared loss, at the ridge solution
+        # w1 = x1*y/(x1^2 + sigma): the gradient is a rounding residue, and
+        # the expansion phi'^2|x|^2 + 2 sigma phi' m + sigma^2 |w|^2 rounds below
+        # 0, which unclamped gives c = 106.03057253191353
+        x1, y, sigma = 1.7947683835248298, 128.19392570923833, 0.04210984673528849
+        data = Dataset([[x1, 0.0]], [y])
+        spec = LossSpec(family="squared", sigma=sigma)
+        w = np.array([x1 * y / (x1 * x1 + sigma), 0.0])
+        out = taps_step(tracker_state(w, [0.0]), spec, data, 0, gamma=1.0)
+        fi, g = loss_grad_i(spec, data, w, 0)
+        assert out.polyak_coeff == 106.03057253191335 == fi / (float(g @ g) + 1.0)
+
+    def test_lazy_weight_sqnorm_rounding_clamp(self):
+        # a taps step that lands w exactly on 0: the tracked |w|^2 expansion
+        # a^2|w|^2 - 2ab m + b^2|x|^2 rounds to -1.8e-15 and is clamped to 0
+        data = Dataset([[2.2671134223918457, 0.0]], [-3.1209892663339653])
+        spec = LossSpec(family="squared", sigma=1.6618296731253215e-4)
+        alpha = 0.31486602975118516
+        state = tracker_state([-2.250306320939619, 0.0], [alpha])
+        kernel = _Kernel("taps", spec, data, state.w, HyperParams(gamma=6.439511505449607), state=state)
+        kernel.run([0], 0)
+        assert not kernel.v.any()
+        assert kernel.wsq == 0.0
+
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     @pytest.mark.parametrize("method", ["sp", "spsmax", "taps", "motaps", "sgd"])
     def test_plain_step_is_the_loss_grad_i_step(self, method, sigma):
@@ -1315,7 +1341,9 @@ class TestRunGrid:
     def test_logistic_overflow_cells(self, monkeypatch, method, layout):
         # once the other rows have moved w, row 1 (scaled by 5000) has
         # margins y*t far above 709.78, where math.exp(y*t) overflows and
-        # the step falls back to _scalar_phi per cell
+        # the array phi falls back to _scalar_phi per margin: in the full
+        # layout's batch step and in every record's batch_eval (the sparse
+        # layout's grid runs each cell alone)
         data = self.full_or_sparse(layout, scale_row1=5000.0)
         fallbacks, scalar_phi = [], losses._scalar_phi
 
@@ -1373,7 +1401,9 @@ class TestRunGrid:
             # and 0.5u^2 overflows before (0.1u)^2
             "loss": ("sp", squared, Dataset([[0.1]], [1.0]), HyperParams(),
                      [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, {}, [1], loss),
-            # dval: β > 0 takes the plain step, whose g on an empty row is 0
+            # none: the empty row makes the grid run each cell alone; β > 0
+            # takes the plain step, whose g on an empty row is 0, so only φ′
+            # is non-finite
             "dval": ("sp", steep, empty_first, HyperParams(beta=0.5),
                      [(0.9, 0.1), (6.0, 0.1)], 2, {}, [0, 1], loss),
             # gsq: u grows 4× per step at γ = 10, and (10u)^2 overflows
