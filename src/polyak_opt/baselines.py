@@ -26,13 +26,12 @@ from .data import Dataset
 from .losses import (
     LossSpec,
     OptimumCertificate,
-    _check_index,
     _phi_of,
     full_grad,
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import HyperParams, NumericError, _check_run, _epoch_loop, _Kernel, _make_record
+from .polyak import HyperParams, NumericError, _check_run, _epoch_loop, _Kernel, _make_record, _one_step
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")
@@ -90,13 +89,10 @@ def sgd_step(
     Polyak kernel; a non-finite f_i(w) or φ′ raises NumericError. As in
     ``run_baseline``, a schedule other than "constant" needs L_max > 0, and
     a γ_t that is not finite and > 0 is a ValueError."""
-    _check_index(i, data.n)
     if schedule != "constant":
         check_l_max(l_max)
     hyper = HyperParams(gamma=sgd_stepsize(schedule, t, l_max, gamma))
-    kernel = _Kernel("sgd", spec, data, np.array(w, dtype=np.float64), hyper)
-    kernel.run([i], t)
-    return kernel.fold()
+    return _one_step("sgd", spec, data, w, i, hyper).state_after
 
 
 def run_baseline(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -196,8 +196,8 @@ def _phi_array(spec: LossSpec, data: Dataset, t: np.ndarray, i):
     margins, so every phi goes through libm: log1p(e^-|yt|) + max(-yt, 0)
     is either branch of the scalar form with its terms swapped, and the
     derivative is ``-y * (1 / (1 + e^yt))`` in the scalar order. Where some
-    e^yt overflows, and for the monomial family, it is ``_scalar_phi`` per
-    margin.
+    e^yt overflows, and for the monomial family, it maps ``_phi_of``'s phi,
+    bound once, over the margins.
     """
     if spec.family == "squared":
         r = t - data.labels[i]
@@ -213,8 +213,7 @@ def _phi_array(spec: LossSpec, data: Dataset, t: np.ndarray, i):
             head = np.fromiter(map(math.log1p, map(math.exp, (-np.abs(yt)).tolist())),
                                np.float64, len(yt))
             return head + np.maximum(-yt, 0.0), -y * tail
-    pairs = map(_scalar_phi, repeat(spec), repeat(data), t.tolist(),
-                np.broadcast_to(i, t.shape).tolist())
+    pairs = map(_phi_of(spec, data), t.tolist(), np.broadcast_to(i, t.shape).tolist())
     return np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(t)).reshape(-1, 2).T
 
 

@@ -115,8 +115,8 @@ class HyperParams:
             raise ValueError("step_cap must be > 0 (inf disables the cap)")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.schedule == "motaps_decreasing" and not self.mu > 0.0:
-            raise ValueError("the decreasing schedule needs mu > 0")
+        if self.schedule == "motaps_decreasing" and not (self.mu > 0.0 and math.isfinite(self.mu)):
+            raise ValueError("the decreasing schedule needs a finite mu > 0")
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def choose_lambda(epsilon: float, mu: float, n: int, f_star: float) -> float:
         raise ValueError("mu must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if f_star < 0.0:
+    if not f_star >= 0.0:
         raise ValueError("f_star must be >= 0")
     cap = lambda_max(n)
     if f_star == 0.0:
@@ -175,9 +175,10 @@ def choose_lambda(epsilon: float, mu: float, n: int, f_star: float) -> float:
 
 def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
     """Step size at step t: constant 1/((1−λ)(2n+1)) up to the switch point
-    T_s = 2(2n+1)·ceil((1−λ)/μ), then ((t+1)²−t²)/(μ(t+1)²) ~ 2/(μt)."""
-    if not mu > 0.0:
-        raise ValueError("mu must be > 0")
+    T_s = 2(2n+1)·ceil((1−λ)/μ), then ((t+1)²−t²)/(μ(t+1)²) ~ 2/(μt).
+    μ must be finite and > 0: an infinite μ would give γ = 0 after step 0."""
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError("mu must be finite and > 0")
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     switch = 2 * (2 * n + 1) * math.ceil((1.0 - lam) / mu)
@@ -410,8 +411,8 @@ class _Kernel:
 
 
 # ---------------------------------------------------------------------------
-# single steps: one draw of the kernel on a copy of the input, its settings
-# checked as the drivers check them
+# single steps: one draw of the kernel from the start ``run_epochs`` takes,
+# with the checks it makes (``_start``, ``_one_step``)
 
 
 def check_lambda(lam: float, n: int) -> None:
@@ -431,12 +432,8 @@ def sp_step(
     step_cap: float = math.inf,
 ) -> StepOutcome:
     """One Polyak step on sample i; returns the new weight vector."""
-    _check_index(i, data.n)
     hyper = HyperParams(gamma=gamma, step_cap=step_cap)
-    kernel = _Kernel("spsmax", spec, data, np.array(w, dtype=np.float64), hyper,
-                     fi_stars={i: fi_star_array(fi_star, 1).item()})
-    c = kernel.run([i], 0)
-    return StepOutcome(kernel.fold(), c)
+    return _one_step("spsmax", spec, data, w, i, hyper, {i: fi_star_array(fi_star, 1).item()})
 
 
 def taps_step(
@@ -444,12 +441,7 @@ def taps_step(
 ) -> StepOutcome:
     """One fixed-target step; ``sampled == n`` is the aggregate branch.
     ``state.tau`` is the fixed target, carried over unchanged."""
-    _check_index(sampled, data.n + 1)
-    st = _copy_state(state)
-    kernel = _Kernel("taps", spec, data, st.w, HyperParams(gamma=gamma), state=st)
-    c = kernel.run([sampled], 0)
-    st.w = kernel.fold()
-    return StepOutcome(st, c)
+    return _one_step("taps", spec, data, state, sampled, HyperParams(gamma=gamma))
 
 
 def motaps_step(
@@ -463,25 +455,48 @@ def motaps_step(
 ) -> StepOutcome:
     """One moving-target step; ``sampled == n`` updates the trackers and
     ``state.tau``, the learned target."""
-    check_lambda(lam, data.n)
     hyper = HyperParams(gamma=gamma, gamma_tau=gamma_tau, lam=lam)
-    _check_index(sampled, data.n + 1)
-    st = _copy_state(state)
-    kernel = _Kernel("motaps", spec, data, st.w, hyper, state=st)
-    c = kernel.run([sampled], 0)
-    st.w = kernel.fold()
-    return StepOutcome(st, c)
+    return _one_step("motaps", spec, data, state, sampled, hyper)
 
 
-def _copy_state(state):
-    """A TrackerState with its own float64 copies of w and α; a non-finite
-    τ is a ValueError."""
-    _initial_tau(state.tau)
-    return dataclasses.replace(
-        state,
-        w=np.array(state.w, dtype=np.float64),
-        alpha=np.array(state.alpha, dtype=np.float64),
-    )
+def _start(meth: str, data: Dataset, init, tau: float | None):
+    """A run's starting iterate: (w, None) for sp, spsmax and sgd, and
+    (state.w, state) for taps and motaps. With ``init`` None it is w⁰ = 0,
+    α⁰ = ᾱ⁰ = 0 and τ⁰ = ``tau``; otherwise float64 copies of ``init``, a
+    weight vector or a ``TrackerState``, which is never mutated. A
+    non-finite τ, and a w or α whose shape does not match the dataset, is
+    a ValueError."""
+    tau, state = _initial_tau(tau), None
+    if meth not in ("taps", "motaps"):
+        w = np.zeros(data.dim) if init is None else np.array(init, dtype=np.float64)
+    else:
+        if init is None:
+            state = TrackerState(np.zeros(data.dim), np.zeros(data.n), 0.0, tau)
+        else:
+            _initial_tau(init.tau)
+            state = dataclasses.replace(init, w=np.array(init.w, dtype=np.float64),
+                                        alpha=np.array(init.alpha, dtype=np.float64))
+        w = state.w
+        if state.alpha.shape != (data.n,):
+            raise ValueError("tracker count does not match the dataset")
+    if w.shape != (data.dim,):
+        raise ValueError("state dimension does not match the dataset")
+    return w, state
+
+
+def _one_step(meth, spec, data, init, i, hyper, fi_stars=None) -> StepOutcome:
+    """Step ``i`` of ``meth`` from a copy of ``init``, once the arguments
+    pass ``run_epochs``' checks and ``i`` indexes the data (or is the
+    aggregate index n, for taps and motaps)."""
+    _check_run(meth, (*METHODS, "sgd"), data, 1, hyper)
+    _check_index(i, data.n + 1 if meth in ("taps", "motaps") else data.n)
+    w, state = _start(meth, data, init, None)
+    kernel = _Kernel(meth, spec, data, w, hyper, state=state, fi_stars=fi_stars)
+    c = kernel.run([i], 0)
+    if state is None:
+        return StepOutcome(kernel.fold(), c)
+    state.w = kernel.fold()
+    return StepOutcome(state, c)
 
 
 # ---------------------------------------------------------------------------
@@ -593,24 +608,8 @@ def run_epochs(
     attached.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
-    n, dim = data.n, data.dim
-    fi_stars, tau = fi_star_array(fi_star, n), _initial_tau(tau)
-
-    sp_like = meth in ("sp", "spsmax")
-    if sp_like:
-        state = None
-        w = np.zeros(dim) if init_state is None else np.array(init_state, dtype=np.float64)
-    elif init_state is None:
-        state = TrackerState(np.zeros(dim), np.zeros(n), 0.0, tau)
-    else:
-        state = _copy_state(init_state)
-    if state is not None:
-        w = state.w
-        if state.alpha.shape != (n,):
-            raise ValueError("tracker count does not match the dataset")
-    if w.shape != (dim,):
-        raise ValueError("state dimension does not match the dataset")
-
+    n, fi_stars = data.n, fi_star_array(fi_star, data.n)
+    w, state = _start(meth, data, init_state, tau)
     kernel = _Kernel(meth, spec, data, w, hyper, state=state, fi_stars=fi_stars.tolist())
 
     def end_epoch(epoch, t):
@@ -622,7 +621,7 @@ def run_epochs(
             observer(epoch, state if state is not None else w)
         return record
 
-    return _epoch_loop(seed, n if sp_like else n + 1, epochs, kernel.run, end_epoch)
+    return _epoch_loop(seed, n if state is None else n + 1, epochs, kernel.run, end_epoch)
 
 
 def _make_record(meth, spec, data, w, certificate, epoch, passes,
@@ -676,7 +675,7 @@ class _Batch:
     * margins and square norms are one ddot per row (``np.vecdot``);
     * φ is ``losses._phi_array`` of sample i, as in ``batch_eval``:
       ``math.exp`` and ``math.log1p`` mapped over the cells' margins, since
-      numpy's vectorised exp rounds differently, and ``_scalar_phi`` per
+      numpy's vectorised exp rounds differently, and ``_phi_of``'s phi per
       cell at a step where some e^yt overflows (and for the monomial family);
     * everything else is elementwise, in the kernel's order of operations:
       the sp coefficient (f_i − f_i*)/‖g‖² is capped and then set to 0 on a

@@ -66,6 +66,12 @@ class TestSgdStepsize:
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             sgd_step(spec, data, np.array([1.0, 1.0]), 0, 1, schedule="constant", gamma=math.nan)
 
+    def test_step_rejects_a_w_of_the_wrong_length(self):
+        # run_epochs refuses such a start; the single step returned a (d+1,) iterate
+        spec, data = LossSpec(family="squared"), Dataset([[1.0, 2.0]], [0.0])
+        with pytest.raises(ValueError, match="state dimension does not match the dataset"):
+            sgd_step(spec, data, np.ones(3), 0, 1, schedule="constant", gamma=0.5)
+
     def test_step_index_checked(self):
         spec, data = half_square_1d()
         with pytest.raises(IndexError):

@@ -118,6 +118,14 @@ class TestRun:
         )
         assert code == 2 and "budget must be >= 1, got -3" in err and out == ""
 
+    def test_infinite_mu_is_config_error(self, tmp_path, capsys):
+        # at mu = inf the decreasing schedule's gamma is 0 after step 0, so
+        # the run would exit 0 with every epoch's record the same
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("schedule = motaps_decreasing\nmu = inf\nmethod = motaps\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--dataset", "synth:separable:n=20,d=3")
+        assert code == 2 and "finite mu > 0" in err and out == ""
+
     @pytest.mark.parametrize("argv", [
         ("run", "--method", "taps", "--tau", "nan"),
         ("run", "--method", "motaps", "--tau=-inf"),

@@ -144,6 +144,16 @@ def test_only_the_epoch_loop_draws_sample_indices():
     ) == ["polyak._epoch_loop"]
 
 
+def test_kernel_is_built_in_three_places():
+    """A step kernel is built only by the two epoch drivers and by
+    ``polyak._one_step``, which every single step calls, so a run and a
+    single step start from one ``polyak._start`` and pass one set of
+    checks."""
+    assert scopes_referring(
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Kernel"
+    ) == ["baselines.run_baseline", "polyak._one_step", "polyak.run_epochs"]
+
+
 def test_phi_has_one_array_form():
     """phi and phi' of an array of margins go through libm in
     ``losses._phi_array``: no code in ``src/`` names ``np.logaddexp``, and

@@ -89,6 +89,8 @@ class TestParameterRules:
             choose_lambda(1.0, 1.0, 0, 1.0)
         with pytest.raises(ValueError, match=r"^f_star must be >= 0$"):
             choose_lambda(1.0, 1.0, 1, -1e-3)
+        with pytest.raises(ValueError, match=r"^f_star must be >= 0$"):
+            choose_lambda(0.1, 1.0, 10, math.nan)
 
     def test_decreasing_schedule(self):
         for lam, n in [(0.0, 1), (0.3, 5)]:
@@ -100,6 +102,8 @@ class TestParameterRules:
         assert_allclose(decreasing_schedule(t, 0.0, 1.0, 1), 2 / t, rtol=1e-5)
         with pytest.raises(ValueError):
             decreasing_schedule(3, 0.0, 0.0, 1)
+        with pytest.raises(ValueError, match="mu must be finite and > 0"):
+            decreasing_schedule(3, 0.0, math.inf, 1)
         for lam in (-0.1, 1.0):
             with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
                 decreasing_schedule(3, lam, 1.0, 1)
@@ -470,8 +474,17 @@ class TestSingleStepSettings:
          r"gamma_tau must lie in \[0, 1\]"),
         (lambda spec, data, st: taps_step(dataclasses.replace(st, tau=math.inf), spec, data, 0),
          "tau must be finite"),
+        (lambda spec, data, st: sp_step(spec, data, np.ones(3), 0),
+         "state dimension does not match the dataset"),
+        (lambda spec, data, st: motaps_step(dataclasses.replace(st, w=np.ones(1)), spec, data, 0),
+         "state dimension does not match the dataset"),
+        (lambda spec, data, st: taps_step(dataclasses.replace(st, alpha=np.zeros(7)), spec, data, 0),
+         "tracker count does not match the dataset"),
+        (lambda spec, data, st: taps_step(st, spec, Dataset(np.zeros((0, 2)), []), 0),
+         "cannot run on an empty dataset"),
     ], ids=["sp-gamma-nan", "sp-fi-star-inf", "motaps-negative-gamma", "motaps-gamma-tau-5",
-            "taps-tau-inf"])
+            "taps-tau-inf", "sp-w-too-long", "motaps-w-too-short", "taps-alpha-too-long",
+            "taps-empty-data"])
     def test_rejected_as_run_epochs_rejects_it(self, call, message):
         spec, data = interpolating_problem(n=6, d=2)
         st = tracker_state(np.ones(2), np.zeros(6), tau=0.1)
@@ -1341,17 +1354,21 @@ class TestRunGrid:
     def test_logistic_overflow_cells(self, monkeypatch, method, layout):
         # once the other rows have moved w, row 1 (scaled by 5000) has
         # margins y*t far above 709.78, where math.exp(y*t) overflows and
-        # the array phi falls back to _scalar_phi per margin: in the full
+        # the array phi falls back to _phi_of's phi per margin: in the full
         # layout's batch step and in every record's batch_eval (the sparse
         # layout's grid runs each cell alone)
         data = self.full_or_sparse(layout, scale_row1=5000.0)
-        fallbacks, scalar_phi = [], losses._scalar_phi
+        fallbacks, phi_of = [], losses._phi_of
 
-        def counting_phi(spec, data, t, i):
-            fallbacks.append(t)
-            return scalar_phi(spec, data, t, i)
+        def counting_phi_of(spec, data):
+            phi = phi_of(spec, data)
 
-        monkeypatch.setattr(losses, "_scalar_phi", counting_phi)
+            def counting_phi(t, i):
+                fallbacks.append(t)
+                return phi(t, i)
+            return counting_phi
+
+        monkeypatch.setattr(losses, "_phi_of", counting_phi_of)
         hyper = HyperParams(lam=0.2, step_cap=0.4 if method == "spsmax" else math.inf)
         args = (method, LossSpec(family="logistic", sigma=1e-3), data, hyper, GRID, 5, 11)
         finals = run_grid(*args, tau=0.05, fi_star=0.01)
@@ -1474,6 +1491,8 @@ class TestHyperParamsValidation:
             dict(beta=1.0),
             dict(step_cap=0.0),
             dict(schedule="linear"),
+            # an infinite mu would make the decreasing schedule's gamma 0 after step 0
+            dict(schedule="motaps_decreasing", mu=math.inf),
         ):
             with pytest.raises(ValueError):
                 HyperParams(**kwargs)
