@@ -1,11 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands: ``run`` (one method, one trace file), ``grid`` (a γ × γ_τ
-sweep for motaps and a γ sweep for the methods that do not read γ_τ, run
-as one batch on data whose rows are all full and as one run per cell
-otherwise, with a best-cell summary), ``compare`` (several methods
-on one dataset in a long-format trace), ``verify`` (the randomized property
-suites), and ``gen`` (write a synthetic dataset as a LIBSVM file).
+sweep for motaps and a γ sweep for the methods that do not read γ_τ, with
+a best-cell summary; the motaps sweep at β = 0 on data whose rows are all
+full runs as one batch, and every other sweep as one run per cell),
+``compare`` (several methods on one dataset in a long-format trace),
+``verify`` (the randomized property suites), and ``gen`` (write a
+synthetic dataset as a LIBSVM file).
 
 Settings resolve as defaults < ``--config`` file < explicit flags. Every
 command runs in one thread; ``--threads N`` is still accepted for old

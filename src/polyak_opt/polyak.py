@@ -23,9 +23,10 @@ pre-step state.
 
 All three, and SGD as the data step with coefficient 1, are steps of one
 kernel whose data steps cost O(nnz_i) on sparse data (see ``_Kernel``);
-``run_grid`` runs one method at many (γ, γ_τ) pairs: on data whose rows are
-all full, as a batch whose cells are the kernel's arithmetic bit for bit
-(see ``_Batch``), and otherwise as one ``run_epochs`` per cell. It,
+``run_grid`` runs one method at many (γ, γ_τ) pairs: the motaps grid at
+β = 0 on data whose rows are all full as a batch whose cells are the
+kernel's arithmetic bit for bit (see ``_Batch``), and every other grid as
+one ``run_epochs`` per cell. It,
 ``run_epochs`` and ``baselines.run_baseline`` are setup around one epoch
 loop and one record builder (``_epoch_loop``, ``_make_record``).
 """
@@ -181,6 +182,8 @@ def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
         raise ValueError("mu must be finite and > 0")
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     switch = 2 * (2 * n + 1) * math.ceil((1.0 - lam) / mu)
     if t <= switch:
         return 1.0 / ((1.0 - lam) * (2 * n + 1))
@@ -191,10 +194,10 @@ def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
 def rule_of_thumb(sigma: float) -> tuple[float, float]:
     """(γ, γ_τ) from the regularization strength: γ = 1/(1+0.25σe^σ), γ_τ = 1−γ.
 
-    A σ whose 0.25σe^σ overflows (above about 704.6) is a ValueError: it
-    would give γ = 0.
+    A negative or NaN σ is a ValueError, and so is a σ whose 0.25σe^σ
+    overflows (above about 704.6): it would give γ = 0.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be >= 0")
     try:
         denom = 1.0 + 0.25 * sigma * math.exp(sigma)
@@ -315,7 +318,8 @@ class _Kernel:
         hyper, st, stepsizes, fi_stars = self.hyper, self.state, self.stepsizes, self.fi_stars
         n, rows, sigma, beta, lazy = self.data.n, self.data.rows, self.spec.sigma, hyper.beta, self.lazy
         phi, sqnorms, g, tmp = _phi_of(self.spec, self.data), self.sqnorms, self._g, self._tmp
-        sgd, learn_tau, cap = self.method == "sgd", self.method == "motaps", _step_cap(self.method, hyper)
+        sgd, learn_tau = self.method == "sgd", self.method == "motaps"
+        cap = hyper.step_cap if self.method == "spsmax" else math.inf
         gamma, gamma_tau, tau_coeff = hyper.gamma, hyper.gamma_tau, motaps_tau_coeff(hyper.lam, n)
         v, s, wsq, z, c, isfinite = self.v, self.s, self.wsq, self.z, 0.0, math.isfinite
         if st is not None:
@@ -515,12 +519,6 @@ def _stepsizes_at(hyper: HyperParams, t: int, n: int) -> tuple[float, float]:
     return g, g
 
 
-def _step_cap(meth: str, hyper: HyperParams) -> float:
-    """The cap on the Polyak coefficient: ``step_cap`` for spsmax, none
-    for every other method."""
-    return hyper.step_cap if meth == "spsmax" else math.inf
-
-
 def fi_star_array(fi_star, n: int) -> np.ndarray:
     """The sp targets as a length-n array from a scalar or a per-sample
     array; a non-finite target is a ValueError."""
@@ -658,88 +656,74 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
 
 
 # ---------------------------------------------------------------------------
-# grid driver: every (γ, γ_τ) cell of one run as a row of one state batch
+# grid driver: the motaps grid's (γ, γ_τ) cells as rows of one state batch
 
 
 class _Batch:
-    """``_Kernel.run``'s plain step for C runs that differ only in (γ, γ_τ),
-    on data whose rows are all full.
+    """``_Kernel.run``'s plain motaps step at β = 0 for C runs that differ
+    only in (γ, γ_τ), on data whose rows are all full.
 
     Every cell draws the same sampled indices, so one index is one
-    vectorised update of all cells. Row r of ``V`` (C×d; ``Z`` too for
-    β > 0) and of ``A`` (C×n), and entry r of ``abar``, ``tau`` and the
-    step sizes, are the state of cell ``cells[r]``. ``run`` reads line for
-    line like the kernel's loop, and each cell's arithmetic is the
-    kernel's bit for bit:
+    vectorised update of all cells. Row r of ``V`` (C×d) and of ``A``
+    (C×n), and entry r of ``abar``, ``tau`` and the step sizes, are the
+    state of cell ``cells[r]``. ``run`` reads line for line like the
+    kernel's loop, and each cell's arithmetic is the kernel's bit for bit:
 
     * margins and square norms are one ddot per row (``np.vecdot``);
     * φ is ``losses._phi_array`` of sample i, as in ``batch_eval``:
       ``math.exp`` and ``math.log1p`` mapped over the cells' margins, since
       numpy's vectorised exp rounds differently, and ``_phi_of``'s phi per
       cell at a step where some e^yt overflows (and for the monomial family);
-    * everything else is elementwise, in the kernel's order of operations:
-      the sp coefficient (f_i − f_i*)/‖g‖² is capped and then set to 0 on a
-      zero gradient.
+    * everything else is elementwise, in the kernel's order of operations.
 
-    Data with a sparse row takes the kernel's lazy scale step, which
-    ``run_grid`` runs once per cell instead (see there).
+    Every other grid, that is sp, spsmax, taps, β > 0 or data with a sparse
+    row, ``run_grid`` runs once per cell instead (see there).
 
     Where the kernel raises NumericError, the batch builds a finiteness
     mask instead, and a step ends with ``_keep`` dropping the cells that
     fail it. A step's cost is numpy call overhead on length-C vectors and
-    C×d arrays, so it computes γc once for the iterate and the tracker,
-    skips the cap's ``np.minimum`` when there is no cap, and tests for a
-    cell to drop with ``np.count_nonzero`` (a reduction such as ``any``
-    costs four times as much). On a 2-vCPU KVM guest (median of 50 runs of
-    1000 steps) a motaps step at C = 49, d = 20 costs about 35 µs, about
+    C×d arrays, so it computes γc once for the iterate and the tracker, and
+    tests for a cell to drop with ``np.count_nonzero`` (a reduction such as
+    ``any`` costs four times as much). On a 2-vCPU KVM guest (median of 50
+    runs of 1000 steps) a step at C = 49, d = 20 costs about 35 µs, about
     15 µs of it in ``_phi_array``.
     """
 
-    _ROWS = ("cells", "V", "Z", "A", "abar", "tau", "gamma", "gamma_tau")
+    _ROWS = ("cells", "V", "A", "abar", "tau", "gamma", "gamma_tau")
 
-    def __init__(self, method, spec, data, hyper, cells, *, tau, fi_stars):
-        self.method, self.spec, self.data, self.hyper, self.fi_stars = method, spec, data, hyper, fi_stars
-        size, trackers = len(cells), method in ("taps", "motaps")
+    def __init__(self, spec, data, lam, cells, *, tau):
+        self.spec, self.data, self.lam, size = spec, data, lam, len(cells)
         self.cells = np.arange(size)
         self.gamma = np.array([g for g, _ in cells], dtype=np.float64)
         self.gamma_tau = np.array([gt for _, gt in cells], dtype=np.float64)
         self.V = np.zeros((size, data.dim))
-        self.Z = self.V.copy() if hyper.beta else None
-        self.A = np.zeros((size, data.n)) if trackers else None
-        self.abar = np.zeros(size) if trackers else None
-        self.tau = np.full(size, tau) if trackers else None
+        self.A = np.zeros((size, data.n))
+        self.abar = np.zeros(size)
+        self.tau = np.full(size, tau)
 
     def _keep(self, ok):
         if np.count_nonzero(ok) < ok.size:
             for name in self._ROWS:
-                rows = getattr(self, name)
-                if rows is not None:
-                    setattr(self, name, rows[ok])
+                setattr(self, name, getattr(self, name)[ok])
 
     def end_epoch(self):
         """The exact tracker mean, for every cell."""
-        if self.A is not None:
-            self.abar = np.mean(self.A, axis=1)
+        self.abar = np.mean(self.A, axis=1)
 
     def run(self, draws, t):
         """``_Kernel.run`` for every cell, at the step sizes of the cells
         still in the batch; each step drops the cells where the kernel would
         have raised NumericError. The state stays on ``self``, since a
         dropped cell rebinds every row array."""
-        spec, data, fi_stars = self.spec, self.data, self.fi_stars
-        n, rows, sigma, beta = data.n, data.rows, spec.sigma, self.hyper.beta
-        trackers, learn_tau = self.A is not None, self.method == "motaps"
-        cap, tau_coeff = _step_cap(self.method, self.hyper), motaps_tau_coeff(self.hyper.lam, n)
+        spec, data = self.spec, self.data
+        n, rows, sigma, tau_coeff = data.n, data.rows, spec.sigma, motaps_tau_coeff(self.lam, data.n)
         for i in draws:
             gamma = self.gamma
             if i == n:  # the aggregate step, from the pre-step τ and ᾱ
                 delta = gamma * (self.tau - self.abar)
-                if learn_tau:
-                    self.tau = (1.0 - self.gamma_tau) * self.tau + self.gamma_tau * tau_coeff * self.abar
+                self.tau = (1.0 - self.gamma_tau) * self.tau + self.gamma_tau * tau_coeff * self.abar
                 self.A += delta[:, None]
                 self.abar += delta
-                if beta:
-                    self.V = beta * self.V + (1.0 - beta) * self.Z
                 self._keep(np.isfinite(delta) & np.isfinite(self.tau))
                 continue
             x, V = rows[i].values, self.V
@@ -749,26 +733,15 @@ class _Batch:
                 fi += 0.5 * sigma * np.vecdot(V, V)
                 G += sigma * V
             gsq = np.vecdot(G, G)
-            if trackers:
-                alpha = self.A[:, i]  # a view: the target, then moved in place
-                c = (fi - alpha) / (gsq + 1.0)
-            else:
-                c = (fi - fi_stars[i]) / gsq
-                if cap < math.inf:
-                    np.minimum(c, cap, out=c)
-                c[gsq <= ZERO_GRAD_SQNORM] = 0.0
+            alpha = self.A[:, i]  # a view: the target, then moved in place
+            c = (fi - alpha) / (gsq + 1.0)
             # a full row has no zero entry, so a non-finite φ′ makes ‖g‖² non-finite
             ok = np.isfinite(fi) & np.isfinite(gsq) & np.isfinite(c)
             gc = gamma * c
-            if beta:
-                self.Z = self.Z - (gc / (1.0 - beta))[:, None] * G
-                self.V = beta * V + (1.0 - beta) * self.Z
-            else:
-                G *= gc[:, None]
-                V -= G
-            if trackers:
-                alpha += gc
-                self.abar += gc / n
+            G *= gc[:, None]
+            V -= G
+            alpha += gc
+            self.abar += gc / n
             self._keep(ok)
 
 
@@ -788,13 +761,12 @@ def run_grid(
 
     Returns, per cell, the last record that ``run_epochs`` with ``hyper``
     at that γ and γ_τ (from w⁰ = 0, no certificate) would return, bit for
-    bit, or None where that run would raise NumericError. On data whose
-    rows are all full the cells run as one ``_Batch``, which evaluates
-    only the last epoch and holds C×(n+d) floats for C cells (twice the d
-    part with β > 0). Data with a sparse row takes the kernel's lazy scale
-    step, so there each cell is one ``run_epochs``. ``hyper.schedule`` must
-    be constant: any other sets γ and γ_τ itself, so every cell would be
-    the same run. A non-finite ``tau`` or ``fi_star`` is a ValueError, as
+    bit, or None where that run would raise NumericError. The motaps grid
+    at β = 0 on data whose rows are all full runs as one ``_Batch``, which
+    evaluates only the last epoch and holds C×(n+d) floats for C cells.
+    Every other grid runs each cell as one ``run_epochs``. ``hyper.schedule``
+    must be constant: any other sets γ and γ_τ itself, so every cell would
+    be the same run. A non-finite ``tau`` or ``fi_star`` is a ValueError, as
     in ``run_epochs``.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
@@ -805,22 +777,18 @@ def run_grid(
     n, fi_stars, tau = data.n, fi_star_array(fi_star, data.n), _initial_tau(tau)
     finals: list[TraceRecord | None] = [None] * len(cells)
     with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
-        if not data.X.dense:
+        if not (meth == "motaps" and not hyper.beta and data.X.dense):
             for r, cell in enumerate(cell_hypers):
                 try:
                     finals[r] = run_epochs(meth, spec, data, cell, epochs, seed, fi_star=fi_stars, tau=tau)[-1]
                 except NumericError:
                     pass
             return finals
-        batch = _Batch(meth, spec, data, hyper, cells, tau=tau, fi_stars=fi_stars.tolist())
-        sp_like = meth in ("sp", "spsmax")
-        high = n if sp_like else n + 1
-        _epoch_loop(seed, high, epochs, batch.run, lambda epoch, t: batch.end_epoch())
+        batch = _Batch(spec, data, hyper.lam, cells, tau=tau)
+        _epoch_loop(seed, n + 1, epochs, batch.run, lambda epoch, t: batch.end_epoch())
 
-    t = epochs * high
     for r, cell in enumerate(batch.cells.tolist()):
-        w, state = batch.V[r].copy(), None
-        if not sp_like:
-            state = TrackerState(w, batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]))
-        finals[cell] = _make_record(meth, spec, data, w, None, epochs, t / n, state, hyper, fi_stars)
+        state = TrackerState(batch.V[r].copy(), batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]))
+        finals[cell] = _make_record(meth, spec, data, state.w, None, epochs, epochs * (n + 1) / n,
+                                    state, hyper, fi_stars)
     return finals

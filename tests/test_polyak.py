@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from polyak_opt import baselines, losses
+from polyak_opt import baselines, losses, polyak
 from polyak_opt.aux import joint_projection_taps, run_epochs_sgd_view
 from polyak_opt.baselines import run_baseline, sgd_step
 from polyak_opt.config import resolve_dataset
@@ -107,6 +107,8 @@ class TestParameterRules:
         for lam in (-0.1, 1.0):
             with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\)$"):
                 decreasing_schedule(3, lam, 1.0, 1)
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            decreasing_schedule(3, 0.1, 1.0, 0)
 
     def test_rule_of_thumb(self):
         assert rule_of_thumb(0.0) == (1.0, 0.0)
@@ -118,6 +120,8 @@ class TestParameterRules:
         assert g_inf < 1e-20 and gt_inf > 1.0 - 1e-12
         with pytest.raises(ValueError):
             rule_of_thumb(-1.0)
+        with pytest.raises(ValueError, match=r"^sigma must be >= 0$"):
+            rule_of_thumb(math.nan)
         # 0.25*sigma*e^sigma overflows past sigma = 704.6 and e^sigma past
         # 709.78; either would give gamma = 0
         g, gt = rule_of_thumb(704.6)
@@ -1354,9 +1358,9 @@ class TestRunGrid:
     def test_logistic_overflow_cells(self, monkeypatch, method, layout):
         # once the other rows have moved w, row 1 (scaled by 5000) has
         # margins y*t far above 709.78, where math.exp(y*t) overflows and
-        # the array phi falls back to _phi_of's phi per margin: in the full
-        # layout's batch step and in every record's batch_eval (the sparse
-        # layout's grid runs each cell alone)
+        # the array phi falls back to _phi_of's phi per margin: in the motaps
+        # grid's batch step on the full layout and in every record's
+        # batch_eval (every other grid runs each cell alone)
         data = self.full_or_sparse(layout, scale_row1=5000.0)
         fallbacks, phi_of = [], losses._phi_of
 
@@ -1401,9 +1405,10 @@ class TestRunGrid:
         """One grid per NumericError raise site of the data step in
         ``_Kernel.run``: (method, spec, data, hyper, cells, epochs, keyword
         arguments, the cells whose run aborts, and the message they abort
-        with). The comment names the terms of ``_Batch.run``'s finiteness
-        mask that catch the aborting cells; all but the first are caught by
-        one alone."""
+        with). No site is a motaps grid at β = 0 on full rows, so
+        ``run_grid`` runs each of these cells alone and the kernel itself
+        raises; ``test_motaps_batch_drops_aborting_cells`` reaches the
+        batch's finiteness mask."""
         squared = LossSpec(family="squared")
         # a monomial loss a(t - b)^2, inf with φ′ = 2e250 at t = 0 on sample 0
         huge = LossSpec(family="monomial", power_r=1.0, offsets=np.array([-1e100, 0.0]),
@@ -1414,28 +1419,27 @@ class TestRunGrid:
         empty_first = Dataset([[0.0], [1.0]], [0.0, 1.0])
         loss, gnorm, coeff = "non-finite loss/gradient", "gradient norm overflow", "non-finite step coefficient"
         return {
-            # f and c: the margin's residual u grows 4× per step at γ = 10,
+            # the margin's residual u grows 4× per step at γ = 10,
             # and 0.5u^2 overflows before (0.1u)^2
             "loss": ("sp", squared, Dataset([[0.1]], [1.0]), HyperParams(),
                      [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, {}, [1], loss),
-            # none: the empty row makes the grid run each cell alone; β > 0
-            # takes the plain step, whose g on an empty row is 0, so only φ′
-            # is non-finite
+            # β > 0 takes the plain step, whose g on an empty row is 0, so
+            # only φ′ is non-finite
             "dval": ("sp", steep, empty_first, HyperParams(beta=0.5),
                      [(0.9, 0.1), (6.0, 0.1)], 2, {}, [0, 1], loss),
-            # gsq: u grows 4× per step at γ = 10, and (10u)^2 overflows
+            # u grows 4× per step at γ = 10, and (10u)^2 overflows
             # before 0.5u^2, so c = f/inf = 0
             "gsq": ("sp", squared, Dataset([[10.0]], [1.0]), HyperParams(),
                     [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, {}, [1], gnorm),
-            # c: the aggregate step at γ = 1 puts α at τ = -1.6e308, and then
+            # the aggregate step at γ = 1 puts α at τ = -1.6e308, and then
             # f - α overflows in the run's last step, so no later check
             # sees the inf coefficient's effect (seed 2 draws 1, then 0)
             "c": ("taps", squared, Dataset([[1.0]], [6.4e153]), HyperParams(),
                   [(0.5, 0.1), (1.0, 0.1), (0.25, 0.1)], 1, {"tau": -1.6e308}, [1], coeff),
-            # f: ‖g‖² = (2e250 · 1e-280)^2 takes sp's zero-gradient branch, c = 0
+            # ‖g‖² = (2e250 · 1e-280)^2 takes sp's zero-gradient branch, c = 0
             "zero-gradient": ("sp", huge, Dataset([[1e-280], [1.0]], [0.0, 1.0]),
                               HyperParams(), [(0.9, 0.1), (6.0, 0.1)], 2, {}, [0, 1], loss),
-            # f: the cap makes c = 0.4 finite; u grows 3× per step at γ = 1000,
+            # the cap makes c = 0.4 finite; u grows 3× per step at γ = 1000,
             # and f overflows at step 325, the run's last
             "cap": ("spsmax", squared, Dataset([[0.1]], [1.0]), HyperParams(step_cap=0.4),
                     [(1.0, 0.1), (1000.0, 0.1), (100.0, 0.1)], 325, {}, [1], loss),
@@ -1458,6 +1462,58 @@ class TestRunGrid:
         grid = run_grid(method, spec, data, hyper, cells, epochs, 2, **kwargs)
         # repr, since a surviving cell's huge iterate can give a NaN growth ratio
         assert list(map(repr, grid)) == list(map(repr, finals))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("data, tau, cells, epochs, seed, message", [
+        # gsq: u grows 4× per step at γ = 10, and (10u)^2 overflows before
+        # 0.5u^2, so c = (f - α)/inf = 0
+        (Dataset([[10.0]], [1.0]), None, [(0.9, 0.1), (10.0, 0.1), (1.5, 0.1)], 300, 2,
+         "gradient norm overflow"),
+        # c: the aggregate step at γ = 1 puts α at τ = -1.6e308, and then
+        # f - α overflows in the run's last step (seed 2 draws 1, then 0)
+        (Dataset([[1.0]], [6.4e153]), -1.6e308, [(0.5, 0.1), (1.0, 0.1), (0.25, 0.1)], 1, 2,
+         "non-finite step coefficient"),
+        # aggregate δ: γ(τ - ᾱ) overflows at γ = 1.5 alone, in the run's
+        # last step (seed 1 draws 0, then 1)
+        (Dataset([[1.0]], [1.0]), -1.6e308, [(0.9, 0.1), (1.5, 0.1), (0.5, 0.1)], 1, 1,
+         "non-finite aggregate update"),
+    ], ids=["gsq", "c", "aggregate"])
+    def test_motaps_batch_drops_aborting_cells(self, data, tau, cells, epochs, seed, message):
+        # the batched grid: the middle cell's run aborts, and the batch's
+        # finiteness mask drops it where the kernel raises
+        spec, hyper = LossSpec(family="squared"), HyperParams()
+        finals, errors = [], []
+        for g, gt in cells:
+            try:
+                finals.append(run_epochs("motaps", spec, data, HyperParams(gamma=g, gamma_tau=gt),
+                                         epochs, seed, tau=tau)[-1])
+            except NumericError as err:
+                finals.append(None)
+                errors.append(str(err))
+        assert [r for r, rec in enumerate(finals) if rec is None] == [1]
+        assert errors[0].startswith(message)
+        grid = run_grid("motaps", spec, data, hyper, cells, epochs, seed, tau=tau)
+        assert list(map(repr, grid)) == list(map(repr, finals))
+
+    def test_only_the_motaps_grid_is_batched(self, monkeypatch):
+        # every other grid runs once per cell, so only the motaps step at
+        # β = 0 on full rows has a second engine to agree with
+        built, batch = [], polyak._Batch
+
+        def counting_batch(*args, **kwargs):
+            built.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(polyak, "_Batch", counting_batch)
+        batched, spec = [], LossSpec(family="logistic", sigma=1e-3)
+        for method in ("sp", "spsmax", "taps", "motaps"):
+            for layout in ("dense", "sparse"):
+                for beta in (0.0, 0.5):
+                    built.clear()
+                    hyper = HyperParams(lam=0.2, beta=beta)
+                    run_grid(method, spec, self.full_or_sparse(layout), hyper, GRID, 2, 11, tau=0.05)
+                    batched += [(method, layout, beta)] * len(built)
+        assert batched == [("motaps", "dense", 0.0)]
 
     def test_arguments_checked(self):
         spec, data = interpolating_problem(n=4, d=2)
