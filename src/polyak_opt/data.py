@@ -235,25 +235,35 @@ class Dataset:
         return f"Dataset(n={self.n}, dim={self.dim})"
 
 
+def _odd_token(line_no: int, line: str) -> ParseError:
+    """The error for a LIBSVM line that holds "_" or a non-ASCII character,
+    which ``int`` and ``float`` would read as a digit separator, a digit or
+    a space: "bad label", "bad feature index" or "bad feature value" with
+    the first part that holds one. The line is split at spaces and tabs
+    only, so that a non-ASCII space stays inside its token."""
+    label, *pairs = line.replace("\t", " ").split(" ")
+    parts = [("label", label)] + [
+        part for tok in pairs for part in zip(("feature index", "feature value"), tok.split(":", 1))]
+    what, bad = next((what, s) for what, s in parts if "_" in s or not s.isascii())
+    return ParseError(line_no, f"bad {what} {bad!r}")
+
+
 def parse_libsvm(text: str | Iterable[str], dim: int | None = None) -> Dataset:
     """Parse LIBSVM-format text: ``<label> <idx>:<val> ...`` with 1-based indices.
 
     Indices are shifted to 0-based and explicit zeros dropped. ``#`` starts a
-    comment running to the end of the line. An empty stream yields an empty
-    dataset (n=0, dim=0).
+    comment running to the end of the line. Numbers are ASCII without "_":
+    a line that holds "_" or a non-ASCII character outside its comment is a
+    ``ParseError``. An empty stream yields an empty dataset (n=0, dim=0).
     """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
-    indptr = [0]
-    indices = []
-    values = []
-    labels = []
+    lines: Iterable[str] = text.splitlines() if isinstance(text, str) else text
+    indptr, indices, values, labels = [0], [], [], []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "_" in line or not line.isascii():
+            raise _odd_token(line_no, line)
         tokens = line.split()
         try:
             label = float(tokens[0])

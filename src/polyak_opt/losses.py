@@ -15,9 +15,10 @@ Every per-sample loss has the form f_i(w) = phi_i(x_i . w) + (sigma/2)||w||^2:
 dense gradient. ``batch_eval`` computes the same quantities for all samples
 at once, and the tests pin the two against each other. phi is written once,
 in ``_phi_of``; ``_phi_array`` is it over an array of margins, bit for bit,
-so every phi and phi' value goes through libm. numpy's vectorized exp,
-which rounds differently, appears only in ``_expit``, the sigmoid of the
-Newton oracle's Hessian weights.
+so every phi and phi' value goes through libm. The Newton oracle's Hessian
+weights come from the phi' values too, so no code here calls numpy's
+vectorized exp or log, which round differently from libm and depend on the
+CPU's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -96,13 +97,6 @@ def _monomial_params(spec: LossSpec, data: Dataset):
     b = spec.offsets if spec.offsets is not None else data.labels
     a = spec.scales if spec.scales is not None else np.ones(data.n)
     return np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-
-
-def _expit(z: np.ndarray) -> np.ndarray:
-    """The logistic sigmoid 1/(1 + e^-z), 0 where e^-z overflows. Written
-    out so that numpy stays the package's only runtime dependency."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _check_index(i: int, high: int) -> None:
@@ -264,12 +258,13 @@ def _mean_grad(spec: LossSpec, data: Dataset, w: np.ndarray, dvals: np.ndarray) 
 def smoothness_constants(spec: LossSpec, data: Dataset):
     """Per-sample L_i = c_phi ||x_i||^2 + sigma and their max.
 
-    c_phi is 1/4 for logistic and 1 for squared. The monomial family is
-    globally smooth only at r = 1 (c_phi = 2 a_i); any other exponent has
-    unbounded or infinite curvature somewhere, so it is rejected.
+    c_phi is y_i^2/4 for logistic (phi_i'' peaks there, at t = 0, for any
+    label y_i) and 1 for squared. The monomial family is globally smooth
+    only at r = 1 (c_phi = 2 a_i); any other exponent has unbounded or
+    infinite curvature somewhere, so it is rejected.
     """
     if spec.family == "logistic":
-        L = 0.25 * data.row_sqnorms + spec.sigma
+        L = 0.25 * data.labels**2 * data.row_sqnorms + spec.sigma
     elif spec.family == "squared":
         L = data.row_sqnorms + spec.sigma
     else:
@@ -310,24 +305,28 @@ def _cg(hess_vec, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
 def _logistic_newton(spec: LossSpec, data: Dataset, budget: int) -> np.ndarray:
     """Truncated Newton on the mean logistic loss from w = 0.
 
-    Each iteration solves H p = -g by CG on Hessian-vector products
-    H v = X^T (D * X v) / n + sigma v, D_i = y_i^2 s_i (1 - s_i) with
-    s_i the sigmoid of y_i t_i, so the d x d Hessian is never formed. The step is
-    an Armijo backtracking search on ``full_loss`` until the decrease the
-    model predicts, -g.p, falls below what the rounded loss can resolve
-    (1e-12 relative); from there the full step is taken while it lowers
-    ||g||. Stops at ||g|| <= 1e-11, after ``budget`` iterations, or when
-    no step helps.
+    Each iteration evaluates its iterate once, with ``batch_eval``: the
+    phi' values there give g and the Hessian weights
+    D_i = phi_i''(t_i) / n = -phi_i'(y_i + phi_i') / n, that is
+    y_i^2 s(y_i t_i) s(-y_i t_i) / n with s the sigmoid, without a division,
+    so a 0 label weighs 0. It solves H p = -g by CG on Hessian-vector products
+    H v = X^T (D * X v) + sigma v, so the d x d Hessian is never formed. The
+    step is an Armijo backtracking search on ``full_loss`` until the
+    decrease the model predicts, -g.p, falls below what the rounded loss can
+    resolve (1e-12 relative); from there the full step is taken while it
+    lowers ||g||. Stops at ||g|| <= 1e-11, after ``budget`` iterations, or
+    when no step helps.
     """
     X, XT, y, n, sigma = data.X, data.X.T, data.labels, data.n, spec.sigma
     w = np.zeros(data.dim)
-    f, g = full_loss(spec, data, w), full_grad(spec, data, w)
+    f = full_loss(spec, data, w)
     for _ in range(budget):
+        dvals = batch_eval(spec, data, w).dvals
+        g = _mean_grad(spec, data, w, dvals)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-11:
             break
-        yt = y * (X @ w)
-        dw = y * y * _expit(yt) * _expit(-yt) / n
+        dw = -dvals * (y + dvals) / n
         p = _cg(
             lambda v: XT @ (dw * (X @ v)) + sigma * v,
             -g,
@@ -337,10 +336,9 @@ def _logistic_newton(spec: LossSpec, data: Dataset, budget: int) -> np.ndarray:
         slope = float(g @ p)
         if -slope <= 1e-12 * (1.0 + abs(f)):
             w_next = w + p
-            g_next = full_grad(spec, data, w_next)
-            if np.linalg.norm(g_next) >= gnorm:
+            if np.linalg.norm(full_grad(spec, data, w_next)) >= gnorm:
                 break
-            w, g = w_next, g_next
+            w = w_next
             continue
         step = 1.0
         while step >= 1e-10:
@@ -351,7 +349,7 @@ def _logistic_newton(spec: LossSpec, data: Dataset, budget: int) -> np.ndarray:
             step *= 0.5
         else:
             break  # no step along p lowers the loss
-        w, f, g = w_next, f_next, full_grad(spec, data, w_next)
+        w, f = w_next, f_next
     return w
 
 

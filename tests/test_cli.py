@@ -826,3 +826,32 @@ def test_run_imports_numpy_alone():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout == "0 []\n"
+
+
+def test_outputs_do_not_follow_numpy_simd_dispatch():
+    # numpy picks its exp/log loops by CPU feature, and its AVX-512 loops
+    # round differently from libm; with every phi, phi' and Hessian weight
+    # taken through libm, a certificate and a run print the same bytes with
+    # numpy's AVX2 and AVX-512 dispatch off (an unknown name is ignored)
+    spec = "synth:separable:n=100,d=20,seed=3"
+    script = (
+        "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+        "from polyak_opt import cli\n"
+        "from polyak_opt.config import resolve_dataset\n"
+        "from polyak_opt.losses import LossSpec, optimum_oracle\n"
+        "print(any(cpu.get(k) for k in ('X86_V4', 'AVX512_SKX')))\n"
+        f"cert = optimum_oracle(LossSpec('logistic', sigma=0.01), resolve_dataset({spec!r}))\n"
+        "print(cert.w_star.tobytes().hex())\n"
+        f"cli.main(['run', '--dataset', {spec!r}, '--method', 'sp', '--sigma', '0.01',\n"
+        "          '--oracle', 'iter', '--epochs', '20'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    off = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    children = [subprocess.Popen([sys.executable, "-c", script], env=e, text=True,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for e in (env, off)]
+    (default, err), (plain, err_off) = (child.communicate(timeout=120) for child in children)
+    assert [child.returncode for child in children] == [0, 0], err + err_off
+    avx512, default = default.split("\n", 1)
+    assert plain.split("\n", 1)[1] == default, f"default child AVX-512 on: {avx512}"

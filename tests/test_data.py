@@ -193,6 +193,16 @@ class TestParseLibsvm:
         ("+1 1:abc", "bad feature value 'abc'"),
         ("+1 1:inf", "non-finite feature value"),
         ("+1 2:0.5 3:nan", "non-finite feature value"),
+        # int and float read "_" as a digit separator and take non-ASCII
+        # digits and spaces
+        ("+1 1:0_5", "bad feature value '0_5'"),
+        ("1_0 1:1", "bad label '1_0'"),
+        ("+1 1_0:0.5", "bad feature index '1_0'"),
+        ("+1 1:\uff15", "bad feature value '\uff15'"),
+        ("\u0661 1:0.5", "bad label '\u0661'"),
+        ("+1 \u0662:0.5", "bad feature index '\u0662'"),
+        ("+1\u00a01:0.5", "bad label '+1\\xa01:0.5'"),
+        ("+1 1:abc # a comment may hold _ and \u00fc", "bad feature value 'abc'"),
     ])
     def test_bad_token_reports_line_and_message(self, line, message):
         with pytest.raises(ParseError) as exc:

@@ -322,6 +322,9 @@ class TestSmoothness:
         L, l_max = smoothness_constants(LossSpec(family="logistic"), data)
         assert_allclose(L, [1.0])
         assert l_max == 1.0
+        # phi''(0) = y^2 / 4 for any label
+        L, _ = smoothness_constants(LossSpec(family="logistic"), Dataset([[2.0]], [2.0]))
+        assert_allclose(L, [4.0])
 
     def test_squared_with_regularizer(self):
         data = Dataset([[1.0]], [0.0])
@@ -345,7 +348,8 @@ class TestSmoothness:
     def test_descent_lemma_witness(self):
         rng = np.random.default_rng(23)
         rows = rng.standard_normal((10, 4))
-        # the logistic curvature bound 1/4 assumes classification labels
+        # the logistic curvature bound is y^2/4: +-1 labels, and a fixed
+        # array with |y| > 1 and 0 that takes no draws from rng
         signs = np.where(rng.random(10) < 0.5, -1.0, 1.0)
         for spec, labels in [
             (LossSpec(family="logistic", sigma=0.1), signs),
@@ -354,6 +358,8 @@ class TestSmoothness:
                 LossSpec(family="monomial", power_r=1.0, scales=rng.uniform(0.5, 2.0, 10)),
                 rng.standard_normal(10),
             ),
+            (LossSpec(family="logistic", sigma=0.1),
+             np.array([3.0, -2.0, 0.0, 1.5, -0.5, 2.5, 0.0, -3.0, 1.0, 2.0])),
         ]:
             data = Dataset(rows, labels)
             L, _ = smoothness_constants(spec, data)
@@ -527,6 +533,28 @@ class TestOptimumOracle:
         cert, _ = self.newton_with_scaled_directions(1e15)
         assert not cert.converged
         assert not cert.w_star.any()
+
+    def test_logistic_labels_other_than_signs(self):
+        # a 0 label has phi = log 2 and phi' = 0 everywhere, so its Hessian
+        # weight -phi'(y + phi') is 0; column 3 is nonzero only in row 2
+        # (label 0), so the Hessian's (3, 3) entry is sigma alone
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((10, 4))
+        rows[:, 3] = 0.0
+        rows[2, 3] = 1.5
+        data = Dataset(rows, np.tile([-2.0, -0.5, 0.0, 0.5, 2.0], 2))
+        curvatures, cg = [], losses._cg
+
+        def spy(hess_vec, *args, **kwargs):
+            curvatures.append(hess_vec(np.eye(4)[3])[3])
+            return cg(hess_vec, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(losses, "_cg", spy)
+            cert = optimum_oracle(LossSpec(family="logistic", sigma=1e-2), data)
+        assert cert.converged
+        assert np.linalg.norm(own_logistic_grad(data, cert.w_star, 1e-2)) <= 1e-10
+        assert curvatures and curvatures == [1e-2] * len(curvatures)
 
     @given(
         n=st.integers(1, 40),

@@ -156,16 +156,17 @@ def test_kernel_is_built_in_three_places():
 
 def test_phi_has_one_array_form():
     """phi and phi' of an array of margins go through libm in
-    ``losses._phi_array``: no code in ``src/`` names ``np.logaddexp``, and
-    only ``losses._expit`` (the Newton oracle's Hessian weights) names
-    ``np.exp``, so no second vectorised phi can grow beside it."""
+    ``losses._phi_array``, and the Newton oracle's Hessian weights are
+    taken from its phi': no code in ``src/`` names ``np.logaddexp`` or
+    ``np.exp``, so no second vectorised phi, whose rounding would follow
+    numpy's SIMD dispatch, can grow beside it."""
 
     def numpy_attr(name):
         return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
                              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
     assert scopes_referring(numpy_attr("logaddexp")) == []
-    assert scopes_referring(numpy_attr("exp")) == ["losses._expit"]
+    assert scopes_referring(numpy_attr("exp")) == []
 
 
 def test_squared_optimum_is_one_svd():
