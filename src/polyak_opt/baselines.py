@@ -46,13 +46,17 @@ def _check_finite(i: int, fi: float, dval: float = 0.0) -> None:
 
 
 class FlatDataError(ValueError):
-    """A step size taken from L_max = 0 (every row zero and σ = 0)."""
+    """A step size taken from L_max = 0 (every row zero and σ = 0), from
+    L_max = inf (a row's square norm overflows) or from an L_max so small
+    that 1/L_max overflows."""
 
 
 def check_l_max(l_max: float, advice: str = "set gamma, and for sgd use sgd_schedule = constant") -> float:
     """``l_max``, or a FlatDataError ending in ``advice`` where no step size can come from it."""
-    if not l_max > 0.0:
-        raise FlatDataError(f"L_max = {l_max!r} (every row is zero and sigma = 0) gives no step size; {advice}")
+    if not 0.0 < l_max < math.inf or math.isinf(1.0 / l_max):
+        why = ("every row is zero and sigma = 0" if l_max == 0.0 else
+               "a row's square norm overflows" if l_max == math.inf else "its reciprocal overflows")
+        raise FlatDataError(f"L_max = {l_max!r} ({why}) gives no step size; {advice}")
     return l_max
 
 
@@ -87,8 +91,9 @@ def sgd_step(
 ) -> np.ndarray:
     """w − γ_t ∇f_i(w) with γ_t from sgd_stepsize, as one draw of the
     Polyak kernel; a non-finite f_i(w) or φ′ raises NumericError. As in
-    ``run_baseline``, a schedule other than "constant" needs L_max > 0, and
-    a γ_t that is not finite and > 0 is a ValueError."""
+    ``run_baseline``, a schedule other than "constant" needs an L_max that
+    ``check_l_max`` accepts, and a γ_t that is not finite and > 0 is a
+    ValueError."""
     if schedule != "constant":
         check_l_max(l_max)
     hyper = HyperParams(gamma=sgd_stepsize(schedule, t, l_max, gamma))
@@ -113,10 +118,11 @@ def run_baseline(
     γ defaults to 1/(2 L_max) for sag/svrg and is the constant-schedule step
     for sgd; svrg's inner length defaults to 2n. ``gamma`` (where given) and
     adam's ``alpha`` must be finite and > 0, and ``inner_len`` >= 1. A step
-    size taken from L_max = 0 is a FlatDataError. ``passes`` counts sampled
-    steps as 1/n each plus one full pass per svrg snapshot (including the
-    initial one). Surrogate-specific trace fields stay empty. A numeric
-    abort raises NumericError with the completed records attached.
+    size taken from an L_max that ``check_l_max`` rejects is a
+    FlatDataError. ``passes`` counts sampled steps as 1/n each plus one
+    full pass per svrg snapshot (including the initial one).
+    Surrogate-specific trace fields stay empty. A numeric abort raises
+    NumericError with the completed records attached.
     """
     meth = _check_run(method, BASELINES, data, epochs)
     if gamma is not None and not (gamma > 0.0 and math.isfinite(gamma)):

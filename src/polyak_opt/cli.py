@@ -8,10 +8,15 @@ full runs as one batch, and every other sweep as one run per cell),
 ``verify`` (the randomized property suites), and ``gen`` (write a
 synthetic dataset as a LIBSVM file).
 
-Settings resolve as defaults < ``--config`` file < explicit flags. Every
+Settings resolve as defaults < ``--config`` file < explicit flags. The
+flags of ``run``, ``grid`` and ``compare`` are built from the config
+table: one per key, ``--`` and the key with ``-`` for ``_``, and its text
+is read by ``config._coerce`` as a config file's value is, so a bad value
+is one ``error:`` line whether it comes from a file or a flag. Every
 command runs in one thread; ``--threads N`` is still accepted for old
 scripts and ignored. Exit codes: 0 success, 1 failed verification, 2 bad
-configuration or input, 3 numeric abort (partial trace still written).
+configuration or input, 3 numeric abort (partial trace still written,
+before the abort message).
 Only a ``ConfigError``, a ``ParseError`` or an ``OSError`` (a file that
 is missing, a directory, or cannot be read or written) is reported as exit
 2; every other exception is a bug and propagates.
@@ -27,6 +32,7 @@ import sys
 
 import numpy as np
 
+from . import config
 from .baselines import BASELINES, FlatDataError, check_l_max, run_baseline
 from .config import (
     ConfigError,
@@ -50,30 +56,29 @@ from .verify import format_report, run_all
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
+# help for the common flags that have any; every other flag is named by its key
+_HELP = {
+    "dataset": "LIBSVM path or synth:<mode>:n=..,d=..",
+    "normalize": "scale every sample to unit norm before running",
+    "method": f"one of {', '.join(METHODS + BASELINES)}",
+    "out": "output file; omit for stdout",
+    "format": f"one of {', '.join(config._FORMATS)}",
+    "oracle": f"one of {', '.join(config._ORACLES)}",
+}
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """``--config``, ``--threads`` and one flag per config key, spelled as
+    the key with ``-`` for ``_``. A flag keeps its value as text, which
+    ``_resolve_config`` reads as the config file reads it."""
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
-    p.add_argument("--dataset", metavar="PATH", help="LIBSVM path or synth:<mode>:n=..,d=..")
-    p.add_argument(
-        "--normalize",
-        action="store_const",
-        const=True,
-        default=None,
-        help="scale every sample to unit norm before running",
-    )
-    p.add_argument("--method", help=f"one of {', '.join(METHODS + BASELINES)}")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-tau", type=float, dest="gamma_tau")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--fi-star", type=float, dest="fi_star")
-    p.add_argument("--out", metavar="PATH", help="output file; omit for stdout")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--oracle", choices=("none", "closed", "iter"))
+    for name, key in config._KEY_OF.items():
+        flag, text = "--" + key.replace("_", "-"), _HELP.get(key)
+        if isinstance(config._FIELDS[name].default, bool):
+            p.add_argument(flag, dest=name, action="store_const", const="true", help=text)
+        else:
+            p.add_argument(flag, dest=name, metavar=key.upper(), help=text)
     p.add_argument("--threads", type=int, metavar="N",
                    help="ignored: every command runs in one thread")
 
@@ -116,9 +121,9 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
                 raise ConfigError(f"{args.config} is not UTF-8 text: {exc.reason}") from None
         file_updates = parse_updates(text)
     flag_updates = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "config", "threads") and value is not None
+        name: config._coerce(config._KEY_OF[name], raw)
+        for name, raw in vars(args).items()
+        if name in config._FIELDS and raw is not None
     }
     cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
     return cfg, set(file_updates) | set(flag_updates)
@@ -173,11 +178,20 @@ def _unsupported_as_config_error(fn, *args, **kwargs):
 def _certificate(cfg: ExperimentConfig, spec, data):
     """The optimum certificate ``cfg.oracle`` asks for (None for none), and
     the sp target of ``cfg.method``: the certificate's per-sample optimal
-    losses for sp and spsmax where there is one, else ``cfg.fi_star``."""
+    losses for sp and spsmax where there is one, else ``cfg.fi_star``. The
+    oracle runs with numpy's floating-point warnings off, and non-finite
+    optimal losses are a ConfigError. They come from a squared certificate
+    on data at the edge of the float range: its closed form divides by
+    each singular value's square, which is 0 below about 1e-162, and its
+    losses overflow on labels near 1e308."""
     if cfg.oracle == "none":
         return None, cfg.fi_star
     budget = cfg.budget if cfg.oracle == "iter" else None
-    cert = _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cert = _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
+    if not np.isfinite(cert.fi_star).all():
+        raise ConfigError(f"oracle = {cfg.oracle} gives non-finite optimal losses on {cfg.dataset}; "
+                          "set oracle = none")
     return cert, cert.fi_star if cfg.method in ("sp", "spsmax") else cfg.fi_star
 
 
@@ -225,9 +239,9 @@ def cmd_run(args) -> int:
     cert, fi_star = _certificate(cfg, spec, data)
     gamma = cfg.gamma if "gamma" in explicit else None
     records, err = _trace(cfg.method, cfg, spec, data, cert, fi_star=fi_star, gamma=gamma)
-    if err is not None:
-        print(f"error: numeric abort at sample {err.sample_index}: {err}", file=sys.stderr)
     _emit(trace_to_json(records) if cfg.format == "json" else trace_to_csv(records), cfg.out)
+    if err is not None:  # after the trace, so that a failed write is the only message
+        print(f"error: numeric abort at sample {err.sample_index}: {err}", file=sys.stderr)
     return 0 if err is None else 3
 
 
@@ -320,17 +334,18 @@ def cmd_compare(args) -> int:
     settings = [
         _unsupported_as_config_error(_compare_settings, m, cfg, spec, data) for m in methods
     ]
-    code = 0
+    aborts = []
     lines = [header for _, header in settings] + ["method," + CSV_HEADER]
     for method, (overrides, _) in zip(methods, settings):
         fi_star = 0.0 if method in ("sp", "spsmax") else cfg.fi_star
         records, err = _trace(method, cfg, spec, data, cert, fi_star=fi_star, **overrides)
         if err is not None:
-            print(f"warning: {method} aborted: {err}", file=sys.stderr)
-            code = 3
+            aborts.append(f"warning: {method} aborted: {err}")
         lines += [f"{method},{row}" for row in trace_to_csv(records).splitlines()[1:]]
     _emit("\n".join(lines) + "\n", cfg.out)
-    return code
+    for line in aborts:  # as in cmd_run, after the trace
+        print(line, file=sys.stderr)
+    return 3 if aborts else 0
 
 
 def cmd_verify(args) -> int:

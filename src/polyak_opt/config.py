@@ -71,18 +71,12 @@ class ExperimentConfig:
     sgd_schedule: str = "inverse"
 
     def __post_init__(self):
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.oracle not in _ORACLES:
-            raise ConfigError(f"oracle must be one of {_ORACLES}, got {self.oracle!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if self.sgd_schedule not in SGD_SCHEDULES:
-            raise ConfigError(
-                f"sgd_schedule must be one of {SGD_SCHEDULES}, got {self.sgd_schedule!r}"
-            )
+        for key, allowed in (("format", _FORMATS), ("oracle", _ORACLES), ("sgd_schedule", SGD_SCHEDULES)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        for key in ("epochs", "budget"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

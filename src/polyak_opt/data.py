@@ -166,7 +166,7 @@ class Dataset:
 
     ``X`` is a ``CSRMatrix`` (which has checked its arrays) or a dense 2-D
     array, whose nonzeros become the stored entries. Explicit zeros are
-    dropped, and a non-finite feature value is a ValueError. ``dim``
+    dropped, and a non-finite feature value or label is a ValueError. ``dim``
     defaults to the column count of ``X`` and may be overridden upward (a
     dataset may simply not touch its trailing features).
 
@@ -189,8 +189,9 @@ class Dataset:
             nonzero = np.nonzero(X)
             values, indices = X[nonzero], nonzero[1]
             indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(X, axis=1))))
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite feature value")
+        for what, arr in (("feature value", values), ("label", labels_arr)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite {what}")
         n, max_dim = X.shape
         if labels_arr.ndim != 1 or n != labels_arr.size:
             raise ValueError("samples and labels must have matching length")
@@ -369,7 +370,8 @@ def synth_dataset(
         w_true = rng.standard_normal(d)
         y = X @ w_true
         if noise != 0.0:
-            y = y + noise * rng.standard_normal(n)
+            with np.errstate(over="ignore"):  # Dataset rejects a label that overflows
+                y = y + noise * rng.standard_normal(n)
         data = Dataset(X, y)
         if noise == 0.0:
             # planted vector is the exact minimizer iff the residual gradient

@@ -62,6 +62,8 @@ class LossSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
             raise ValueError("sigma must be finite and >= 0")
+        if not math.isfinite(self.sigma * self.sigma):  # where batch_eval's sigma**2 overflows
+            raise ValueError(f"sigma = {self.sigma!r} is too large: its square overflows")
         if not (self.power_r > 0.0 and np.isfinite(self.power_r)):
             raise ValueError("power_r must be finite and > 0")
         for name in ("offsets", "scales"):

@@ -383,10 +383,15 @@ class TestRunBaseline:
     def test_step_from_zero_l_max_is_flat_data_error(self):
         spec = LossSpec(family="logistic")
         data = Dataset(np.zeros((3, 2)), [1.0, -1.0, 1.0])
-        for method, schedule in (("sag", "inverse"), ("svrg", "inverse"), ("sgd", "inverse"),
-                                 ("sgd", "paper_literal"), ("sgd", "constant")):
-            with pytest.raises(FlatDataError, match="L_max = 0.0"):
-                run_baseline(method, spec, data, 1, 0, sgd_schedule=schedule)
+        # a row whose square norm, 1e600, overflows gives L_max = inf, and
+        # one whose square norm is 1e-320 an L_max whose reciprocal overflows
+        wide = Dataset([[0.5, 0.0, 2.0], [0.0, 1e300, 0.0]], [1.0, -1.0])
+        tiny = Dataset([[1e-160, 0.0], [0.0, 0.0]], [-1.0, 1.0])
+        for flat, l_max in ((data, "0.0"), (wide, "inf"), (tiny, "2.5e-321")):
+            for method, schedule in (("sag", "inverse"), ("svrg", "inverse"), ("sgd", "inverse"),
+                                     ("sgd", "paper_literal"), ("sgd", "constant")):
+                with pytest.raises(FlatDataError, match=f"L_max = {l_max} "):
+                    run_baseline(method, spec, flat, 1, 0, sgd_schedule=schedule)
         for method in ("sgd", "sag", "svrg"):
             records = run_baseline(method, spec, data, 1, 0, gamma=0.5, sgd_schedule="constant")
             assert records[0].grad_norm == 0.0

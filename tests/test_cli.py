@@ -16,7 +16,7 @@ import pytest
 from polyak_opt import cli
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
-from polyak_opt.config import ExperimentConfig, resolve_dataset
+from polyak_opt.config import ExperimentConfig, dump_config, resolve_dataset
 from polyak_opt.data import load_libsvm, normalize_samples, serialize_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
 from polyak_opt.polyak import NumericError, lambda_max
@@ -24,6 +24,8 @@ from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
 
 # +-1 labels, so the default logistic family accepts it
 SMALL = "synth:separable:n=8,d=4,seed=3"
+# +-1 labels, and row 2 has a square norm that overflows
+OVERFLOW_ROW = "1 1:0.5 3:2\n-1 2:1e300\n1\n"
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +219,9 @@ class TestRun:
         ("--dataset", "synth:separable:n=0,d=4"),
         ("--dataset", "synth:bogus:n=8,d=4"),
         ("--dataset", SMALL, "--sigma", "-1"),
+        # sigma**2 overflows in the oracle's batch_eval, and mid-run without an oracle
+        ("--dataset", SMALL, "--sigma", "1e308", "--oracle", "iter"),
+        ("--dataset", SMALL, "--sigma", "1e308"),
         ("--dataset", SMALL, "--gamma-tau", "2"),
         ("--dataset", SMALL, "--epochs", "0"),
         # step settings are checked whichever method runs
@@ -332,6 +337,59 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--method", method,
                                  "--epochs", "2")
         assert code == 2 and err.startswith("error: L_max = 0.0") and out == ""
+
+    @pytest.mark.parametrize("text, l_max", [
+        # row 2's square norm, 1e600, overflows; its step 1/(2 L_max) = 0 would make sag a no-op
+        (OVERFLOW_ROW, "inf (a row's square norm overflows)"),
+        # a square norm of 1e-320 gives L_max = 2.5e-321 and a step 1/(2 L_max) = inf
+        ("-1 1:1e-160\n1\n", "2.5e-321 (its reciprocal overflows)"),
+    ], ids=["inf", "subnormal"])
+    @pytest.mark.parametrize("argv", [("run", "--method", "sgd"), ("run", "--method", "sag"),
+                                      ("compare",)])
+    def test_step_from_overflowing_l_max_is_config_error(self, tmp_path, capsys, argv, text, l_max):
+        data_file = tmp_path / "rows.txt"
+        data_file.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--dataset", str(data_file), "--epochs", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: L_max = {l_max} gives no step size") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_certificate_raises_no_warning(self, tmp_path, capsys):
+        # the iter oracle overflows on that row too; the run then aborts
+        data_file = tmp_path / "wide.txt"
+        data_file.write_text(OVERFLOW_ROW, encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--dataset", str(data_file), "--method", "sp",
+                               "--oracle", "iter", "--epochs", "2")
+        assert code == 3 and err == "error: numeric abort at sample 1: gradient norm overflow at sample 1\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text, oracle", [
+        # the closed form divides by s * s = 0 for the singular value 1e-300,
+        # which would leave sp with non-finite targets
+        ("1\n1 2:1e-300\n", "closed"),
+        # w_star is finite, but the squared losses at it overflow
+        ("1e308 1:1\n-1e308 1:1\n", "iter"),
+    ], ids=["singular_value", "label"])
+    @pytest.mark.parametrize("command", ["run", "grid", "compare"])
+    def test_non_finite_certificate_is_config_error(self, tmp_path, capsys, command, text, oracle):
+        data_file = tmp_path / "rows.txt"
+        data_file.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--dataset", str(data_file), "--family", "squared",
+                                 "--oracle", oracle, "--epochs", "1", "--methods", "sp,taps")
+        assert (code, out) == (2, "")
+        assert err == (f"error: oracle = {oracle} gives non-finite optimal losses on {data_file}; "
+                       "set oracle = none\n")
+
+    @pytest.mark.parametrize("argv", [("run", "--method", "sp"), ("compare", "--methods", "sp,taps")])
+    def test_unwritable_out_after_an_abort_is_one_error_line(self, tmp_path, capsys, argv):
+        # the run aborts on the overflowing row, and --out names a directory:
+        # the trace is written before the abort message, so the failed write
+        # is the only line
+        data_file = tmp_path / "wide.txt"
+        data_file.write_text(OVERFLOW_ROW, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--dataset", str(data_file), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
     @pytest.mark.parametrize("method", ["sgd", "sag", "svrg", "adam"])
     def test_explicit_step_runs_at_zero_l_max(self, tmp_path, capsys, method):
@@ -745,6 +803,14 @@ class TestGen:
         assert code == 0
         assert out == serialize_libsvm(synth_dataset(0, 5, 3, "separable")[0])
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "1e308"])
+    def test_non_finite_label_is_config_error(self, capsys, noise):
+        # 1e308 times a normal draw above 1.8 overflows, silently
+        spec = f"synth:underparam:n=20,d=2,noise={noise}"
+        for argv in (("gen",), ("run", "--family", "squared", "--oracle", "iter")):
+            code, out, err = run_cli(capsys, *argv, "--dataset", spec)
+            assert (code, out, err) == (2, "", f"error: {spec}: non-finite label\n")
+
     def test_requires_synthetic_spec(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--dataset", "real.txt")
         assert code == 2 and "error" in err
@@ -801,15 +867,47 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_flags_are_config_keys(self):
-        # every common flag sets the config field of its dest; these ten
-        # keys have no flag and are set in a config file only
+        # every config field has exactly one flag, its key with '-' for '_',
+        # and a flag's value is read as the config file reads that key
         flags = set(vars(cli.build_parser().parse_args(["run"]))) - {"command", "config", "threads"}
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert flags <= fields
-        assert fields - flags == {
-            "family", "power_r", "step_cap", "schedule", "mu", "budget",
-            "methods", "gamma_grid", "gamma_tau_grid", "sgd_schedule",
-        }
+        assert flags == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        cfg = ExperimentConfig(
+            dataset=SMALL, normalize=True, family="squared", sigma=0.25, power_r=2.0,
+            method="motaps", gamma=0.5, gamma_tau=0.2, lam=0.3, beta=0.1, step_cap=4.0,
+            schedule="motaps_decreasing", mu=0.05, epochs=7, seed=2, tau=-0.5, fi_star=0.125,
+            oracle="iter", budget=9, out="t.csv", format="json", methods="sp,sgd",
+            gamma_grid="0.5,1", gamma_tau_grid="0.1", sgd_schedule="constant",
+        )
+        argv = ["run"]
+        for line in dump_config(cfg).splitlines():
+            key, value = line.split(" = ", 1)
+            argv += ["--" + key.replace("_", "-")] + ([] if key == "normalize" else [value])
+        assert cli._resolve_config(cli.build_parser().parse_args(argv)) == (cfg, flags)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gamma", "x", "bad value for gamma: 'x'"),
+        ("--epochs", "1.5", "bad value for epochs: '1.5'"),
+        ("--format", "xml", "format must be one of ('csv', 'json'), got 'xml'"),
+        ("--oracle", "exact", "oracle must be one of ('none', 'closed', 'iter'), got 'exact'"),
+    ])
+    def test_bad_flag_value_is_one_error_line(self, capsys, flag, value, message):
+        # the config file's message, not argparse's usage block
+        code, out, err = run_cli(capsys, "run", "--dataset", SMALL, flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_every_key_is_a_flag(self, tmp_path, capsys):
+        # least squares runs from flags alone as it does from a config file
+        (tmp_path / "ls.cfg").write_text("family = squared\noracle = closed\n", encoding="utf-8")
+        common = ["--dataset", "synth:underparam:n=12,d=3,seed=1", "--epochs", "3", "--method", "taps"]
+        by_flag = run_cli(capsys, "run", *common, "--family", "squared", "--oracle", "closed")
+        by_file = run_cli(capsys, "run", *common, "--config", str(tmp_path / "ls.cfg"))
+        assert by_flag == by_file and by_flag[0] == 0
+
+    def test_flag_prefix_shared_by_two_keys_is_ambiguous(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gamma-t", "0.1"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --gamma-t could match --gamma-tau, --gamma-tau-grid" in capsys.readouterr().err
 
 
 def test_run_imports_numpy_alone():

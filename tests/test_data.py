@@ -84,8 +84,10 @@ class TestDataset:
     def test_rejects_nonfinite(self):
         for bad in (np.inf, -np.inf, np.nan):
             for X in ([[0.0, bad]], CSRMatrix([bad], [1], [0, 1], (1, 2))):
-                with pytest.raises(ValueError, match="non-finite"):
+                with pytest.raises(ValueError, match="non-finite feature value"):
                     Dataset(X, [1.0])
+            with pytest.raises(ValueError, match="non-finite label"):
+                Dataset([[0.0, 1.0]], [bad])
 
     @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), ()], ids=["1-D", "3-D", "0-D"])
     def test_rejects_a_dense_array_that_is_not_2d(self, shape):

@@ -580,6 +580,8 @@ class TestLossSpecValidation:
             LossSpec(family="hinge")
         with pytest.raises(ValueError):
             LossSpec(family="squared", sigma=-0.1)
+        with pytest.raises(ValueError, match="its square overflows"):
+            LossSpec(family="logistic", sigma=1e308)
         with pytest.raises(ValueError):
             LossSpec(family="monomial", power_r=0.0)
         with pytest.raises(ValueError):
