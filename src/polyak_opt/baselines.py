@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, InputError
 from .losses import (
     LossSpec,
     OptimumCertificate,
@@ -45,16 +45,16 @@ def _check_finite(i: int, fi: float, dval: float = 0.0) -> None:
         raise NumericError(f"non-finite loss/gradient at sample {i}", sample_index=i)
 
 
-class FlatDataError(ValueError):
-    """A step size taken from L_max = 0 (every row zero and σ = 0), from
-    L_max = inf (a row's square norm overflows) or from an L_max so small
-    that 1/L_max overflows."""
+class FlatDataError(InputError):
+    """A step size taken from L_max = 0 (σ = 0 and every row zero or with a
+    square norm that underflows), from L_max = inf (a row's square norm
+    overflows) or from an L_max so small that 1/L_max overflows."""
 
 
 def check_l_max(l_max: float, advice: str = "set gamma, and for sgd use sgd_schedule = constant") -> float:
     """``l_max``, or a FlatDataError ending in ``advice`` where no step size can come from it."""
     if not 0.0 < l_max < math.inf or math.isinf(1.0 / l_max):
-        why = ("every row is zero and sigma = 0" if l_max == 0.0 else
+        why = ("every row is zero or has a square norm that underflows, and sigma = 0" if l_max == 0.0 else
                "a row's square norm overflows" if l_max == math.inf else "its reciprocal overflows")
         raise FlatDataError(f"L_max = {l_max!r} ({why}) gives no step size; {advice}")
     return l_max

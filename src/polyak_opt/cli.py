@@ -17,14 +17,17 @@ command runs in one thread; ``--threads N`` is still accepted for old
 scripts and ignored. Exit codes: 0 success, 1 failed verification, 2 bad
 configuration or input, 3 numeric abort (partial trace still written,
 before the abort message).
-Only a ``ConfigError``, a ``ParseError`` or an ``OSError`` (a file that
-is missing, a directory, or cannot be read or written) is reported as exit
-2; every other exception is a bug and propagates.
+Bad input raises ``data.InputError``, or one of its subclasses
+``ConfigError``, ``ParseError``, ``UnsupportedFamilyError`` and
+``FlatDataError``, in the check that finds it. ``main`` alone reports it,
+or an ``OSError`` (a file that is missing, a directory, or cannot be read
+or written), as exit 2; every other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -33,7 +36,7 @@ import sys
 import numpy as np
 
 from . import config
-from .baselines import BASELINES, FlatDataError, check_l_max, run_baseline
+from .baselines import BASELINES, check_l_max, run_baseline
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -42,10 +45,9 @@ from .config import (
     parse_float_list,
     parse_updates,
     resolve_dataset,
-    with_updates,
 )
-from .data import ParseError, normalize_samples, serialize_libsvm
-from .losses import UnsupportedFamilyError, optimum_oracle, smoothness_constants
+from .data import InputError, normalize_samples, serialize_libsvm
+from .losses import optimum_oracle, smoothness_constants
 from .polyak import METHODS, NumericError, check_lambda, rule_of_thumb, run_epochs, run_grid
 from .traces import CSV_HEADER, trace_to_csv, trace_to_json
 from .verify import format_report, run_all
@@ -125,7 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str
         for name, raw in vars(args).items()
         if name in config._FIELDS and raw is not None
     }
-    cfg = with_updates(with_updates(ExperimentConfig(), file_updates), flag_updates)
+    cfg = dataclasses.replace(ExperimentConfig(**file_updates), **flag_updates)
     return cfg, set(file_updates) | set(flag_updates)
 
 
@@ -151,10 +153,7 @@ def _load(cfg: ExperimentConfig, methods):
     if cfg.normalize:
         data = normalize_samples(data)
     if "motaps" in methods:
-        try:
-            check_lambda(cfg.lam, data.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_lambda(cfg.lam, data.n)
     spec = make_loss_spec(cfg)
     if spec.family == "logistic":
         bad = np.flatnonzero(np.abs(data.labels) != 1.0)
@@ -164,15 +163,6 @@ def _load(cfg: ExperimentConfig, methods):
                 f"of {cfg.dataset} has label {float(data.labels[bad[0]])!r}"
             )
     return data, spec
-
-
-def _unsupported_as_config_error(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with an UnsupportedFamilyError (the loss
-    family does not define it) or FlatDataError reported as a ConfigError."""
-    try:
-        return fn(*args, **kwargs)
-    except (UnsupportedFamilyError, FlatDataError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _certificate(cfg: ExperimentConfig, spec, data):
@@ -188,7 +178,7 @@ def _certificate(cfg: ExperimentConfig, spec, data):
         return None, cfg.fi_star
     budget = cfg.budget if cfg.oracle == "iter" else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cert = _unsupported_as_config_error(optimum_oracle, spec, data, budget=budget)
+        cert = optimum_oracle(spec, data, budget=budget)
     if not np.isfinite(cert.fi_star).all():
         raise ConfigError(f"oracle = {cfg.oracle} gives non-finite optimal losses on {cfg.dataset}; "
                           "set oracle = none")
@@ -214,8 +204,8 @@ def _trace(method, cfg, spec, data, cert, *, fi_star, gamma=None, gamma_tau=None
                     fi_star=fi_star, tau=cfg.tau,
                 ), None
             if method in BASELINES:
-                return _unsupported_as_config_error(
-                    run_baseline, method, spec, data, cfg.epochs, cfg.seed, cert,
+                return run_baseline(
+                    method, spec, data, cfg.epochs, cfg.seed, cert,
                     gamma=gamma, sgd_schedule=cfg.sgd_schedule,
                 ), None
     except NumericError as err:
@@ -303,10 +293,7 @@ def _compare_settings(method: str, cfg, spec, data):
     if method == "taps":
         return {"gamma": 1.0}, f"# taps gamma=1.0 tau={cfg.tau!r}"
     if method == "motaps":
-        try:
-            g, gt = rule_of_thumb(spec.sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        g, gt = rule_of_thumb(spec.sigma)
         return {"gamma": g, "gamma_tau": gt}, f"# motaps gamma={g!r} gamma_tau={gt!r} lambda={cfg.lam!r}"
     if method in ("sag", "svrg", "sgd"):
         l_max = check_l_max(smoothness_constants(spec, data)[1], f"compare takes {method}'s step from "
@@ -331,9 +318,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two methods")
     data, spec = _load(cfg, methods)
     cert, _ = _certificate(cfg, spec, data)
-    settings = [
-        _unsupported_as_config_error(_compare_settings, m, cfg, spec, data) for m in methods
-    ]
+    settings = [_compare_settings(m, cfg, spec, data) for m in methods]
     aborts = []
     lines = [header for _, header in settings] + ["method," + CSV_HEADER]
     for method, (overrides, _) in zip(methods, settings):
@@ -384,7 +369,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParseError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,12 +21,12 @@ import zlib
 from dataclasses import dataclass
 
 from .baselines import SGD_SCHEDULES
-from .data import Dataset, load_libsvm, synth_dataset
+from .data import Dataset, InputError, load_libsvm, synth_dataset
 from .losses import LossSpec
 from .polyak import HyperParams
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Malformed config file, key, or value."""
 
 
@@ -121,17 +121,10 @@ def parse_updates(text: str) -> dict:
     return updates
 
 
-def with_updates(base: ExperimentConfig, updates: dict) -> ExperimentConfig:
-    """``base`` with ``updates`` applied; an invalid value is a ConfigError."""
-    try:
-        return dataclasses.replace(base, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse config text on top of ``base`` (defaults when omitted)."""
-    return with_updates(base or ExperimentConfig(), parse_updates(text))
+    """Parse config text on top of ``base`` (defaults when omitted); a value
+    ``ExperimentConfig`` rejects is the ConfigError it raises."""
+    return dataclasses.replace(base or ExperimentConfig(), **parse_updates(text))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -196,19 +189,14 @@ def resolve_dataset(spec: str) -> Dataset:
 
 
 def make_loss_spec(cfg: ExperimentConfig) -> LossSpec:
-    try:
-        return LossSpec(family=cfg.family, sigma=cfg.sigma, power_r=cfg.power_r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """The loss of ``cfg``; a value LossSpec rejects is the InputError it raises."""
+    return LossSpec(family=cfg.family, sigma=cfg.sigma, power_r=cfg.power_r)
 
 
 def make_hyper(cfg: ExperimentConfig, **overrides) -> HyperParams:
     """The step-size knobs of ``cfg``, with ``overrides`` (HyperParams field
-    names; None keeps the value of ``cfg``) on top; values HyperParams
-    rejects are a ConfigError."""
+    names; None keeps the value of ``cfg``) on top; a value HyperParams
+    rejects is the InputError it raises."""
     fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(HyperParams)}
     fields.update((k, v) for k, v in overrides.items() if v is not None)
-    try:
-        return HyperParams(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return HyperParams(**fields)

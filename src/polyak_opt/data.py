@@ -24,7 +24,13 @@ import numpy as np
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """A value or file that a check on user input rejects. Each check raises
+    it, or a subclass, where it runs, and only ``cli.main`` catches it, as
+    exit 2; every other exception is a bug and propagates."""
+
+
+class ParseError(InputError):
     """Malformed LIBSVM text. Carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):

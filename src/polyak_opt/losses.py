@@ -29,10 +29,10 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, _vector
+from .data import Dataset, InputError, _vector
 
 
-class UnsupportedFamilyError(ValueError):
+class UnsupportedFamilyError(InputError):
     """Operation not defined for this loss family / parameter combination."""
 
 
@@ -59,13 +59,13 @@ class LossSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InputError(f"unknown family {self.family!r}")
         if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and >= 0")
+            raise InputError("sigma must be finite and >= 0")
         if not math.isfinite(self.sigma * self.sigma):  # where batch_eval's sigma**2 overflows
-            raise ValueError(f"sigma = {self.sigma!r} is too large: its square overflows")
+            raise InputError(f"sigma = {self.sigma!r} is too large: its square overflows")
         if not (self.power_r > 0.0 and np.isfinite(self.power_r)):
-            raise ValueError("power_r must be finite and > 0")
+            raise InputError("power_r must be finite and > 0")
         for name in ("offsets", "scales"):
             arr = getattr(self, name)
             if arr is not None:
@@ -73,7 +73,7 @@ class LossSpec:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
         if self.scales is not None and np.any(self.scales <= 0.0):
-            raise ValueError("scales must be strictly positive")
+            raise InputError("scales must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,6 @@ class OptimumCertificate:
     mu: float
 
 
-def _monomial_params(spec: LossSpec, data: Dataset):
-    b = spec.offsets if spec.offsets is not None else data.labels
-    a = spec.scales if spec.scales is not None else np.ones(data.n)
-    return np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-
-
 def _check_index(i: int, high: int) -> None:
     if not 0 <= i < high:
         raise IndexError(f"sample index {i} out of range [0, {high})")
@@ -120,7 +114,7 @@ def loss_grad_i(spec: LossSpec, data: Dataset, w: np.ndarray, i: int):
     _check_index(i, data.n)
     w = _vector(w, data.dim)
     idx, x = data.rows[i]
-    val, dval = _scalar_phi(spec, data, float(np.dot(x, w[idx])), i)
+    val, dval = _phi_of(spec, data)(float(np.dot(x, w[idx])), i)
     g = np.zeros(len(w))
     g[idx] = dval * x
     if spec.sigma != 0.0:
@@ -178,13 +172,8 @@ def _phi_of(spec: LossSpec, data: Dataset):
     return phi
 
 
-def _scalar_phi(spec: LossSpec, data: Dataset, t: float, i: int):
-    """phi_i(t), phi_i'(t) of one sample: ``_phi_of`` for a single call."""
-    return _phi_of(spec, data)(t, i)
-
-
 def _phi_array(spec: LossSpec, data: Dataset, t: np.ndarray, i):
-    """``_scalar_phi`` at every margin in t, bit for bit, as two arrays
+    """``_phi_of``'s phi at every margin in t, bit for bit, as two arrays
     (values, derivatives): of sample i, or of sample i[k] at t[k] where i
     is an index array aligned with t.
 
@@ -274,7 +263,7 @@ def smoothness_constants(spec: LossSpec, data: Dataset):
             raise UnsupportedFamilyError(
                 "monomial family is not globally smooth unless power_r == 1"
             )
-        a, _ = _monomial_params(spec, data)
+        a = np.ones(data.n) if spec.scales is None else spec.scales
         L = 2.0 * a * data.row_sqnorms + spec.sigma
     return L, float(np.max(L)) if data.n else 0.0
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, InputError
 from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfbench wraps it here
     LossSpec,
     OptimumCertificate,
@@ -105,19 +105,19 @@ class HyperParams:
 
     def __post_init__(self):
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be finite and > 0")
+            raise InputError("gamma must be finite and > 0")
         if not 0.0 <= self.gamma_tau <= 1.0:
-            raise ValueError("gamma_tau must lie in [0, 1]")
+            raise InputError("gamma_tau must lie in [0, 1]")
         if not 0.0 <= self.lam < 1.0:
-            raise ValueError("lambda must lie in [0, 1)")
+            raise InputError("lambda must lie in [0, 1)")
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+            raise InputError("beta must lie in [0, 1)")
         if not self.step_cap > 0.0:
-            raise ValueError("step_cap must be > 0 (inf disables the cap)")
+            raise InputError("step_cap must be > 0 (inf disables the cap)")
         if self.schedule not in _SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+            raise InputError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "motaps_decreasing" and not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError("the decreasing schedule needs a finite mu > 0")
+            raise InputError("the decreasing schedule needs a finite mu > 0")
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,17 @@ def decreasing_schedule(t: int, lam: float, mu: float, n: int) -> float:
 def rule_of_thumb(sigma: float) -> tuple[float, float]:
     """(γ, γ_τ) from the regularization strength: γ = 1/(1+0.25σe^σ), γ_τ = 1−γ.
 
-    A negative or NaN σ is a ValueError, and so is a σ whose 0.25σe^σ
+    A negative or NaN σ is an InputError, and so is a σ whose 0.25σe^σ
     overflows (above about 704.6): it would give γ = 0.
     """
     if not sigma >= 0.0:
-        raise ValueError("sigma must be >= 0")
+        raise InputError("sigma must be >= 0")
     try:
         denom = 1.0 + 0.25 * sigma * math.exp(sigma)
     except OverflowError:
         denom = math.inf
     if not math.isfinite(denom):
-        raise ValueError(
+        raise InputError(
             f"sigma = {sigma!r} is too large for the rule of thumb: 0.25*sigma*e^sigma overflows"
         )
     gamma = 1.0 / denom
@@ -423,7 +423,7 @@ def check_lambda(lam: float, n: int) -> None:
     """The motaps dampening must lie in [0, lambda_max(n))."""
     cap = lambda_max(n)
     if not 0.0 <= lam < cap:
-        raise ValueError(f"lambda={lam} must lie in [0, lambda_max({n})={cap})")
+        raise InputError(f"lambda={lam} must lie in [0, lambda_max({n})={cap})")
 
 
 def sp_step(

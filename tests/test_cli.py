@@ -343,7 +343,10 @@ class TestRun:
         (OVERFLOW_ROW, "inf (a row's square norm overflows)"),
         # a square norm of 1e-320 gives L_max = 2.5e-321 and a step 1/(2 L_max) = inf
         ("-1 1:1e-160\n1\n", "2.5e-321 (its reciprocal overflows)"),
-    ], ids=["inf", "subnormal"])
+        # neither row is zero, but both square norms, 1e-600, underflow to 0
+        ("1 1:1e-300\n-1 2:1e-300\n",
+         "0.0 (every row is zero or has a square norm that underflows, and sigma = 0)"),
+    ], ids=["inf", "subnormal", "underflow"])
     @pytest.mark.parametrize("argv", [("run", "--method", "sgd"), ("run", "--method", "sag"),
                                       ("compare",)])
     def test_step_from_overflowing_l_max_is_config_error(self, tmp_path, capsys, argv, text, l_max):

@@ -1,7 +1,9 @@
 """A boundary fuzzer over the settings table: ``run``, ``grid``, ``compare``
 and ``gen`` driven in-process with flags built from every config key, values
-at the edges of what ``float`` and ``int`` read, tiny ``synth:`` specs and
-short LIBSVM files. Whatever the input, the command ends as exit 0, 2 or 3,
+at the edges of what ``float`` and ``int`` read, tiny ``synth:`` specs, short
+LIBSVM files and, for about a quarter of the ``run``, ``grid`` and
+``compare`` calls, a short ``--config`` file of the same keys and values.
+Whatever the input, the command ends as exit 0, 2 or 3,
 exit 2 writes exactly one ``error:`` line, no exception but argparse's
 ``SystemExit(2)`` escapes and no numpy ``RuntimeWarning`` is raised."""
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from polyak_opt import cli
 from polyak_opt.baselines import BASELINES, SGD_SCHEDULES
-from polyak_opt.config import _FIELDS, _FORMATS, _KEY_OF, _ORACLES
+from polyak_opt.config import _FIELD_OF, _FIELDS, _FORMATS, _KEY_OF, _ORACLES
 from polyak_opt.data import parse_libsvm
 from polyak_opt.losses import _FAMILIES
 from polyak_opt.polyak import _SCHEDULES, METHODS
@@ -88,12 +90,33 @@ def _flag_values(tmp_path, data_file):
     }
 
 
+# config lines the parser rejects: no "=", an unknown key, a byte that is not UTF-8
+ODD_LINES = (b"gamma 0.5", b"gammma = 0.5", b"out = \xff")
+
+
+def _config_text(values):
+    """The bytes of a config file: 0-4 lines, each a key with a value from
+    its flag's pool (the bool key's from the numbers' pool) or one of
+    ``ODD_LINES``, all with the same weight."""
+
+    def line(choice):
+        if isinstance(choice, bytes):
+            return st.just(choice)
+        pool = _pick(NUMBERS, EDGES) if isinstance(_FIELDS[_FIELD_OF[choice]].default, bool) else values[choice]
+        return pool.map(lambda raw: f"{choice} = {raw}".encode())
+
+    lines = st.lists(_pick(values, ODD_LINES).flatmap(line), max_size=4)
+    return lines.map(lambda ls: b"".join(x + b"\n" for x in ls))
+
+
 def _argv(tmp_path, data_file):
     """``gen`` of a synthetic spec, or ``run``, ``grid`` or ``compare`` with
     settings that run (a tiny dataset, half the time the LIBSVM file, a
-    family, a method, an oracle and 1-3 epochs) and then up to three keys'
-    flags with any value."""
+    family, a method, an oracle and 1-3 epochs), a quarter of the time a
+    ``--config`` file, and then up to three keys' flags with any value: the
+    argv and the config file's bytes (None for no file)."""
     values = _flag_values(tmp_path, data_file)
+    config_file = str(tmp_path / "exp.cfg")
     synth = _pick(("synth:separable:n=4,d=2", "synth:underparam:n=5,d=2,noise=0.3"))
     dataset = st.one_of(synth, st.just(data_file))
     base = st.tuples(dataset, _pick(("logistic", "squared")), _pick(METHOD_NAMES), _pick(_ORACLES),
@@ -102,8 +125,10 @@ def _argv(tmp_path, data_file):
     override = st.one_of([st.tuples(st.just(k), v) for k, v in values.items()])
     flags = st.lists(override, max_size=3).map(
         lambda kvs: [x for k, v in kvs for x in ("--" + k.replace("_", "-"),) + (() if v is None else (v,))])
-    return st.tuples(_pick(("run", "grid", "compare", "gen")), base, flags, _synth_spec()).map(
-        lambda c: ["gen", "--dataset", c[3]] if c[0] == "gen" else [c[0], *c[1], *c[2]])
+    config = st.one_of(st.none(), st.none(), st.none(), _config_text(values))  # a file in 1 of 4
+    return st.tuples(_pick(("run", "grid", "compare", "gen")), base, flags, _synth_spec(), config).map(
+        lambda c: (["gen", "--dataset", c[3]], None) if c[0] == "gen" else
+        ([c[0], *c[1], *(() if c[4] is None else ("--config", config_file)), *c[2]], c[4]))
 
 
 def _call(argv):
@@ -125,8 +150,11 @@ def test_every_input_ends_at_the_boundary(tmp_path):
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     @given(_argv(tmp_path, str(data_file)), _libsvm_text())
-    def check(argv, libsvm_text):
+    def check(call, libsvm_text):
+        argv, config_text = call
         data_file.write_text(libsvm_text, encoding="utf-8")
+        if config_text is not None:
+            (tmp_path / "exp.cfg").write_bytes(config_text)
         code, out, err = _call(argv)
         assert code in (None, 0, 2, 3), (argv, code, err)
         if code == 2:

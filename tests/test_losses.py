@@ -17,7 +17,6 @@ from polyak_opt.losses import (
     UnsupportedFamilyError,
     _phi_array,
     _phi_of,
-    _scalar_phi,
     batch_eval,
     full_grad,
     full_loss,
@@ -235,7 +234,7 @@ def same_bits(got, want):
 
 
 class TestPhiArray:
-    """``_phi_array`` is ``_scalar_phi`` per margin, bit for bit, of one
+    """``_phi_array`` is ``_phi_of``'s phi per margin, bit for bit, of one
     sample or of an index array aligned with the margins."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
@@ -255,13 +254,14 @@ class TestPhiArray:
             i %= 2  # labels of -1 or +1 only
         rng = np.random.default_rng(seed)
         t = rng.permutation(np.concatenate([edges, rng.standard_normal(24) * 10.0**log_scale]))
-        scalar = [_scalar_phi(spec, data, ti, i) for ti in t.tolist()]
+        phi = _phi_of(spec, data)
+        scalar = [phi(ti, i) for ti in t.tolist()]
         vals, dvals = _phi_array(spec, data, t, i)
         assert same_bits(vals, [v for v, _ in scalar])
         assert same_bits(dvals, [dv for _, dv in scalar])
         # the same margins, each of its own sample
         idx = rng.integers(0, 2 if spec.family == "logistic" else 3, t.size)
-        scalar = [_scalar_phi(spec, data, ti, k) for ti, k in zip(t.tolist(), idx.tolist())]
+        scalar = [phi(ti, k) for ti, k in zip(t.tolist(), idx.tolist())]
         vals, dvals = _phi_array(spec, data, t, idx)
         assert same_bits(vals, [v for v, _ in scalar])
         assert same_bits(dvals, [dv for _, dv in scalar])

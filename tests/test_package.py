@@ -6,6 +6,10 @@ import inspect
 from pathlib import Path
 
 import polyak_opt
+from polyak_opt.baselines import FlatDataError
+from polyak_opt.config import ConfigError
+from polyak_opt.data import InputError, ParseError
+from polyak_opt.losses import UnsupportedFamilyError
 
 PUBLIC_NAMES = [
     "AuxEval",
@@ -203,3 +207,34 @@ def test_lazy_scale_lives_in_the_kernel():
         return isinstance(node, ast.Constant) and node.value in (1e-100, 1e100)
 
     assert scopes_referring(bound) == ["polyak._Kernel.run"] * 2
+
+
+def handlers_catching(*names):
+    """The dotted scope of every ``except`` clause in ``src/`` that names
+    one of ``names``, in file order."""
+
+    def catches(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(getattr(t, "id", getattr(t, "attr", None)) in names for t in types)
+
+    return scopes_referring(catches)
+
+
+def test_bad_input_becomes_exit_2_in_one_place():
+    """Every error for bad input is a ``data.InputError``, raised by the
+    check where it runs: the only ``except`` clauses in ``src/`` that catch
+    a ValueError read text (``--sizes``, a config value, a float list, a
+    ``synth:`` spec's numbers and its generator's checks, a LIBSVM line's
+    numbers), none catches an UnsupportedFamilyError or a FlatDataError to
+    say it again as a ConfigError, and ``cli.main``, which reports it as
+    exit 2, is the only handler of the base or any of its subclasses."""
+    subclasses = (ConfigError, ParseError, UnsupportedFamilyError, FlatDataError)
+    assert all(issubclass(cls, InputError) for cls in subclasses)
+    assert handlers_catching("ValueError", "UnsupportedFamilyError", "FlatDataError") == [
+        "cli.cmd_verify", "config._coerce", "config.parse_float_list",
+        "config.resolve_dataset", "config.resolve_dataset",
+        "data.parse_libsvm", "data.parse_libsvm", "data.parse_libsvm",
+    ]
+    assert handlers_catching("InputError", *(cls.__name__ for cls in subclasses)) == ["cli.main"]
