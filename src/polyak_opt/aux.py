@@ -39,6 +39,7 @@ from .polyak import (
     HyperParams,
     TrackerState,
     _check_run,
+    _draw_list,
     _epoch_loop,
     _initial_tau,
     _make_record,
@@ -394,7 +395,7 @@ def run_epochs_sgd_view(
 
     def run(draws, t):
         nonlocal w, alpha, tau_val
-        for t, i in enumerate(draws, t):
+        for t, i in enumerate(_draw_list(draws), t):
             gamma_t, gamma_tau_t = _stepsizes_at(hyper, t, n)
             if sp_like:
                 w = sgd_view_sp_step(spec, data, w, i, gamma_t, float(fi_stars[i]))

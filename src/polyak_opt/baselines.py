@@ -31,7 +31,7 @@ from .losses import (
     loss_grad_i,
     smoothness_constants,
 )
-from .polyak import HyperParams, NumericError, _check_run, _epoch_loop, _Kernel, _make_record, _one_step
+from .polyak import HyperParams, NumericError, _check_run, _draw_list, _epoch_loop, _Kernel, _make_record, _one_step
 from .traces import TraceRecord
 
 BASELINES = ("sgd", "sag", "svrg", "adam")
@@ -145,8 +145,7 @@ def run_baseline(
     w = np.zeros(dim)
     rows, sigma, phi = data.rows, spec.sigma, _phi_of(spec, data)
     kernel = None if meth != "sgd" else _Kernel(
-        "sgd", spec, data, w, HyperParams(gamma=gamma),
-        stepsizes=lambda t: (sgd_stepsize(sgd_schedule, t + 1, l_max, gamma), 0.0))
+        "sgd", spec, data, w, HyperParams(gamma=gamma), schedule=(sgd_schedule, l_max))
     # sag: φ′ at each sample's last visit (0 before it) and Σ_i dvals[i]·x_i
     dvals, grad_sum = np.zeros(n), np.zeros(dim)
     # svrg: the snapshot and its full gradient (w is rebound, never written)
@@ -156,7 +155,7 @@ def run_baseline(
 
     def run(draws, t):
         nonlocal w, w_ref, mu_ref, m, v, grad_sum
-        for t, i in enumerate(draws, t + 1):  # t: steps taken, this one included
+        for t, i in enumerate(_draw_list(draws), t + 1):  # t: steps taken, this one included
             if meth == "adam":  # bias-corrected, β1 = 0.9, β2 = 0.999, ε = 1e-8
                 fi, g = loss_grad_i(spec, data, w, i)
                 _check_finite(i, fi)

@@ -171,9 +171,9 @@ def _certificate(cfg: ExperimentConfig, spec, data):
     losses for sp and spsmax where there is one, else ``cfg.fi_star``. The
     oracle runs with numpy's floating-point warnings off, and non-finite
     optimal losses are a ConfigError. They come from a squared certificate
-    on data at the edge of the float range: its closed form divides by
-    each singular value's square, which is 0 below about 1e-162, and its
-    losses overflow on labels near 1e308."""
+    on data at the edge of the float range: its closed form's w* overflows
+    where a singular value is subnormal, and its losses overflow on labels
+    near 1e308."""
     if cfg.oracle == "none":
         return None, cfg.fi_star
     budget = cfg.budget if cfg.oracle == "iter" else None

@@ -69,8 +69,9 @@ class CSRMatrix:
     """Read-only n x d matrix in compressed sparse row form.
 
     ``data`` (float64), ``indices`` and ``indptr`` (intp) are the CSR
-    arrays, ``row_ids[e]`` is the row of stored entry e, and ``shape`` is
-    (n, d). The arrays are checked and made read-only: ``indptr`` must be
+    arrays, C-contiguous (the compiled step loop reads them by pointer),
+    ``row_ids[e]`` is the row of stored entry e, and ``shape`` is (n, d).
+    The arrays are checked and made read-only: ``indptr`` must be
     n+1 non-decreasing offsets from 0 to nnz, and the indices must lie in
     [0, d) and strictly increase along each row, or ValueError. ``data``
     may hold zeros and non-finite values.
@@ -108,9 +109,9 @@ class CSRMatrix:
     __slots__ = ("data", "indices", "indptr", "shape", "nnz", "row_ids", "dense", "columns")
 
     def __init__(self, data, indices, indptr, shape):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.indices = np.asarray(indices, dtype=np.intp)
-        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.intp)
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.intp)
         n, d = self.shape = (int(shape[0]), int(shape[1]))
         self.nnz = int(self.data.size)
         ptr, idx = self.indptr, self.indices

@@ -350,11 +350,12 @@ def optimum_oracle(
     """Solve for w_star independently of the stochastic methods.
 
     squared: one thin SVD X = U S V^T, w = V (S U^T y / (S^2 + n sigma)),
-    with singular values at or below numpy lstsq's default cutoff
-    (s_max * max(n, d) * eps) counted as 0. That is the ridge solution for
-    sigma > 0 and, at sigma = 0, the minimum-norm least-squares solution,
-    the point that methods started at w = 0 in the row space of X reach
-    when the minimizer is not unique. logistic: truncated
+    each quotient with s scaled by a power of two, and singular values at
+    or below numpy lstsq's default cutoff (s_max * max(n, d) * eps) counted
+    as 0. That is the ridge solution for sigma > 0 and, at sigma = 0, the
+    minimum-norm least-squares solution, the point that methods started at
+    w = 0 in the row space of X reach when the minimizer is not unique.
+    logistic: truncated
     Newton with conjugate-gradient inner solves on Hessian-vector products
     (the d x d Hessian is never formed) and an Armijo line search, run to
     ||grad f|| <= 1e-11 or until ``budget`` Newton iterations are spent
@@ -372,7 +373,12 @@ def optimum_oracle(
         u, s, vt = np.linalg.svd(data.X.toarray(), full_matrices=False)
         r = np.count_nonzero(s > s.max(initial=0.0) * max(n, d) * np.finfo(np.float64).eps)
         s = s[:r]
-        w = vt[:r].T @ (s * (u[:, :r].T @ data.labels) / (s * s + n * sigma))
+        # s·b/(s² + nσ) as 2^-k·(m·b)/(m² + nσ·4^-k) with s = m·2^k, 2^k the
+        # power of two just above max(s, √(nσ)): the same bits while every
+        # intermediate is a normal float, and no s² that underflows or overflows
+        k = np.frexp(np.maximum(s, math.sqrt(n * sigma)))[1]
+        m = np.ldexp(s, -k)
+        w = vt[:r].T @ np.ldexp(m * (u[:, :r].T @ data.labels) / (m * m + np.ldexp(n * sigma, -2 * k)), -k)
         tol, mu = 1e-10, float(s[-1] ** 2 / n + sigma) if 0 < r == d else sigma
     elif spec.family == "logistic":
         if spec.sigma <= 0.0 and budget is None:

@@ -22,13 +22,12 @@ up to roundoff, and the aggregate branch reads all of its inputs from the
 pre-step state.
 
 All three, and SGD as the data step with coefficient 1, are steps of one
-kernel whose data steps cost O(nnz_i) on sparse data (see ``_Kernel``);
-``run_grid`` runs one method at many (γ, γ_τ) pairs: the motaps grid at
-β = 0 on data whose rows are all full as a batch whose cells are the
-kernel's arithmetic bit for bit (see ``_Batch``), and every other grid as
-one ``run_epochs`` per cell. It,
-``run_epochs`` and ``baselines.run_baseline`` are setup around one epoch
-loop and one record builder (``_epoch_loop``, ``_make_record``).
+kernel whose data steps cost O(nnz_i) on sparse data (see ``_Kernel``),
+whose step loop runs compiled where ``_native`` can build and check it,
+with the same bytes as the Python loop; ``run_grid`` runs one method at
+many (γ, γ_τ) pairs, each cell one ``run_epochs`` that builds only its last
+record. It, ``run_epochs`` and ``baselines.run_baseline`` are setup around
+one epoch loop and one record builder (``_epoch_loop``, ``_make_record``).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .losses import (  # noqa: F401 - loss_grad_i: the kernel's reference; perfb
     OptimumCertificate,
     _check_index,
     _mean_grad,
-    _phi_array,
     _phi_of,
     full_grad,
     full_loss,
@@ -253,30 +251,44 @@ class _Kernel:
     taken at the averaged w. Both cost O(d). On dense rows the lazy scale
     saves nothing, since a step touches every coordinate anyway, while its
     rounding differs from the reference's, and along an ill-conditioned sp
-    trajectory that difference grows past what ``verify`` tolerates.
+    trajectory that difference grows past what ``verify`` tolerates. Every
+    step writes v, z and α in place.
 
-    A step's cost is mostly interpreter and numpy call overhead on short
-    vectors. So ``run`` takes a whole epoch's draws in one loop that keeps
-    the state in locals and calls the loss family's φ bound once per run
-    (``losses._phi_of``), and a step makes few numpy calls: products are
+    ``run`` takes a whole epoch's draws in one loop. Where ``_native``
+    loads, a run of more than one draw goes through its compiled twin of
+    that loop, which gives the same bytes; a single draw, as the
+    single-step functions take, stays in Python, where the compiled call's
+    one-time set-up would cost more than the step. A Python step's cost is
+    mostly interpreter and numpy call overhead on short vectors, so the
+    loop keeps the state in locals, calls the loss family's φ bound once
+    per run (``losses._phi_of``) and makes few numpy calls: products are
     ``ndarray.dot`` (the same ddot as ``@`` at about half the call cost),
-    and the plain step writes g, σw and γc·g into two preallocated vectors.
-    On a 2-vCPU KVM guest (median of 50 in-process ``run`` calls of 2000
-    draws) a motaps step on a 20-nonzero row of d = 10 000 costs about
-    3 µs and a plain motaps step at d = 50 about 5 µs; a busy host reads up
-    to twice that.
+    and the plain step writes g, σw and γc·g into two preallocated
+    vectors. On a 2-vCPU KVM guest (median of 50 in-process ``run`` calls
+    of 2000 draws) a Python motaps step on a 20-nonzero row of d = 10 000
+    costs about 3 µs and a plain motaps step at d = 50 about 5 µs, and a
+    compiled step 0.1–0.3 µs; a busy host reads up to twice that.
 
     ``hyper`` gives β, the spsmax cap, λ and the step sizes, which
-    ``stepsizes(t)`` -> (γ, γ_τ) replaces at step t where given; the
-    decreasing schedule is one such. ``fi_stars`` is anything indexable by
-    sample index, and ``state`` is the ``TrackerState`` of taps and motaps.
+    ``schedule`` replaces at each step where it is not constant: it is
+    (``hyper.schedule``, 0.0) by default, whose decreasing schedule sets γ
+    and γ_τ from ``decreasing_schedule``, or (an sgd schedule, L_max),
+    which sets γ from ``baselines.sgd_stepsize``. ``fi_stars`` is the array
+    of the n sp targets, and ``state`` is the ``TrackerState`` of taps and
+    motaps.
     """
 
-    def __init__(self, method, spec, data, w, hyper, *, state=None, fi_stars=None, stepsizes=None):
+    def __init__(self, method, spec, data, w, hyper, *, state=None, fi_stars=None, schedule=None):
         self.method, self.spec, self.data, self.hyper = method, spec, data, hyper
-        self.state, self.fi_stars, self.stepsizes = state, fi_stars, stepsizes
-        if stepsizes is None and hyper.schedule != "constant":
-            self.stepsizes = lambda t: _stepsizes_at(hyper, t, data.n)
+        self.state, self.fi_stars, self.native = state, fi_stars, None
+        name, l_max = self.schedule = schedule or (hyper.schedule, 0.0)
+        if name in ("constant", "motaps_decreasing"):
+            self.stepsizes = None if name == "constant" else lambda t: _stepsizes_at(hyper, t, data.n)
+        else:
+            from .baselines import sgd_stepsize  # deferred: baselines builds on this module
+
+            self.stepsizes = lambda t: (sgd_stepsize(name, t + 1, l_max, hyper.gamma), 0.0)
+        self.tau_coeff = motaps_tau_coeff(hyper.lam, data.n)
         self.v, self.s = w, 1.0
         self.z = w.copy() if hyper.beta else None
         self.wsq = float(w.dot(w))
@@ -295,8 +307,9 @@ class _Kernel:
         return self.v
 
     def run(self, draws, t):
-        """Take a step at each sample index of ``draws``, the first being
-        step t of the run; returns the last step's coefficient.
+        """Take a step at each sample index of ``draws`` (a list or an
+        integer array), the first being step t of the run; returns the last
+        step's coefficient.
 
         A data step is w ← w − γc∇f_i(w), with c = 1 for sgd and otherwise
         c = (f_i(w) − target)/(‖∇f_i(w)‖² + shift): f_i* and shift 0 for
@@ -315,17 +328,22 @@ class _Kernel:
         state goes back to ``self`` when the draws are done or before the
         error leaves.
         """
+        if len(draws) > 1:
+            from . import _native  # deferred: importing the package loads nothing
+
+            if (lib := _native.load()) is not None and (c := _native.run(lib, self, draws, t)) is not None:
+                return c
         hyper, st, stepsizes, fi_stars = self.hyper, self.state, self.stepsizes, self.fi_stars
         n, rows, sigma, beta, lazy = self.data.n, self.data.rows, self.spec.sigma, hyper.beta, self.lazy
         phi, sqnorms, g, tmp = _phi_of(self.spec, self.data), self.sqnorms, self._g, self._tmp
         sgd, learn_tau = self.method == "sgd", self.method == "motaps"
         cap = hyper.step_cap if self.method == "spsmax" else math.inf
-        gamma, gamma_tau, tau_coeff = hyper.gamma, hyper.gamma_tau, motaps_tau_coeff(hyper.lam, n)
+        gamma, gamma_tau, tau_coeff = hyper.gamma, hyper.gamma_tau, self.tau_coeff
         v, s, wsq, z, c, isfinite = self.v, self.s, self.wsq, self.z, 0.0, math.isfinite
         if st is not None:
             alpha, abar, tau = st.alpha, st.alpha_bar, st.tau
         try:
-            for i in draws:
+            for i in _draw_list(draws):
                 if stepsizes is not None:
                     gamma, gamma_tau = stepsizes(t)
                     t += 1
@@ -338,7 +356,8 @@ class _Kernel:
                     abar += delta
                     tau, c = new_tau, 0.0
                     if beta:
-                        v = beta * v + (1.0 - beta) * z
+                        v *= beta
+                        v += np.multiply(1.0 - beta, z, out=tmp)
                     continue
                 idx, x = rows[i]
                 if lazy:
@@ -376,7 +395,7 @@ class _Kernel:
                 elif gsq <= ZERO_GRAD_SQNORM:
                     c = 0.0
                 else:
-                    c = (fi - fi_stars[i]) / gsq
+                    c = (fi - fi_stars.item(i)) / gsq
                     if cap < c:
                         c = cap
                 if not isfinite(c):
@@ -400,15 +419,16 @@ class _Kernel:
                         s = 1.0
                         wsq = float(v.dot(v))
                 elif beta:
-                    z = z - gc / (1.0 - beta) * g
-                    v = beta * v + (1.0 - beta) * z
+                    z -= np.multiply(gc / (1.0 - beta), g, out=tmp)
+                    v *= beta
+                    v += np.multiply(1.0 - beta, z, out=tmp)
                 else:
                     v -= np.multiply(gc, g, out=tmp)
                 if st is not None:
                     alpha[i] = ai + gc
                     abar += gc / n
         finally:
-            self.v, self.s, self.wsq, self.z = v, s, wsq, z
+            self.s, self.wsq = s, wsq
             if st is not None:
                 st.alpha_bar, st.tau = abar, tau
         return c
@@ -437,7 +457,7 @@ def sp_step(
 ) -> StepOutcome:
     """One Polyak step on sample i; returns the new weight vector."""
     hyper = HyperParams(gamma=gamma, step_cap=step_cap)
-    return _one_step("spsmax", spec, data, w, i, hyper, {i: fi_star_array(fi_star, 1).item()})
+    return _one_step("spsmax", spec, data, w, i, hyper, np.full(data.n, fi_star_array(fi_star, 1).item()))
 
 
 def taps_step(
@@ -512,6 +532,11 @@ def sample_indices(rng: np.random.Generator, high: int, count: int) -> np.ndarra
     return rng.integers(0, high, size=count)
 
 
+def _draw_list(draws) -> list:
+    """``run(draws, t)``'s draws as a list of ints, from a list or an array."""
+    return draws if isinstance(draws, list) else draws.tolist()
+
+
 def _stepsizes_at(hyper: HyperParams, t: int, n: int) -> tuple[float, float]:
     if hyper.schedule == "constant":
         return hyper.gamma, hyper.gamma_tau
@@ -559,15 +584,17 @@ def _check_run(method: str, names, data: Dataset, epochs: int, hyper: HyperParam
 def _epoch_loop(seed: int, high: int, epochs: int, run, end_epoch) -> list:
     """Every driver's loop: per epoch, a list of ``high`` uniform draws
     from one generator seeded with ``seed``, taken as ``run(draws, t)``
-    with t the steps before them, then ``end_epoch(epoch, t)``, whose
-    results it returns (a NumericError leaves with them attached as
-    ``records``)."""
+    (an integer array) with t the steps before them, then
+    ``end_epoch(epoch, t)``, whose results other than None it returns (a
+    NumericError leaves with them attached as ``records``)."""
     rng, records, t = np.random.default_rng(seed), [], 0
     try:
         for epoch in range(1, epochs + 1):
-            run(sample_indices(rng, high, high).tolist(), t)
+            run(sample_indices(rng, high, high), t)
             t += high
-            records.append(end_epoch(epoch, t))
+            record = end_epoch(epoch, t)
+            if record is not None:
+                records.append(record)
     except NumericError as err:
         err.records = records
         raise
@@ -587,6 +614,7 @@ def run_epochs(
     tau: float | None = None,
     init_state=None,
     observer=None,
+    last_only: bool = False,
 ) -> list[TraceRecord]:
     """Run a Polyak-family method for whole epochs and return its trace.
 
@@ -602,19 +630,22 @@ def run_epochs(
     the fixed taps target or the initial motaps τ; a non-finite value of
     either is a ValueError. ``init_state`` is a weight vector for sp/spsmax
     and a ``TrackerState`` for taps and motaps, whose ``tau`` then replaces
-    ``tau``. A numeric abort raises NumericError with the completed records
-    attached.
+    ``tau``. ``last_only`` builds the last epoch's record alone (a grid
+    cell's) and returns it alone. A numeric abort raises NumericError with
+    the completed records attached.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
     n, fi_stars = data.n, fi_star_array(fi_star, data.n)
     w, state = _start(meth, data, init_state, tau)
-    kernel = _Kernel(meth, spec, data, w, hyper, state=state, fi_stars=fi_stars.tolist())
+    kernel = _Kernel(meth, spec, data, w, hyper, state=state, fi_stars=fi_stars)
 
     def end_epoch(epoch, t):
         w = kernel.fold()
         if state is not None:
             state.w, state.alpha_bar = w, float(np.mean(state.alpha))
-        record = _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
+        record = None
+        if epoch == epochs or not last_only:
+            record = _make_record(meth, spec, data, w, certificate, epoch, t / n, state, hyper, fi_stars)
         if observer is not None:
             observer(epoch, state if state is not None else w)
         return record
@@ -656,93 +687,7 @@ def _make_record(meth, spec, data, w, certificate, epoch, passes,
 
 
 # ---------------------------------------------------------------------------
-# grid driver: the motaps grid's (γ, γ_τ) cells as rows of one state batch
-
-
-class _Batch:
-    """``_Kernel.run``'s plain motaps step at β = 0 for C runs that differ
-    only in (γ, γ_τ), on data whose rows are all full.
-
-    Every cell draws the same sampled indices, so one index is one
-    vectorised update of all cells. Row r of ``V`` (C×d) and of ``A``
-    (C×n), and entry r of ``abar``, ``tau`` and the step sizes, are the
-    state of cell ``cells[r]``. ``run`` reads line for line like the
-    kernel's loop, and each cell's arithmetic is the kernel's bit for bit:
-
-    * margins and square norms are one ddot per row (``np.vecdot``);
-    * φ is ``losses._phi_array`` of sample i, as in ``batch_eval``:
-      ``math.exp`` and ``math.log1p`` mapped over the cells' margins, since
-      numpy's vectorised exp rounds differently, and ``_phi_of``'s phi per
-      cell at a step where some e^yt overflows (and for the monomial family);
-    * everything else is elementwise, in the kernel's order of operations.
-
-    Every other grid, that is sp, spsmax, taps, β > 0 or data with a sparse
-    row, ``run_grid`` runs once per cell instead (see there).
-
-    Where the kernel raises NumericError, the batch builds a finiteness
-    mask instead, and a step ends with ``_keep`` dropping the cells that
-    fail it. A step's cost is numpy call overhead on length-C vectors and
-    C×d arrays, so it computes γc once for the iterate and the tracker, and
-    tests for a cell to drop with ``np.count_nonzero`` (a reduction such as
-    ``any`` costs four times as much). On a 2-vCPU KVM guest (median of 50
-    runs of 1000 steps) a step at C = 49, d = 20 costs about 35 µs, about
-    15 µs of it in ``_phi_array``.
-    """
-
-    _ROWS = ("cells", "V", "A", "abar", "tau", "gamma", "gamma_tau")
-
-    def __init__(self, spec, data, lam, cells, *, tau):
-        self.spec, self.data, self.lam, size = spec, data, lam, len(cells)
-        self.cells = np.arange(size)
-        self.gamma = np.array([g for g, _ in cells], dtype=np.float64)
-        self.gamma_tau = np.array([gt for _, gt in cells], dtype=np.float64)
-        self.V = np.zeros((size, data.dim))
-        self.A = np.zeros((size, data.n))
-        self.abar = np.zeros(size)
-        self.tau = np.full(size, tau)
-
-    def _keep(self, ok):
-        if np.count_nonzero(ok) < ok.size:
-            for name in self._ROWS:
-                setattr(self, name, getattr(self, name)[ok])
-
-    def end_epoch(self):
-        """The exact tracker mean, for every cell."""
-        self.abar = np.mean(self.A, axis=1)
-
-    def run(self, draws, t):
-        """``_Kernel.run`` for every cell, at the step sizes of the cells
-        still in the batch; each step drops the cells where the kernel would
-        have raised NumericError. The state stays on ``self``, since a
-        dropped cell rebinds every row array."""
-        spec, data = self.spec, self.data
-        n, rows, sigma, tau_coeff = data.n, data.rows, spec.sigma, motaps_tau_coeff(self.lam, data.n)
-        for i in draws:
-            gamma = self.gamma
-            if i == n:  # the aggregate step, from the pre-step τ and ᾱ
-                delta = gamma * (self.tau - self.abar)
-                self.tau = (1.0 - self.gamma_tau) * self.tau + self.gamma_tau * tau_coeff * self.abar
-                self.A += delta[:, None]
-                self.abar += delta
-                self._keep(np.isfinite(delta) & np.isfinite(self.tau))
-                continue
-            x, V = rows[i].values, self.V
-            fi, dval = _phi_array(spec, data, np.vecdot(V, x), i)
-            G = dval[:, None] * x
-            if sigma:
-                fi += 0.5 * sigma * np.vecdot(V, V)
-                G += sigma * V
-            gsq = np.vecdot(G, G)
-            alpha = self.A[:, i]  # a view: the target, then moved in place
-            c = (fi - alpha) / (gsq + 1.0)
-            # a full row has no zero entry, so a non-finite φ′ makes ‖g‖² non-finite
-            ok = np.isfinite(fi) & np.isfinite(gsq) & np.isfinite(c)
-            gc = gamma * c
-            G *= gc[:, None]
-            V -= G
-            alpha += gc
-            self.abar += gc / n
-            self._keep(ok)
+# grid driver: one run per (γ, γ_τ) cell
 
 
 def run_grid(
@@ -760,35 +705,23 @@ def run_grid(
     """Run ``method`` at every (γ, γ_τ) pair of ``cells``.
 
     Returns, per cell, the last record that ``run_epochs`` with ``hyper``
-    at that γ and γ_τ (from w⁰ = 0, no certificate) would return, bit for
-    bit, or None where that run would raise NumericError. The motaps grid
-    at β = 0 on data whose rows are all full runs as one ``_Batch``, which
-    evaluates only the last epoch and holds C×(n+d) floats for C cells.
-    Every other grid runs each cell as one ``run_epochs``. ``hyper.schedule``
-    must be constant: any other sets γ and γ_τ itself, so every cell would
-    be the same run. A non-finite ``tau`` or ``fi_star`` is a ValueError, as
-    in ``run_epochs``.
+    at that γ and γ_τ (from w⁰ = 0, no certificate) returns, or None where
+    that run raises NumericError: each cell is one such run, which builds
+    only its last record. ``hyper.schedule`` must be constant: any other
+    sets γ and γ_τ itself, so every cell would be the same run. A
+    non-finite ``tau`` or ``fi_star`` is a ValueError, as in ``run_epochs``.
     """
     meth = _check_run(method, METHODS, data, epochs, hyper)
     if hyper.schedule != "constant":
         raise ValueError(f"the {hyper.schedule} schedule sets gamma and gamma_tau itself, "
                          "so every grid cell would be the same run")
     cell_hypers = [dataclasses.replace(hyper, gamma=g, gamma_tau=gt) for g, gt in cells]  # validates each cell
-    n, fi_stars, tau = data.n, fi_star_array(fi_star, data.n), _initial_tau(tau)
-    finals: list[TraceRecord | None] = [None] * len(cells)
-    with np.errstate(all="ignore"):  # a cell may overflow before its step drops it
-        if not (meth == "motaps" and not hyper.beta and data.X.dense):
-            for r, cell in enumerate(cell_hypers):
-                try:
-                    finals[r] = run_epochs(meth, spec, data, cell, epochs, seed, fi_star=fi_stars, tau=tau)[-1]
-                except NumericError:
-                    pass
-            return finals
-        batch = _Batch(spec, data, hyper.lam, cells, tau=tau)
-        _epoch_loop(seed, n + 1, epochs, batch.run, lambda epoch, t: batch.end_epoch())
-
-    for r, cell in enumerate(batch.cells.tolist()):
-        state = TrackerState(batch.V[r].copy(), batch.A[r].copy(), float(batch.abar[r]), float(batch.tau[r]))
-        finals[cell] = _make_record(meth, spec, data, state.w, None, epochs, epochs * (n + 1) / n,
-                                    state, hyper, fi_stars)
+    fi_stars, tau = fi_star_array(fi_star, data.n), _initial_tau(tau)
+    finals: list[TraceRecord | None] = []
+    with np.errstate(all="ignore"):  # a cell may overflow before its run aborts
+        for cell in cell_hypers:
+            try:
+                finals += run_epochs(meth, spec, data, cell, epochs, seed, fi_star=fi_stars, tau=tau, last_only=True)
+            except NumericError:
+                finals.append(None)
     return finals

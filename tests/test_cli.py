@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyak_opt import cli
+from polyak_opt import _native, cli
 from polyak_opt.baselines import run_baseline
 from polyak_opt.cli import main
 from polyak_opt.config import ExperimentConfig, dump_config, resolve_dataset
-from polyak_opt.data import load_libsvm, normalize_samples, serialize_libsvm, synth_dataset
+from polyak_opt.data import Dataset, load_libsvm, normalize_samples, serialize_libsvm, synth_dataset
 from polyak_opt.losses import LossSpec
-from polyak_opt.polyak import NumericError, lambda_max
+from polyak_opt.polyak import METHODS, NumericError, lambda_max
 from polyak_opt.traces import CSV_HEADER, parse_trace_csv, trace_to_csv
 
 # +-1 labels, so the default logistic family accepts it
@@ -367,9 +367,9 @@ class TestRun:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("text, oracle", [
-        # the closed form divides by s * s = 0 for the singular value 1e-300,
-        # which would leave sp with non-finite targets
-        ("1\n1 2:1e-300\n", "closed"),
+        # the closed form's w_2 = 1/s overflows for the subnormal singular
+        # value 1e-320, which would leave sp with non-finite targets
+        ("1\n1 2:1e-320\n", "closed"),
         # w_star is finite, but the squared losses at it overflow
         ("1e308 1:1\n-1e308 1:1\n", "iter"),
     ], ids=["singular_value", "label"])
@@ -956,3 +956,60 @@ def test_outputs_do_not_follow_numpy_simd_dispatch():
     assert [child.returncode for child in children] == [0, 0], err + err_off
     avx512, default = default.split("\n", 1)
     assert plain.split("\n", 1)[1] == default, f"default child AVX-512 on: {avx512}"
+
+
+def battery(tmp_path):
+    """About twenty short commands over both layouts: ``run`` of all eight
+    methods as CSV (on dense synthetic rows, with σ > 0, the cap, β > 0,
+    the decreasing schedule and the sgd schedules among them) and as JSON
+    to ``--out`` (on a sparse LIBSVM file with an empty row, one run on
+    the squared loss with its closed-form oracle), ``grid`` at β = 0 and 0.5
+    on both layouts, ``compare`` and ``verify``."""
+    rng = np.random.default_rng(12)
+    rows = np.where(rng.random((12, 30)) < 0.15, rng.standard_normal((12, 30)), 0.0)
+    rows[0] = 0.0
+    sparse = tmp_path / "sparse.svm"
+    sparse.write_text(serialize_libsvm(Dataset(rows, np.where(rng.random(12) < 0.5, -1.0, 1.0))),
+                      encoding="utf-8")
+    dense = ["--dataset", "synth:separable:n=30,d=5,seed=2", "--sigma", "0.01", "--epochs", "4"]
+    settings = {"spsmax": ["--step-cap", "0.05"], "taps": ["--beta", "0.5"],
+                "motaps": ["--schedule", "motaps_decreasing", "--mu", "0.2"], "sgd": ["--sgd-schedule", "paper_literal"]}
+    commands = [["run", "--method", m, *dense, *settings.get(m, [])] for m in METHODS + ("sgd", "sag", "svrg", "adam")]
+    commands += [["run", "--method", m, "--dataset", str(sparse), "--sigma", "0.001", "--epochs", "3",
+                  "--format", "json", "--out", str(tmp_path / f"{m}.json")] for m in METHODS + ("sgd", "sag", "svrg", "adam")]
+    commands.append(["run", "--method", "sp", "--dataset", str(sparse), "--family", "squared", "--oracle", "closed",
+                     "--epochs", "3"])
+    for data in (dense[:2], ["--dataset", str(sparse)]):
+        for beta in ("0", "0.5"):
+            commands.append(["grid", "--method", "motaps", *data, "--beta", beta, "--epochs", "3",
+                             "--gamma-grid", "0.1,0.9,1.1", "--gamma-tau-grid", "0.001,0.5"])
+    commands.append(["compare", "--dataset", str(sparse), "--epochs", "3"])
+    commands.append(["verify", "--sizes", "3:2,6:3", "--seed", "4"])
+    return commands
+
+
+def test_compiled_and_python_loops_print_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # every command once with the compiled step loop and once with the
+    # loader failing, so that every run takes the Python loop: the same
+    # stdout and --out bytes, and the compiled runs did take the C loop
+    lib = _native._build()
+    assert lib is not None
+    compiled_runs, run = [], _native.run
+    monkeypatch.setattr(_native, "run", lambda *args: compiled_runs.append(1) or run(*args))
+    outputs = {}
+    for mode, loaded in (("compiled", lib), ("python", None)):
+        monkeypatch.setattr(_native, "load", lambda loaded=loaded: loaded)
+        outputs[mode] = []
+        for argv in battery(tmp_path):
+            code, out, err = run_cli(capsys, *argv)
+            files = sorted(tmp_path.glob("*.json"))
+            outputs[mode].append((argv, code, out, err, [f.read_bytes() for f in files]))
+            for f in files:
+                f.unlink()
+        if mode == "compiled":
+            assert compiled_runs, "no run took the compiled loop"
+            compiled_runs.clear()
+    assert compiled_runs == []
+    assert len(outputs["compiled"]) >= 20
+    for compiled, python in zip(outputs["compiled"], outputs["python"], strict=True):
+        assert compiled == python

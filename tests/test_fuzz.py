@@ -2,8 +2,9 @@
 and ``gen`` driven in-process with flags built from every config key, values
 at the edges of what ``float`` and ``int`` read, tiny ``synth:`` specs, short
 LIBSVM files and, for about a quarter of the ``run``, ``grid`` and
-``compare`` calls, a short ``--config`` file of the same keys and values.
-Whatever the input, the command ends as exit 0, 2 or 3,
+``compare`` calls, a short ``--config`` file of the same keys and values;
+and, now and then, ``verify`` with its own three flags. Whatever the input,
+the command ends as exit 0, 2 or 3 (or 1, for ``verify --inject-fault``),
 exit 2 writes exactly one ``error:`` line, no exception but argparse's
 ``SystemExit(2)`` escapes and no numpy ``RuntimeWarning`` is raised."""
 
@@ -109,6 +110,18 @@ def _config_text(values):
     return lines.map(lambda ls: b"".join(x + b"\n" for x in ls))
 
 
+# verify's --sizes: small sizes that run (about 0.1 s each), and text it rejects
+SIZES = ("1:1", "2:1", "3:2", "0:1", "1:0", "-1:2", "1:1:1", "2", "1_0:2", "1e3:2", "5:3,", "x", "")
+
+
+def _verify_argv():
+    """``verify`` with a --sizes value (never its default sizes, which take
+    about 0.2 s), maybe --seed and maybe --inject-fault."""
+    return st.tuples(_pick(SIZES), st.one_of(st.none(), _pick(SMALL_INTS, EDGES)), st.booleans()).map(
+        lambda v: ["verify", "--sizes", v[0], *(() if v[1] is None else ("--seed", v[1])),
+                   *(("--inject-fault",) if v[2] else ())])
+
+
 def _argv(tmp_path, data_file):
     """``gen`` of a synthetic spec, or ``run``, ``grid`` or ``compare`` with
     settings that run (a tiny dataset, half the time the LIBSVM file, a
@@ -126,9 +139,12 @@ def _argv(tmp_path, data_file):
     flags = st.lists(override, max_size=3).map(
         lambda kvs: [x for k, v in kvs for x in ("--" + k.replace("_", "-"),) + (() if v is None else (v,))])
     config = st.one_of(st.none(), st.none(), st.none(), _config_text(values))  # a file in 1 of 4
-    return st.tuples(_pick(("run", "grid", "compare", "gen")), base, flags, _synth_spec(), config).map(
+    commands = st.tuples(_pick(("run", "grid", "compare", "gen")), base, flags, _synth_spec(), config).map(
         lambda c: (["gen", "--dataset", c[3]], None) if c[0] == "gen" else
         ([c[0], *c[1], *(() if c[4] is None else ("--config", config_file)), *c[2]], c[4]))
+    # verify in about 1 of 12, which keeps its runs to well under 1 s in all
+    return st.tuples(st.integers(0, 11), commands, _verify_argv()).map(
+        lambda c: (c[2], None) if c[0] == 6 else c[1])
 
 
 def _call(argv):
@@ -156,7 +172,7 @@ def test_every_input_ends_at_the_boundary(tmp_path):
         if config_text is not None:
             (tmp_path / "exp.cfg").write_bytes(config_text)
         code, out, err = _call(argv)
-        assert code in (None, 0, 2, 3), (argv, code, err)
+        assert code in (None, 0, 2, 3) or (code == 1 and "--inject-fault" in argv), (argv, code, err)
         if code == 2:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)

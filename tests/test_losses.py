@@ -434,6 +434,31 @@ class TestOptimumOracle:
             assert_allclose(cert.w_star, np.linalg.lstsq(X, data.labels, rcond=None)[0],
                             rtol=0, atol=1e-12)
 
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 8), d=st.integers(1, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), sigma=st.sampled_from([0.0, 1e-6, 0.3, 50.0]))
+    def test_closed_form_keeps_its_bits_on_normal_floats(self, seed, n, d, scale, sigma):
+        # the squared w* is s·(Uᵀy)/(s² + nσ) in the bits of that plain
+        # formula wherever each of its intermediates is a normal float
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * scale
+        data = Dataset(X, rng.standard_normal(n))
+        u, s, vt = np.linalg.svd(data.X.toarray(), full_matrices=False)
+        r = np.count_nonzero(s > s.max(initial=0.0) * max(n, d) * np.finfo(np.float64).eps)
+        s, b = s[:r], u[:, :r].T @ data.labels
+        tiny = np.finfo(np.float64).tiny
+        for part in (s * b, s * s, s * s + n * sigma, s * b / (s * s + n * sigma)):
+            assert np.all((np.abs(part) >= tiny) | (part == 0.0))
+        plain = vt[:r].T @ (s * b / (s * s + n * sigma))
+        assert optimum_oracle(LossSpec(family="squared", sigma=sigma), data).w_star.tobytes() == plain.tobytes()
+
+    def test_closed_form_where_the_square_of_s_underflows(self):
+        # s = 1e-300, whose square is 0 in floats: the minimum-norm solution of
+        # (0, 1e-300)·w = 1 is w_2 = 1e300, and the other row is empty
+        data = Dataset(CSRMatrix([1e-300], [1], [0, 0, 1], (2, 2)), [1.0, 1.0])
+        cert = optimum_oracle(LossSpec(family="squared"), data)
+        assert cert.w_star.tolist() == [0.0, 1e300]
+        assert cert.fi_star.tolist() == [0.5, 0.0] and cert.converged
+
     def test_no_features(self):
         # d = 0: w* is empty and every f_i is the constant y_i^2 / 2
         data = Dataset(np.zeros((3, 0)), [1.0, -1.0, 2.0])

@@ -1,11 +1,22 @@
 """The package's public names, one per line, so that adding or removing an
-export shows as a one-line diff here, and its modules' imports."""
+export shows as a one-line diff here, its modules' imports, and how the
+compiled step loop ships, builds and falls back."""
 
 import ast
 import inspect
+import os
+import re
+import subprocess
+import sys
+import tomllib
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import polyak_opt
+from polyak_opt import _native
 from polyak_opt.baselines import FlatDataError
 from polyak_opt.config import ConfigError
 from polyak_opt.data import InputError, ParseError
@@ -152,10 +163,11 @@ def test_kernel_is_built_in_three_places():
     """A step kernel is built only by the two epoch drivers and by
     ``polyak._one_step``, which every single step calls, so a run and a
     single step start from one ``polyak._start`` and pass one set of
-    checks."""
+    checks. The compiled loop's self-check builds its own kernels too, to
+    run the same draws through both loops."""
     assert scopes_referring(
         lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Kernel"
-    ) == ["baselines.run_baseline", "polyak._one_step", "polyak.run_epochs"]
+    ) == ["_native._self_check", "baselines.run_baseline", "polyak._one_step", "polyak.run_epochs"]
 
 
 def test_phi_has_one_array_form():
@@ -187,26 +199,33 @@ def test_squared_optimum_is_one_svd():
 
 
 def test_each_engine_steps_in_one_loop():
-    """``_Kernel`` and ``_Batch`` each take an epoch's draws in one ``run``
-    loop, with no per-step helper methods beside it, so the two engines'
-    arithmetic can be read side by side."""
+    """``_Kernel`` takes an epoch's draws in one ``run`` loop, with no
+    per-step helper methods beside it, and it is the only step engine in
+    ``polyak.py``; its compiled twin is the one exported function of
+    ``_kernel.c``, ``pk_run``, so the two loops can be read side by side."""
     tree = ast.parse(Path(polyak_opt.__file__).with_name("polyak.py").read_text(encoding="utf-8"))
     methods = {node.name: [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                for node in tree.body if isinstance(node, ast.ClassDef)}
     assert methods["_Kernel"] == ["__init__", "fold", "run"]
-    assert methods["_Batch"] == ["__init__", "_keep", "end_epoch", "run"]
+    assert [name for name in methods if name.startswith("_")] == ["_Kernel"]
+    source = Path(polyak_opt.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+    exported = re.findall(r"^(?!static)[a-z][\w ]*?\b(\w+)\(", source, flags=re.M)
+    assert exported == ["pk_run"]
 
 
 def test_lazy_scale_lives_in_the_kernel():
     """The lazy scale step w = s·v, whose scale folds once it leaves
-    [1e-100, 1e100], is taken only in ``polyak._Kernel.run``: no other code
-    in ``src/`` names either bound, so no second copy of the step can grow
-    beside it (``run_grid`` runs data with a sparse row once per cell)."""
+    [1e-100, 1e100], is taken only in ``polyak._Kernel.run`` and its
+    compiled twin: no other Python code in ``src/`` names either bound, and
+    ``_kernel.c`` states each bound once, so no second copy of the step can
+    grow beside them (``run_grid`` runs every cell through the kernel)."""
 
     def bound(node):
         return isinstance(node, ast.Constant) and node.value in (1e-100, 1e100)
 
     assert scopes_referring(bound) == ["polyak._Kernel.run"] * 2
+    source = Path(polyak_opt.__file__).with_name("_kernel.c").read_text(encoding="utf-8")
+    assert re.findall(r"\b1e-?100\b", source) == ["1e-100", "1e100"]
 
 
 def handlers_catching(*names):
@@ -238,3 +257,59 @@ def test_bad_input_becomes_exit_2_in_one_place():
         "data.parse_libsvm", "data.parse_libsvm", "data.parse_libsvm",
     ]
     assert handlers_catching("InputError", *(cls.__name__ for cls in subclasses)) == ["cli.main"]
+
+
+def test_kernel_source_is_package_data():
+    """An installed wheel carries ``_kernel.c``, so that it can build the
+    compiled loop."""
+    root = Path(polyak_opt.__file__).parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert package_data == {"polyak_opt": ["_kernel.c"]}
+    assert _native.SOURCE == Path(polyak_opt.__file__).with_name("_kernel.c") and _native.SOURCE.is_file()
+
+
+def test_import_builds_nothing(tmp_path):
+    """``import polyak_opt`` in a fresh interpreter imports neither
+    ``subprocess`` nor ``hashlib``, loads no library and starts no compiler:
+    a ``gcc`` first on PATH would leave a mark."""
+    bin_dir, mark = tmp_path / "bin", tmp_path / "gcc-ran"
+    bin_dir.mkdir()
+    (bin_dir / "gcc").write_text(f"#!/bin/sh\ntouch {mark}\nexit 1\n", encoding="utf-8")
+    (bin_dir / "gcc").chmod(0o755)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import polyak_opt; "
+             "from polyak_opt import _native; "
+             "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)), _native._lib is _native._UNSET)")
+    env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}", "HOME": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", probe, str(Path(polyak_opt.__file__).parents[1])],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[] True\n"
+    assert not mark.exists()
+
+
+@pytest.mark.parametrize("cache", ["under_a_file", "shared", "not_owned", "no_gcc"])
+def test_unusable_cache_or_compiler_falls_back_without_warning(tmp_path, monkeypatch, cache):
+    """A cache directory that cannot be written or is not private to the
+    user, or no ``gcc``, leaves ``load`` with None and runs on the Python
+    loop, with no warning."""
+    target = tmp_path / "cache"
+    if cache == "under_a_file":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        target = tmp_path / "file" / "cache"
+    elif cache == "shared":
+        target.mkdir()
+        target.chmod(0o777)
+    elif cache == "not_owned":
+        monkeypatch.setattr(os, "getuid", lambda: os.geteuid() + 1)
+    else:
+        monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr(_native, "_cache_dir", lambda: target)
+    monkeypatch.setattr(_native, "_lib", _native._UNSET)
+    data = polyak_opt.Dataset(np.eye(3) + 1.0, [1.0, -1.0, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _native.load() is None
+        records = polyak_opt.run_epochs("sp", polyak_opt.LossSpec(family="logistic"), data,
+                                        polyak_opt.HyperParams(), 2, 0)
+    assert caught == [] and len(records) == 2
+    assert list(tmp_path.rglob("*.so")) == []

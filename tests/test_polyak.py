@@ -8,11 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from polyak_opt import baselines, losses, polyak
+from polyak_opt import _native, baselines, losses, polyak
 from polyak_opt.aux import joint_projection_taps, run_epochs_sgd_view
 from polyak_opt.baselines import run_baseline, sgd_step
 from polyak_opt.config import resolve_dataset
@@ -1246,6 +1246,145 @@ class TestKernelProperties:
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (name, a, b)
 
 
+@pytest.fixture(scope="module")
+def compiled_loop():
+    """The compiled step loop, built and self-checked on this host whatever
+    ``_native.load`` is set to return."""
+    lib = _native._build()
+    assert lib is not None, "the compiled loop does not build or fails its self-check here"
+    return lib
+
+
+@st.composite
+def kernel_cases(draw):
+    """A kernel and the draws it takes, at sizes and scales that reach
+    every branch of the step: the three families at σ = 0 and σ > 0 on
+    full rows or on partial rows with an empty first row; every method
+    with β = 0 or 0.5, the spsmax cap, the decreasing schedule (also past
+    its switch point) and sgd's three; and starting states from 0 to 1e200,
+    targets up to ±1e120 and τ = -1.6e308, where scales fold both ways,
+    gradients vanish or overflow and the aggregate step overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    family = draw(st.sampled_from(["logistic", "squared", "monomial"]))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rows = rng.standard_normal((n, d)) * draw(st.sampled_from([1.0, 1e-3, 30.0]))
+    if draw(st.booleans()):  # partial rows: the lazy step at β = 0
+        rows[rng.random((n, d)) < 0.5] = 0.0
+        rows[0] = 0.0
+    labels = np.sign(rng.standard_normal(n)) + 0.0 if family == "logistic" else rng.standard_normal(n)
+    spec = LossSpec(family=family, sigma=draw(st.sampled_from([0.0, 0.1, 3.0])),
+                    power_r=draw(st.sampled_from([0.5, 0.75, 1.5])),
+                    scales=rng.random(n) + 0.5 if draw(st.booleans()) else None)
+    method = draw(st.sampled_from(["sp", "spsmax", "taps", "motaps", "sgd"]))
+    tracker = method in ("taps", "motaps")
+    schedule, mu = None, 0.0
+    if method == "sgd":
+        schedule = (draw(st.sampled_from(baselines.SGD_SCHEDULES)), draw(st.sampled_from([0.5, 4.0])))
+    elif draw(st.booleans()):
+        mu = draw(st.sampled_from([0.3, 50.0]))  # 50: the switch point falls within the run
+    hyper = HyperParams(gamma=draw(st.sampled_from([0.05, 0.9, 1.7, 40.0])),
+                        gamma_tau=draw(st.sampled_from([0.0, 0.3, 1.0])), lam=0.2,
+                        beta=draw(st.sampled_from([0.0, 0.0, 0.5])),
+                        step_cap=draw(st.sampled_from([math.inf, 0.01])),
+                        schedule="motaps_decreasing" if mu else "constant", mu=mu)
+    w = rng.standard_normal(d) * draw(st.sampled_from([0.0, 1.0, 1e5, 1e200]))
+    alpha = rng.standard_normal(n) * draw(st.sampled_from([0.0, 1.0, 1e300]))
+    tau = draw(st.sampled_from([0.0, 0.5, -1.6e308]))
+    fi_stars = rng.random(n) * draw(st.sampled_from([0.0, 0.3, 1e120, -1e120]))
+    draws = draw(st.lists(st.integers(0, n if tracker else n - 1), min_size=2, max_size=30))
+    return dict(method=method, spec=spec, rows=rows, labels=labels, hyper=hyper, schedule=schedule, w=w,
+                alpha=alpha if tracker else None, tau=tau, fi_stars=fi_stars, draws=draws,
+                t=draw(st.sampled_from([0, 40])))
+
+
+def kernel_case(method="sp", family="squared", sigma=0.0, rows=((1.0,),), labels=(1.0,), w=(0.0,),
+                alpha=None, tau=0.0, gamma=0.9, draws=(0, 0), spec=None, **hyper):
+    """A hand-built case of ``kernel_cases``' kind, for its examples."""
+    rows, spec = np.array(rows), spec or LossSpec(family=family, sigma=sigma)
+    return dict(method=method, spec=spec, rows=rows, labels=np.array(labels),
+                hyper=HyperParams(gamma=gamma, **hyper), schedule=None, w=np.array(w), tau=tau,
+                alpha=None if alpha is None else np.array(alpha), fi_stars=np.zeros(len(rows)),
+                draws=list(draws), t=0)
+
+
+def kernel_outcome(case, step):
+    """``repr`` of what ``step(kernel, draws, t)`` returns or raises, and of
+    the kernel's state after it: s, ‖w‖², w, z, α, ᾱ and τ."""
+    data = Dataset(case["rows"], case["labels"])
+    w, state = case["w"].copy(), None
+    if case["alpha"] is not None:
+        state = TrackerState(w, case["alpha"].copy(), float(np.mean(case["alpha"])), case["tau"])
+    try:
+        with np.errstate(all="ignore"):
+            kernel = _Kernel(case["method"], case["spec"], data, w, case["hyper"], state=state,
+                             fi_stars=case["fi_stars"], schedule=case["schedule"])
+            got = [step(kernel, np.array(case["draws"]), case["t"])]
+    except NumericError as err:
+        got = [str(err), err.sample_index, err.records]
+    got += [kernel.s, kernel.wsq, w.tobytes(), None if kernel.z is None else kernel.z.tobytes()]
+    if state is not None:
+        got += [state.alpha.tobytes(), state.alpha_bar, state.tau]
+    return repr(got)
+
+
+def run_outcome(case):
+    """``repr`` of the records two epochs of ``case``'s method and settings
+    return from its start, or of the NumericError and its records."""
+    data = Dataset(case["rows"], case["labels"])
+    try:
+        with np.errstate(all="ignore"):
+            if case["method"] == "sgd":
+                return repr(run_baseline("sgd", case["spec"], data, 2, 3, gamma=case["hyper"].gamma,
+                                         sgd_schedule=case["schedule"][0]))
+            init = case["w"] if case["alpha"] is None else TrackerState(
+                case["w"], case["alpha"], float(np.mean(case["alpha"])), case["tau"])
+            return repr(run_epochs(case["method"], case["spec"], data, case["hyper"], 2, 3,
+                                   fi_star=case["fi_stars"], init_state=init))
+    except (NumericError, ValueError) as err:
+        return repr((type(err), str(err), getattr(err, "sample_index", None), getattr(err, "records", None)))
+
+
+class TestCompiledKernel:
+    """The compiled step loop against ``_Kernel.run``'s Python loop, with
+    ``==`` on every state byte, the coefficient and any NumericError."""
+
+    @settings(max_examples=150)
+    @given(case=kernel_cases())
+    # the two clamps of the lazy step, each at a case where rounding makes the
+    # expansion negative: ‖g‖² where φ′x = −σw, and ‖w‖² where a step zeroes w
+    @example(case=kernel_case("taps", sigma=0.1, rows=[[1.267732437050385, 0.0]], labels=[2.4264018621393286],
+                              w=[1.8018547853037412, 0.0], alpha=[0.0]))
+    @example(case=kernel_case(rows=[[1.9229741707058658, 0.0]], labels=[-0.3066942041096974],
+                              w=[-0.7526741919580582, 0.0], gamma=2.5377398039198584))
+    # the raise sites the draws seldom reach: an aggregate step that
+    # overflows, a gradient whose square norm overflows (plain and lazy), and
+    # f_i − α_i that overflows, a finite loss whose φ′ is not; the
+    # monomial's kink, where u = 0; and the cap
+    @example(case=kernel_case("taps", alpha=[0.0], tau=-1.6e308, gamma=1.7, draws=[1, 1]))
+    @example(case=kernel_case(rows=[[1e10]], labels=[0.0], w=[1e140]))
+    @example(case=kernel_case(rows=[[1e10, 0.0]], labels=[0.0], w=[1e140, 0.0]))
+    @example(case=kernel_case("taps", family="logistic", w=[-1e307], alpha=[-1.7e308]))
+    @example(case=kernel_case("motaps", family="monomial", labels=[0.5], w=[0.5], alpha=[0.0]))
+    @example(case=kernel_case(spec=LossSpec(family="monomial", power_r=0.05, offsets=[5e-324], scales=[1e20])))
+    @example(case=kernel_case("spsmax", step_cap=0.01))
+    def test_matches_the_python_loop(self, compiled_loop, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            python = kernel_outcome(case, lambda kernel, draws, t: kernel.run(draws, t))
+            run_python = run_outcome(case)
+            mp.setattr(_native, "load", lambda: compiled_loop)
+            compiled = kernel_outcome(case, lambda kernel, draws, t: _native.run(compiled_loop, kernel, draws, t))
+            run_compiled = run_outcome(case)
+        assert compiled == python
+        assert run_compiled == run_python
+
+    def test_bad_index_is_an_index_error(self, compiled_loop):
+        data = Dataset([[1.0, 0.0]], [1.0])
+        kernel = _Kernel("sp", LossSpec(family="squared"), data, np.zeros(2), HyperParams(), fi_stars=np.zeros(1))
+        with pytest.raises(IndexError, match="sample index 1 out of range"):
+            _native.run(compiled_loop, kernel, np.array([0, 1]), 0)
+
+
 GRID = [(g, gt) for g in (0.1, 0.7, 1.1) for gt in (1e-3, 0.5)]
 
 
@@ -1358,9 +1497,9 @@ class TestRunGrid:
     def test_logistic_overflow_cells(self, monkeypatch, method, layout):
         # once the other rows have moved w, row 1 (scaled by 5000) has
         # margins y*t far above 709.78, where math.exp(y*t) overflows and
-        # the array phi falls back to _phi_of's phi per margin: in the motaps
-        # grid's batch step on the full layout and in every record's
-        # batch_eval (every other grid runs each cell alone)
+        # the array phi falls back to _phi_of's phi per margin in a record's
+        # batch_eval. A grid cell builds only its last record, so on some
+        # layouts only the per-cell runs' earlier records reach such a margin
         data = self.full_or_sparse(layout, scale_row1=5000.0)
         fallbacks, phi_of = [], losses._phi_of
 
@@ -1376,9 +1515,10 @@ class TestRunGrid:
         hyper = HyperParams(lam=0.2, step_cap=0.4 if method == "spsmax" else math.inf)
         args = (method, LossSpec(family="logistic", sigma=1e-3), data, hyper, GRID, 5, 11)
         finals = run_grid(*args, tau=0.05, fi_star=0.01)
+        per_cell = self.per_cell(*args, tau=0.05, fi_star=0.01)
         assert fallbacks and max(map(abs, fallbacks)) > 709.79
         assert None not in finals
-        assert finals == self.per_cell(*args, tau=0.05, fi_star=0.01)
+        assert finals == per_cell
 
     def test_fold_branch_cells(self):
         # the sp steps of test_scale_collapse_folds_to_the_dense_step
@@ -1495,25 +1635,25 @@ class TestRunGrid:
         grid = run_grid("motaps", spec, data, hyper, cells, epochs, seed, tau=tau)
         assert list(map(repr, grid)) == list(map(repr, finals))
 
-    def test_only_the_motaps_grid_is_batched(self, monkeypatch):
-        # every other grid runs once per cell, so only the motaps step at
-        # β = 0 on full rows has a second engine to agree with
-        built, batch = [], polyak._Batch
+    def test_every_grid_cell_is_one_run(self, monkeypatch):
+        # every grid, of every method, layout and β, runs each cell as one
+        # run_epochs that builds only its last record, so the kernel is the
+        # grid's only engine
+        runs, run_epochs = [], polyak.run_epochs
 
-        def counting_batch(*args, **kwargs):
-            built.append(args)
-            return batch(*args, **kwargs)
+        def counting_run(*args, **kwargs):
+            runs.append((args[3].gamma, args[3].gamma_tau, kwargs["last_only"]))
+            return run_epochs(*args, **kwargs)
 
-        monkeypatch.setattr(polyak, "_Batch", counting_batch)
-        batched, spec = [], LossSpec(family="logistic", sigma=1e-3)
+        monkeypatch.setattr(polyak, "run_epochs", counting_run)
+        spec = LossSpec(family="logistic", sigma=1e-3)
         for method in ("sp", "spsmax", "taps", "motaps"):
             for layout in ("dense", "sparse"):
                 for beta in (0.0, 0.5):
-                    built.clear()
+                    runs.clear()
                     hyper = HyperParams(lam=0.2, beta=beta)
                     run_grid(method, spec, self.full_or_sparse(layout), hyper, GRID, 2, 11, tau=0.05)
-                    batched += [(method, layout, beta)] * len(built)
-        assert batched == [("motaps", "dense", 0.0)]
+                    assert runs == [(g, gt, True) for g, gt in GRID]
 
     def test_arguments_checked(self):
         spec, data = interpolating_problem(n=4, d=2)
