@@ -74,7 +74,7 @@ def _build():
         ddot = ctypes.cast(ctypes.CDLL(str(blas[0])).scipy_cblas_ddot64_, ctypes.c_void_p).value
         source, cache = SOURCE.read_bytes(), _cache_dir()
         key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(), str(blas[0]).encode()])).hexdigest()
-        if not cache.is_absolute():  # no home directory to expand ~ into
+        if not cache.is_absolute():  # Python 3.11 leaves ~ as it is where no home directory is known
             return None
         os.makedirs(cache, mode=0o700, exist_ok=True)
         info = os.lstat(cache)
@@ -92,7 +92,9 @@ def _build():
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(path))
-    except (IndexError, AttributeError, OSError, subprocess.SubprocessError):
+    # no bundled OpenBLAS, no ddot in it, no home directory (Python 3.12 and later), no usable
+    # cache, no gcc or a failed build
+    except (IndexError, AttributeError, RuntimeError, OSError, subprocess.SubprocessError):
         return None
     lib.pk_run.argtypes = [ctypes.POINTER(_Args), ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     lib.pk_run.restype, lib.ddot = ctypes.c_int, ddot
